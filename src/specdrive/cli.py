@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from . import formats
+from . import formats, quant
 from .complexity import count_flops
 from .errors import InvalidSpec, ShapeMismatch, SpecdriveError
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
@@ -65,7 +65,7 @@ def _load_model(path: str, want_quantized: bool | None = None):
     """Return ('float', graph, weights) or ('quantized', qgraph, None)."""
     with open(path, "rb") as f:
         magic = f.read(4)
-    if magic == b"SDQ1":
+    if magic == quant.MAGIC:
         if want_quantized is False:
             raise InvalidSpec(f"{path} is a quantized container")
         return "quantized", load_qgraph(path), None
@@ -77,12 +77,13 @@ def _load_model(path: str, want_quantized: bool | None = None):
     return "float", graph, w
 
 
-def _model_in_channels(meta: dict) -> int:
-    return int(meta["config"]["in_channels"])
-
-
-def _default_grid(h: int, w: int, patch: int | None = None):
-    patch = patch or min(128, h, w)
+def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
+    """The grid file if one is given, else the default 44/57-stride grid
+    of the model's patch size (per-pixel models: patches of up to 128)."""
+    if grid_path:
+        return formats.load_grid(grid_path)
+    h, w = cube.shape[:2]
+    patch = meta["config"]["patch_size"] if meta["kind"] == "unet" else 128
     return build_grid((h, w), min(patch, h, w), 44, 57)
 
 
@@ -101,16 +102,10 @@ def run_segment(manifest: dict) -> dict:
         manifest["model"], manifest.get("quantized") or None
     )
     meta = model.meta if kind == "float" else model.graph.meta
-    if cube.shape[-1] != _model_in_channels(meta):
-        raise ShapeMismatch(
-            f"cube has {cube.shape[-1]} bands, model expects "
-            f"{_model_in_channels(meta)}"
-        )
-    if manifest.get("grid"):
-        grid = formats.load_grid(manifest["grid"])
-    else:
-        patch = meta["config"].get("patch_size") if meta["kind"] == "unet" else None
-        grid = _default_grid(cube.shape[0], cube.shape[1], patch)
+    bands = int(meta["config"]["in_channels"])
+    if cube.shape[-1] != bands:
+        raise ShapeMismatch(f"cube has {cube.shape[-1]} bands, model expects {bands}")
+    grid = _grid_for(meta, cube, manifest.get("grid"))
 
     threads = int(manifest.get("threads") or 1)
     patches = extract_patches(cube, grid)
@@ -220,13 +215,7 @@ def _cmd_quantize(args) -> int:
     for c in cubes:
         cube = formats.load_cube(c)
         if graph.meta["kind"] == "unet":
-            patch = graph.meta["config"]["patch_size"]
-            grid = (
-                formats.load_grid(args.grid)
-                if args.grid
-                else _default_grid(cube.shape[0], cube.shape[1], patch)
-            )
-            samples.extend(extract_patches(cube, grid))
+            samples.extend(extract_patches(cube, _grid_for(graph.meta, cube, args.grid)))
         else:
             samples.append(cube)
     qg = quantize_model(graph, weights, samples)
@@ -276,12 +265,7 @@ def _cmd_bench(args) -> int:
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
         meta = model.meta if kind == "float" else model.graph.meta
-        patch = meta["config"].get("patch_size") if meta["kind"] == "unet" else None
-        grid = (
-            formats.load_grid(cfg_dict["grid"])
-            if cfg_dict.get("grid")
-            else _default_grid(cube.shape[0], cube.shape[1], patch)
-        )
+        grid = _grid_for(meta, cube, cfg_dict.get("grid"))
         patches = extract_patches(cube, grid)
         report = bench_mod.bench_inference(
             bcfg, model, patches, grid, weights=weights,

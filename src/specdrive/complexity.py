@@ -1,8 +1,10 @@
-"""Parameter and FLOP accounting for model graphs.
+"""Parameter and FLOP accounting for model graphs, read off the layer-kind
+table in model.py.
 
-Convolutions and dense layers count weights plus bias; batch norm counts its
-scale/offset as trainable and the stored mean/variance as non-trainable;
-normalization, pooling and activation layers are parameter-free.
+Parameters are the tensors a layer reads: convolutions and dense layers
+count weights plus bias; batch norm counts its scale/offset as trainable and
+the stored mean/variance as non-trainable; the z-score statistics of the
+input normalization are not parameters.
 
 The FLOP figure uses a fixed, documented convention: 2 x MACs where
 MACs = H_out * W_out * C_out * C_in * k_h * k_w for every kernel layer
@@ -16,9 +18,10 @@ carries both the MAC and the 2x number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InvalidConfig
-from .model import ModelGraph
+from .model import LAYER_KINDS, ModelGraph, layer_tensors
 
 
 @dataclass(frozen=True)
@@ -33,23 +36,14 @@ class ComplexityReport:
 
 
 def count_params(graph: ModelGraph) -> ComplexityReport:
-    trainable = 0
-    non_trainable = 0
+    counts = {"trainable": 0, "non_trainable": 0, "statistic": 0}
     for layer in graph.layers:
-        if layer.kind in ("conv3", "conv1"):
-            k = layer.kernel
-            trainable += k * k * layer.in_ch * layer.out_ch + layer.out_ch
-        elif layer.kind == "upconv2":
-            trainable += 4 * layer.in_ch * layer.out_ch + layer.out_ch
-        elif layer.kind == "dense":
-            trainable += layer.in_ch * layer.out_ch + layer.out_ch
-        elif layer.kind == "batchnorm":
-            trainable += 2 * layer.out_ch
-            non_trainable += 2 * layer.out_ch
+        for _, shape, role in layer_tensors(layer):
+            counts[role] += prod(shape)
     return ComplexityReport(
-        np_total=trainable + non_trainable,
-        trainable=trainable,
-        non_trainable=non_trainable,
+        np_total=counts["trainable"] + counts["non_trainable"],
+        trainable=counts["trainable"],
+        non_trainable=counts["non_trainable"],
     )
 
 
@@ -64,20 +58,13 @@ def count_flops(graph: ModelGraph, patches_per_image: int = 18) -> ComplexityRep
     sizes = {"input": side}
     macs = 0
     for layer in graph.layers:
-        s = sizes[layer.inputs[0]]
-        if layer.kind in ("conv3", "conv1"):
-            k = layer.kernel
-            macs += s * s * layer.out_ch * layer.in_ch * k * k
-        elif layer.kind == "upconv2":
-            s *= 2
-            macs += s * s * layer.out_ch * layer.in_ch * 4
-        elif layer.kind == "dense":
-            macs += s * s * layer.in_ch * layer.out_ch
-        elif layer.kind == "maxpool2":
-            if s % 2:
-                raise InvalidConfig(f"odd spatial size {s} at {layer.name}")
-            s //= 2
-        sizes[layer.name] = s
+        s_in = sizes[layer.inputs[0]]
+        s = s_in * LAYER_KINDS[layer.kind].resize
+        if s != int(s):
+            raise InvalidConfig(f"odd spatial size {s_in} at {layer.name}")
+        s = sizes[layer.name] = int(s)
+        macs += s * s * sum(prod(shape) for name, shape, _ in layer_tensors(layer)
+                            if name.endswith(".weight"))
     return ComplexityReport(
         np_total=params.np_total,
         trainable=params.trainable,

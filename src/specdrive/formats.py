@@ -1,15 +1,22 @@
-"""On-disk formats: raw frames, cubes, layouts, masks and renders.
+"""On-disk formats: raw frames, cubes, layouts, masks, renders and the
+framed tensor container behind the .sdw and .sdq model files.
 
 Everything is either JSON or a trivially parseable binary: raw frames are
 little-endian uint16 rasters with a JSON sidecar, cubes are a JSON header
 line followed by band-major float32 planes, masks are binary portable
 graymaps (P5) holding class indices, renders are portable pixmaps (P6) with
 a fixed palette so two runs are diffable byte for byte.
+
+Loaders trust nothing: a malformed header, a payload of the wrong length or
+a non-finite cube raises CorruptContainer.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +40,69 @@ PALETTE = (
 )
 
 
+@contextmanager
+def _header_errors(path):
+    """Report what parsing a malformed header raises (a missing key or
+    item, a value of the wrong type or out of range, bad JSON or text) as
+    CorruptContainer."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise CorruptContainer(f"{path}: bad header ({type(e).__name__}: {e})") from None
+
+
+def _int_pair(v) -> tuple[int, int]:
+    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(i, int) for i in v)):
+        raise ValueError(f"expected two integers, got {v!r}")
+    return v[0], v[1]
+
+
+def write_container(path, magic: bytes, header: dict, tensors) -> None:
+    """Framed container: 4-byte magic, little-endian uint32 header length,
+    UTF-8 JSON header (the given keys, then the "tensors" manifest), then the
+    tensor bytes in manifest order. tensors are (manifest entry, array)
+    pairs; each entry names the array's name, shape and dtype."""
+    text = json.dumps({**header, "tensors": [entry for entry, _ in tensors]}).encode()
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(len(text).to_bytes(4, "little"))
+        f.write(text)
+        for _, arr in tensors:
+            f.write(arr.tobytes())
+
+
+def read_container(path, magic: bytes, dtypes: dict[str, str], parse):
+    """Read a framed container and return parse(header, {name: (array,
+    manifest entry)}). dtypes maps the manifest's dtype labels to numpy
+    dtypes. The payload must end exactly after the last tensor and float
+    tensors must be finite; header-schema errors raised in parse count as a
+    corrupt container too."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 8 or raw[:4] != magic:
+        raise CorruptContainer(f"{path}: not a {magic.decode()} container")
+    offset = 8 + int.from_bytes(raw[4:8], "little")
+    with _header_errors(path):  # a truncated header is cut-off JSON
+        header = json.loads(raw[8:offset].decode())
+        arrays: dict[str, tuple[np.ndarray, dict]] = {}
+        for entry in header["tensors"]:
+            name, shape = entry["name"], entry["shape"]
+            dtype = np.dtype(dtypes[entry["dtype"]])
+            if not isinstance(name, str) or not all(
+                    isinstance(d, int) and d >= 0 for d in shape):
+                raise ValueError(f"bad manifest entry {entry!r}")
+            nbytes = prod(shape) * dtype.itemsize
+            if len(raw) < offset + nbytes:
+                raise CorruptContainer(f"{path}: truncated payload at {name}")
+            arr = np.frombuffer(raw, dtype, prod(shape), offset).reshape(shape).copy()
+            if dtype.kind == "f" and not np.isfinite(arr).all():
+                raise CorruptContainer(f"{path}: non-finite values in {name}")
+            arrays[name] = (arr, entry)
+            offset += nbytes
+        if offset != len(raw):
+            raise CorruptContainer(f"{path}: {len(raw) - offset} trailing bytes")
+        return parse(header, arrays)
+
+
 def save_raw(path, frame: np.ndarray, layout_id: str = "default-5x5",
              bit_depth: int = 16) -> None:
     frame = np.ascontiguousarray(frame, dtype="<u2")
@@ -50,10 +120,12 @@ def load_raw(path) -> tuple[np.ndarray, dict]:
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise CorruptContainer(f"{path}: missing sidecar {sidecar_path}")
-    meta = json.loads(sidecar_path.read_text())
-    w, h = int(meta["width"]), int(meta["height"])
-    if not 1 <= int(meta.get("bit_depth", 16)) <= 16:
-        raise CorruptContainer(f"{path}: bit depth {meta.get('bit_depth')} > 16")
+    with _header_errors(sidecar_path):
+        meta = json.loads(sidecar_path.read_bytes().decode())
+        h, w = _int_pair([meta["height"], meta["width"]])
+        bit_depth = meta.get("bit_depth", 16)
+    if min(h, w) < 1 or bit_depth not in range(1, 17):
+        raise CorruptContainer(f"{path}: bad size {w}x{h} or bit depth {bit_depth}")
     raw = Path(path).read_bytes()
     if len(raw) != w * h * 2:
         raise CorruptContainer(
@@ -81,15 +153,17 @@ def load_cube(path) -> np.ndarray:
     nl = raw.find(b"\n")
     if nl < 0:
         raise CorruptContainer(f"{path}: missing cube header")
-    try:
+    with _header_errors(path):
         meta = json.loads(raw[:nl].decode())
-        h, w, b = int(meta["height"]), int(meta["width"]), int(meta["bands"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise CorruptContainer(f"{path}: bad cube header ({e})") from None
+        h, w, b = (meta[k] for k in ("height", "width", "bands"))
+        if not all(isinstance(n, int) and n >= 1 for n in (h, w, b)):
+            raise ValueError(f"bad cube size {(h, w, b)}")
     payload = raw[nl + 1 :]
     if len(payload) != h * w * b * 4:
         raise CorruptContainer(f"{path}: cube payload truncated")
     planes = np.frombuffer(payload, "<f4").reshape(b, h, w)
+    if not np.isfinite(planes).all():
+        raise CorruptContainer(f"{path}: cube holds NaN or infinite values")
     return np.ascontiguousarray(planes.transpose(1, 2, 0))
 
 
@@ -108,14 +182,15 @@ def save_layout(path, layout: MosaicLayout) -> None:
 
 
 def load_layout(path) -> MosaicLayout:
-    d = json.loads(Path(path).read_text())
-    return MosaicLayout(
-        tile=np.asarray(d["tile"], dtype=np.int64),
-        active_origin=tuple(d["active_origin"]),
-        active_size=tuple(d["active_size"]),
-        center_offset=tuple(d["center_offset"]),
-        layout_id=d.get("id", "custom"),
-    )
+    with _header_errors(path):
+        d = json.loads(Path(path).read_bytes().decode())
+        return MosaicLayout(
+            tile=np.asarray(d["tile"], dtype=np.int64),
+            active_origin=_int_pair(d["active_origin"]),
+            active_size=_int_pair(d["active_size"]),
+            center_offset=_int_pair(d["center_offset"]),
+            layout_id=str(d.get("id", "custom")),
+        )
 
 
 def save_mask(path, mask: np.ndarray) -> None:
@@ -126,24 +201,26 @@ def save_mask(path, mask: np.ndarray) -> None:
         f.write(mask.tobytes())
 
 
+# one header field of a binary graymap, after whitespace and comment lines
+_PNM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)")
+
+
 def load_mask(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
         raise CorruptContainer(f"{path}: not a binary graymap")
-    fields: list[bytes] = []
+    fields: list[int] = []
     pos = 2
     while len(fields) < 3:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.find(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
+        m = _PNM_FIELD.match(raw, pos)
+        if m is None:
+            raise CorruptContainer(f"{path}: bad graymap header")
+        fields.append(int(m.group(1)))
+        pos = m.end()
+    if not raw[pos : pos + 1].isspace():
+        raise CorruptContainer(f"{path}: bad graymap header")
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(f) for f in fields)
+    w, h, maxval = fields
     if maxval != 255:
         raise CorruptContainer(f"{path}: unsupported maxval {maxval}")
     data = raw[pos : pos + w * h]
@@ -177,4 +254,5 @@ def save_grid(path, grid) -> None:
 def load_grid(path):
     from .tiling import PatchGrid
 
-    return PatchGrid.from_json(Path(path).read_text())
+    with _header_errors(path):
+        return PatchGrid.from_json(Path(path).read_bytes().decode())

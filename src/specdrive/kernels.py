@@ -162,83 +162,41 @@ def _check_acc_bound(n_terms: int, bias: np.ndarray | None):
         )
 
 
-def _exact_int_matmul(a: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    # float64 is exact for integer sums below 2^53; checked far stricter above
-    return np.rint(a.astype(np.float64) @ bm.astype(np.float64)).astype(np.int64)
+def _operands(xq, x_zp: int, wq, bias_q, dtype):
+    """Operands of an integer kernel as dtype: the input minus its zero
+    point, the weight and the bias. The float kernels then accumulate them
+    exactly, in int64 loops or in float64 BLAS calls (every partial sum stays
+    far below 2^53), so the fast and naive paths are bit-identical."""
+    return xq.astype(dtype) - x_zp, wq.astype(dtype), bias_q.astype(dtype)
 
 
 def conv2d_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
     """Integer convolution: sum((xq - x_zp) * wq) + bias, int32 accumulation."""
-    kh, kw, cin, cout = wq.shape
+    kh, kw, cin, _ = wq.shape
     _check_acc_bound(kh * kw * cin, bias_q)
-    xc = xq.astype(np.int32) - np.int32(x_zp)
-    h, wd = xc.shape[:2]
-    cols = _windows(_same_pad(xc, kh, kw), kh, kw).reshape(h * wd, kh * kw * cin)
-    acc = _exact_int_matmul(cols, wq.reshape(kh * kw * cin, cout))
-    acc += bias_q.astype(np.int64)
-    return acc.reshape(h, wd, cout).astype(np.int32)
+    return np.rint(conv2d(*_operands(xq, x_zp, wq, bias_q, np.float64))).astype(np.int32)
 
 
 def conv2d_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    kh, kw, cin, cout = wq.shape
-    xc = xq.astype(np.int64) - x_zp
-    h, wd = xc.shape[:2]
-    xp = _same_pad(xc, kh, kw)
-    wflat = wq.reshape(kh * kw * cin, cout).astype(np.int64)
-    out = np.empty((h, wd, cout), dtype=np.int32)
-    for i in range(h):
-        for j in range(wd):
-            window = xp[i : i + kh, j : j + kw].reshape(-1)
-            for o in range(cout):
-                out[i, j, o] = np.dot(window, wflat[:, o]) + int(bias_q[o])
-    return out
+    return conv2d_naive(*_operands(xq, x_zp, wq, bias_q, np.int64)).astype(np.int32)
 
 
 def upconv2_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    kh, kw, cin, cout = wq.shape
-    _check_acc_bound(cin, bias_q)
-    xc = xq.astype(np.int32) - np.int32(x_zp)
-    h, wd = xc.shape[:2]
-    acc = np.einsum(
-        "ijc,abco->iajbo", xc.astype(np.int64), wq.astype(np.int64), optimize=True
-    ).reshape(2 * h, 2 * wd, cout)
-    acc += bias_q.astype(np.int64)
-    return acc.astype(np.int32)
+    _check_acc_bound(wq.shape[2], bias_q)
+    return np.rint(upconv2(*_operands(xq, x_zp, wq, bias_q, np.float64))).astype(np.int32)
 
 
 def upconv2_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    h, wd, cin = xq.shape
-    cout = wq.shape[-1]
-    xc = xq.astype(np.int64) - x_zp
-    out = np.empty((2 * h, 2 * wd, cout), dtype=np.int32)
-    for i in range(h):
-        for j in range(wd):
-            for a in range(2):
-                for bb in range(2):
-                    for o in range(cout):
-                        out[2 * i + a, 2 * j + bb, o] = np.dot(
-                            xc[i, j], wq[a, bb, :, o].astype(np.int64)
-                        ) + int(bias_q[o])
-    return out
+    return upconv2_naive(*_operands(xq, x_zp, wq, bias_q, np.int64)).astype(np.int32)
 
 
 def dense_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
     _check_acc_bound(wq.shape[0], bias_q)
-    xc = xq.astype(np.int32) - np.int32(x_zp)
-    flat = xc.reshape(-1, xc.shape[-1])
-    acc = _exact_int_matmul(flat, wq) + bias_q.astype(np.int64)
-    return acc.reshape(*xq.shape[:-1], wq.shape[1]).astype(np.int32)
+    return np.rint(dense(*_operands(xq, x_zp, wq, bias_q, np.float64))).astype(np.int32)
 
 
 def dense_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    xc = xq.astype(np.int64) - x_zp
-    flat = xc.reshape(-1, xc.shape[-1])
-    out = np.empty((flat.shape[0], wq.shape[1]), dtype=np.int32)
-    wl = wq.astype(np.int64)
-    for n in range(flat.shape[0]):
-        for o in range(wq.shape[1]):
-            out[n, o] = np.dot(flat[n], wl[:, o]) + int(bias_q[o])
-    return out.reshape(*xq.shape[:-1], wq.shape[1])
+    return dense_naive(*_operands(xq, x_zp, wq, bias_q, np.int64)).astype(np.int32)
 
 
 def relu_int(xq: np.ndarray, zp: int) -> np.ndarray:

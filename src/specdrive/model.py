@@ -6,6 +6,14 @@ live outside the graph in a flat dict keyed "<layer>.<tensor>", which keeps
 the same graph usable for float inference, complexity counting, batch-norm
 folding and quantization.
 
+LAYER_KINDS is the one place a layer kind is defined: the tensors a layer of
+that kind reads, its float op, its integer op, whether its integer output
+keeps its input's quantization scheme, its input count and how it resizes
+the spatial grid. Weight specs, parameter and MAC counts, both forward
+walks and the quantizer are derived from it. Adding a kind means adding one
+entry there (and a kernel, if it needs a new one); a graph with a kind that
+is not in the table is rejected when it is built.
+
 Naming is stable: encoder blocks are enc0, enc1, ..., the bottom block is
 bridge, decoder blocks dec1, dec0, ... and the classifier is head.
 """
@@ -13,15 +21,12 @@ bridge, decoder blocks dec1, dec0, ... and the classifier is head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .errors import InvalidConfig, MissingWeights, ShapeMismatch, StructureError
-
-NORM_KINDS = ("band_norm", "zscore")
-CONV_KINDS = ("conv3", "conv1", "upconv2")
-WEIGHTED_KINDS = CONV_KINDS + ("dense",)
 
 
 @dataclass(frozen=True)
@@ -43,13 +48,20 @@ class ModelGraph:
     def __post_init__(self):
         seen = {"input"}
         for layer in self.layers:
+            kind = LAYER_KINDS.get(layer.kind)
+            if kind is None:
+                raise StructureError(f"layer {layer.name} has unknown kind {layer.kind!r}")
+            if len(layer.inputs) != kind.arity:
+                raise StructureError(
+                    f"{layer.kind} {layer.name} must have exactly {kind.arity} input(s)"
+                )
             for src in layer.inputs:
                 if src not in seen:
                     raise StructureError(
                         f"layer {layer.name} consumes {src!r} before it is produced"
                     )
-            if layer.kind == "concat" and len(layer.inputs) != 2:
-                raise StructureError(f"concat {layer.name} must have exactly 2 inputs")
+            if layer.name in seen:
+                raise StructureError(f"layer name {layer.name!r} is used twice")
             seen.add(layer.name)
 
     @property
@@ -61,6 +73,114 @@ class ModelGraph:
             if l.name == name:
                 return l
         raise KeyError(name)
+
+
+class Tensor(NamedTuple):
+    """A tensor a layer reads, stored under "<layer>.<suffix>"; its role is
+    trainable, non_trainable, or statistic (not a parameter)."""
+    suffix: str
+    shape: Callable[[LayerSpec], tuple[int, ...]]
+    role: str = "trainable"
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """What a layer kind is. float_op(layer, inputs, tensors, kernel table)
+    gives the float output. int_op(layer, int8 inputs, input schemes, own
+    scheme, quantized record, naive) gives the int8 output, or the int32
+    accumulator for kinds with a weight; None means the kind runs in float
+    on either side of the quantization boundary."""
+
+    float_op: Callable
+    int_op: Callable | None = None
+    tensors: tuple[Tensor, ...] = ()
+    inherits_scheme: bool = False  # relu/pool/dropout add no requantization
+    arity: int = 1
+    resize: float = 1.0  # factor on the spatial side of the output
+
+
+def _vec(layer: LayerSpec) -> tuple[int, ...]:
+    return (layer.out_ch,)
+
+
+def _identity(layer, xs, *_):
+    return xs[0]
+
+
+def _concat(layer, xs, *_):
+    a, b = xs
+    if a.shape[:-1] != b.shape[:-1]:
+        raise ShapeMismatch(
+            f"concat {layer.name}: spatial shapes {a.shape[:-1]} vs {b.shape[:-1]}"
+        )
+    return np.concatenate([a, b], axis=-1)
+
+
+def _weighted(kernel: str, shape, **kw) -> LayerKind:
+    """A kind with a weight and a bias. Its float op is the kernel table's
+    <kernel>; its int op is kernels.<kernel>_int (or _int_naive) on the
+    quantized weight and bias, giving the int32 accumulator. Both are
+    looked up at call time."""
+
+    def int_op(layer, xs, ins, out, ql, naive):
+        fn = getattr(kernels, f"{kernel}_int_naive" if naive else f"{kernel}_int")
+        return fn(xs[0], ins[0].zero_point, ql.weight.data, ql.bias)
+
+    return LayerKind(lambda l, xs, ts, k: k[kernel](xs[0], *ts), int_op,
+                     (Tensor("weight", shape), Tensor("bias", _vec)), **kw)
+
+
+def table_lookup(layer, xs, ins, out, lut, naive):
+    """Int op of an elementwise kind: its float op tabulated over all 256
+    int8 inputs (see quant.quantize_graph)."""
+    return lut[xs[0].astype(np.int16) + 128]
+
+
+_CONV = _weighted("conv2d", lambda l: (l.kernel, l.kernel, l.in_ch, l.out_ch))
+
+LAYER_KINDS: dict[str, LayerKind] = {
+    "band_norm": LayerKind(lambda l, xs, *_: kernels.band_norm(xs[0])),
+    "zscore": LayerKind(
+        lambda l, xs, ts, k: kernels.zscore(xs[0], *ts),
+        tensors=(Tensor("mean", _vec, "statistic"), Tensor("std", _vec, "statistic")),
+    ),
+    "conv3": _CONV,
+    "conv1": _CONV,
+    "upconv2": _weighted("upconv2", lambda l: (2, 2, l.in_ch, l.out_ch), resize=2.0),
+    "dense": _weighted("dense", lambda l: (l.in_ch, l.out_ch)),
+    "batchnorm": LayerKind(
+        lambda l, xs, ts, k: kernels.batchnorm_infer(xs[0], *ts),
+        tensors=(Tensor("scale", _vec), Tensor("offset", _vec),
+                 Tensor("mean", _vec, "non_trainable"),
+                 Tensor("variance", _vec, "non_trainable")),
+    ),
+    "relu": LayerKind(
+        lambda l, xs, *_: kernels.relu(xs[0]),
+        lambda l, xs, ins, *_: kernels.relu_int(xs[0], ins[0].zero_point),
+        inherits_scheme=True,
+    ),
+    "tanh": LayerKind(lambda l, xs, *_: np.tanh(xs[0]), table_lookup),
+    "maxpool2": LayerKind(
+        lambda l, xs, ts, k: k["maxpool2"](xs[0]),
+        lambda l, xs, *_: kernels.maxpool2(xs[0]),
+        inherits_scheme=True,
+        resize=0.5,
+    ),
+    "dropout": LayerKind(_identity, _identity, inherits_scheme=True),
+    # the int op first re-expresses both halves in the concat's own scheme
+    "concat": LayerKind(
+        _concat,
+        lambda l, xs, ins, out, *_: _concat(l, list(map(out.requant, xs, ins))),
+        arity=2,
+    ),
+    "softmax": LayerKind(lambda l, xs, *_: kernels.softmax(xs[0])),
+}
+
+
+def layer_tensors(layer: LayerSpec) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, role) of every tensor the layer reads, in table order."""
+    return [(f"{layer.name}.{t.suffix}", t.shape(layer), t.role)
+            for t in LAYER_KINDS[layer.kind].tensors]
 
 
 @dataclass(frozen=True)
@@ -213,6 +333,29 @@ def _weight(weights: dict, key: str) -> np.ndarray:
         raise MissingWeights(f"missing tensor {key!r}") from None
 
 
+def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False):
+    """Float32 inference one layer at a time: yields ("input", x), then
+    (layer name, output) for every layer in order. A tensor is dropped once
+    its last consumer has run, so a caller that keeps only what it needs
+    holds one layer's working set at a time."""
+    kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
+    last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
+    tensors: dict[str, np.ndarray] = {"input": np.asarray(x, dtype=np.float32)}
+    yield "input", tensors["input"]
+    for i, layer in enumerate(graph.layers):
+        out = LAYER_KINDS[layer.kind].float_op(
+            layer,
+            [tensors[src] for src in layer.inputs],
+            [_weight(weights, name) for name, _, _ in layer_tensors(layer)],
+            kset,
+        )
+        tensors[layer.name] = out = out.astype(np.float32, copy=False)
+        for src in layer.inputs:
+            if last_use[src] == i:
+                tensors.pop(src, None)
+        yield layer.name, out
+
+
 def forward(
     graph: ModelGraph,
     x: np.ndarray,
@@ -223,81 +366,31 @@ def forward(
 ):
     """Float32 inference. Dropout is identity; batch norm uses its stored
     statistics. With return_all, gives every intermediate tensor by name."""
-    kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
-    tensors: dict[str, np.ndarray] = {"input": np.asarray(x, dtype=np.float32)}
-    for layer in graph.layers:
-        a = tensors[layer.inputs[0]]
-        name, kind = layer.name, layer.kind
-        if kind == "band_norm":
-            out = kernels.band_norm(a)
-        elif kind == "zscore":
-            out = kernels.zscore(a, _weight(weights, f"{name}.mean"),
-                                 _weight(weights, f"{name}.std"))
-        elif kind in ("conv3", "conv1"):
-            out = kset["conv2d"](a, _weight(weights, f"{name}.weight"),
-                                 _weight(weights, f"{name}.bias"))
-        elif kind == "upconv2":
-            out = kset["upconv2"](a, _weight(weights, f"{name}.weight"),
-                                  _weight(weights, f"{name}.bias"))
-        elif kind == "batchnorm":
-            out = kernels.batchnorm_infer(
-                a,
-                _weight(weights, f"{name}.scale"),
-                _weight(weights, f"{name}.offset"),
-                _weight(weights, f"{name}.mean"),
-                _weight(weights, f"{name}.variance"),
-            )
-        elif kind == "relu":
-            out = kernels.relu(a)
-        elif kind == "tanh":
-            out = np.tanh(a)
-        elif kind == "maxpool2":
-            out = kset["maxpool2"](a)
-        elif kind == "dense":
-            out = kset["dense"](a, _weight(weights, f"{name}.weight"),
-                                _weight(weights, f"{name}.bias"))
-        elif kind == "concat":
-            b = tensors[layer.inputs[1]]
-            if a.shape[:-1] != b.shape[:-1]:
-                raise ShapeMismatch(
-                    f"concat {name}: spatial shapes {a.shape[:-1]} vs {b.shape[:-1]}"
-                )
-            out = np.concatenate([a, b], axis=-1)
-        elif kind == "dropout":
-            out = a
-        elif kind == "softmax":
-            out = kernels.softmax(a)
-        else:
-            raise StructureError(f"unknown layer kind {kind!r}")
-        tensors[name] = out.astype(np.float32, copy=False)
-    if return_all:
-        return tensors
-    return tensors[graph.output_name]
+    tensors = dict(walk(graph, x, weights, naive=naive))
+    return tensors if return_all else tensors[graph.output_name]
 
 
 def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:
-    """Fold every batch-norm into the convolution that feeds it.
+    """Fold every batch-norm into the convolution (or dense layer) that feeds it.
 
     Returns a new graph without batchnorm layers and a matching weight dict;
     outputs agree with the unfolded network up to float rounding.
     """
     by_name = {l.name: l for l in graph.layers}
-    folded_weights = {
-        k: v.copy() for k, v in weights.items() if not _is_bn_tensor(graph, k)
-    }
+    bn_tensors = {name for l in graph.layers if l.kind == "batchnorm"
+                  for name, _, _ in layer_tensors(l)}
+    folded_weights = {k: v.copy() for k, v in weights.items() if k not in bn_tensors}
     renames: dict[str, str] = {}
     new_layers: list[LayerSpec] = []
     for layer in graph.layers:
         if layer.kind == "batchnorm":
             src = by_name[layer.inputs[0]]
-            if src.kind not in CONV_KINDS:
+            if all(t.suffix != "weight" for t in LAYER_KINDS[src.kind].tensors):
                 raise StructureError(
-                    f"batchnorm {layer.name} does not directly follow a convolution"
+                    f"batchnorm {layer.name} does not directly follow a weighted layer"
                 )
-            scale = _weight(weights, f"{layer.name}.scale").astype(np.float64)
-            offset = _weight(weights, f"{layer.name}.offset").astype(np.float64)
-            mean = _weight(weights, f"{layer.name}.mean").astype(np.float64)
-            var = _weight(weights, f"{layer.name}.variance").astype(np.float64)
+            scale, offset, mean, var = (_weight(weights, name).astype(np.float64)
+                                        for name, _, _ in layer_tensors(layer))
             inv = scale / np.sqrt(var + kernels.BN_EPS)
             w = folded_weights[f"{src.name}.weight"].astype(np.float64)
             b = folded_weights[f"{src.name}.bias"].astype(np.float64)
@@ -313,10 +406,3 @@ def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:
     meta["batchnorm_folded"] = True
     return ModelGraph(new_layers, meta=meta), folded_weights
 
-
-def _is_bn_tensor(graph: ModelGraph, key: str) -> bool:
-    base = key.rsplit(".", 1)[0]
-    try:
-        return graph.layer(base).kind == "batchnorm"
-    except KeyError:
-        return False

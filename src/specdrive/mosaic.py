@@ -59,6 +59,9 @@ class MosaicLayout:
         k = tile.shape[0]
         if sorted(tile.ravel().tolist()) != list(range(k * k)):
             raise DimensionMismatch("tile must be a bijection onto band indices")
+        if min(self.active_origin) < 0 or min(self.active_size) < 1:
+            raise DimensionMismatch(
+                f"bad active window {self.active_size} at {self.active_origin}")
         if self.active_size[0] % k or self.active_size[1] % k:
             raise DimensionMismatch(
                 f"active size {self.active_size} not divisible by mosaic pitch {k}"

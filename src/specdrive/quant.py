@@ -15,9 +15,7 @@ calibration then runs on the folded graph so recorded ranges line up.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,16 +26,22 @@ from .errors import (
     RangeMissing,
     ShapeMismatch,
 )
+from .formats import read_container, write_container
 from .model import (
-    CONV_KINDS,
+    LAYER_KINDS,
     LayerSpec,
     ModelGraph,
+    _weight,
+    build_from_meta,
     fold_batchnorm,
     forward,
+    layer_tensors,
+    table_lookup,
+    walk,
 )
 
 MAGIC = b"SDQ1"
-INT_KINDS = CONV_KINDS + ("dense", "relu", "maxpool2", "dropout", "concat", "tanh")
+INT_KINDS = tuple(k for k, v in LAYER_KINDS.items() if v.int_op is not None)
 # degenerate calibration ranges are widened to at least this half-span
 MIN_HALF_SPAN = 1e-3
 
@@ -57,6 +61,15 @@ class QuantScheme:
 
     def dequant(self, q: np.ndarray) -> np.ndarray:
         return ((q.astype(np.float64) - self.zero_point) * self.scale).astype(np.float32)
+
+    def requant(self, q: np.ndarray, src: "QuantScheme") -> np.ndarray:
+        """Re-express int8 values held in scheme src in this scheme."""
+        if src == self:
+            return q
+        v = round_half_away(
+            (q.astype(np.float64) - src.zero_point) * (src.scale / self.scale)
+        ) + self.zero_point
+        return np.clip(v, -128, 127).astype(np.int8)
 
     @classmethod
     def symmetric_for(cls, tensor: np.ndarray) -> "QuantScheme":
@@ -80,10 +93,6 @@ class QuantScheme:
 class QTensor:
     data: np.ndarray  # int8
     scheme: QuantScheme
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 @dataclass
@@ -120,8 +129,7 @@ def calibrate(graph: ModelGraph, weights: dict, calib: list[np.ndarray]) -> dict
         raise EmptyCalibration("need at least one calibration sample")
     ranges: dict[str, tuple[float, float]] = {}
     for sample in calib:
-        tensors = forward(graph, sample, weights, return_all=True)
-        for name, arr in tensors.items():
+        for name, arr in walk(graph, sample, weights):
             lo, hi = float(arr.min()), float(arr.max())
             if name in ranges:
                 plo, phi = ranges[name]
@@ -129,10 +137,6 @@ def calibrate(graph: ModelGraph, weights: dict, calib: list[np.ndarray]) -> dict
             else:
                 ranges[name] = (lo, hi)
     return ranges
-
-
-def _int_domain(kind: str) -> bool:
-    return kind in INT_KINDS
 
 
 def _assign_schemes(graph: ModelGraph, ranges: dict) -> dict[str, QuantScheme]:
@@ -146,18 +150,15 @@ def _assign_schemes(graph: ModelGraph, ranges: dict) -> dict[str, QuantScheme]:
 
     schemes: dict[str, QuantScheme] = {}
     for layer in graph.layers:
-        if not _int_domain(layer.kind):
+        kind = LAYER_KINDS[layer.kind]
+        if kind.int_op is None:
             continue
-        src = layer.inputs[0]
-        if src not in schemes:  # quantization boundary: float producer
-            schemes[src] = from_range(src)
-        if layer.kind in ("relu", "maxpool2", "dropout"):
-            schemes[layer.name] = schemes[src]
+        for src in layer.inputs:
+            if src not in schemes:  # quantization boundary: float producer
+                schemes[src] = from_range(src)
+        if kind.inherits_scheme:
+            schemes[layer.name] = schemes[layer.inputs[0]]
         else:
-            if layer.kind == "concat":
-                other = layer.inputs[1]
-                if other not in schemes:
-                    schemes[other] = from_range(other)
             schemes[layer.name] = from_range(layer.name)
     return schemes
 
@@ -172,13 +173,23 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
     if any(l.kind == "batchnorm" for l in graph.layers):
         graph, weights = fold_batchnorm(graph, weights)
     schemes = _assign_schemes(graph, ranges)
-    qlayers: dict[str, QLayer] = {}
-    luts: dict[str, np.ndarray] = {}
-    norm_weights: dict[str, np.ndarray] = {}
+    qg = QuantizedGraph(graph, schemes, {}, {})
     for layer in graph.layers:
-        if layer.kind in CONV_KINDS + ("dense",):
-            w = weights[f"{layer.name}.weight"]
-            b = weights[f"{layer.name}.bias"]
+        kind = LAYER_KINDS[layer.kind]
+        if kind.int_op is None:  # float-domain kinds keep their tensors
+            for name, _, _ in layer_tensors(layer):
+                qg.norm_weights[name] = weights[name]
+        elif kind.int_op is table_lookup:
+            s_in = schemes[layer.inputs[0]]
+            s_out = schemes[layer.name]
+            q = np.arange(-128, 128, dtype=np.float64)
+            y = kind.float_op(layer, [(q - s_in.zero_point) * s_in.scale], (),
+                              kernels.FAST_KERNELS)
+            qg.luts[layer.name] = np.clip(
+                round_half_away(y / s_out.scale) + s_out.zero_point, -128, 127
+            ).astype(np.int8)
+        elif kind.tensors:  # weight and bias: int8 weight, int32 bias
+            w, b = (weights[name] for name, _, _ in layer_tensors(layer))
             wscheme = QuantScheme.symmetric_for(w)
             wq = np.clip(
                 round_half_away(w.astype(np.float64) / wscheme.scale), -127, 127
@@ -191,24 +202,12 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
             # worst-case accumulator magnitude proved safe up front
             n_terms = int(np.prod(wq.shape[:-1]))
             kernels._check_acc_bound(n_terms, bias_q.astype(np.int64))
-            qlayers[layer.name] = QLayer(
+            qg.qlayers[layer.name] = QLayer(
                 weight=QTensor(wq, wscheme),
                 bias=bias_q.astype(np.int32),
                 bias_scale=bias_scale,
             )
-        elif layer.kind == "tanh":
-            s_in = schemes[layer.inputs[0]]
-            s_out = schemes[layer.name]
-            q = np.arange(-128, 128, dtype=np.float64)
-            y = np.tanh((q - s_in.zero_point) * s_in.scale)
-            lut = np.clip(
-                round_half_away(y / s_out.scale) + s_out.zero_point, -128, 127
-            ).astype(np.int8)
-            luts[layer.name] = lut
-        elif layer.kind == "zscore":
-            norm_weights[f"{layer.name}.mean"] = weights[f"{layer.name}.mean"]
-            norm_weights[f"{layer.name}.std"] = weights[f"{layer.name}.std"]
-    return QuantizedGraph(graph, schemes, qlayers, luts, norm_weights)
+    return qg
 
 
 def quantize_model(
@@ -219,15 +218,6 @@ def quantize_model(
         graph, weights = fold_batchnorm(graph, weights)
     ranges = calibrate(graph, weights, calib)
     return quantize_graph(graph, weights, ranges)
-
-
-def _requant(q: np.ndarray, src: QuantScheme, dst: QuantScheme) -> np.ndarray:
-    if src == dst:
-        return q
-    v = round_half_away(
-        (q.astype(np.float64) - src.zero_point) * (src.scale / dst.scale)
-    ) + dst.zero_point
-    return np.clip(v, -128, 127).astype(np.int8)
 
 
 def qforward(
@@ -244,10 +234,7 @@ def qforward(
     tensor dequantized through its scheme, for error analysis against the
     float network.
     """
-    conv_int = kernels.conv2d_int_naive if naive else kernels.conv2d_int
-    upconv_int = kernels.upconv2_int_naive if naive else kernels.upconv2_int
-    dense_int = kernels.dense_int_naive if naive else kernels.dense_int
-
+    kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
     fvals: dict[str, np.ndarray] = {"input": np.asarray(x, np.float32)}
     qvals: dict[str, np.ndarray] = {}
     schemes = qg.schemes
@@ -263,49 +250,30 @@ def qforward(
         return fvals[name]
 
     for layer in qg.graph.layers:
-        name, kind, src = layer.name, layer.kind, layer.inputs[0]
-        if kind == "band_norm":
-            fvals[name] = kernels.band_norm(as_float(src))
-        elif kind == "zscore":
-            fvals[name] = kernels.zscore(
-                as_float(src),
-                qg.norm_weights[f"{name}.mean"],
-                qg.norm_weights[f"{name}.std"],
+        name, kind = layer.name, LAYER_KINDS[layer.kind]
+        if kind.int_op is None:
+            fvals[name] = kind.float_op(
+                layer,
+                [as_float(src) for src in layer.inputs],
+                [_weight(qg.norm_weights, t) for t, _, _ in layer_tensors(layer)],
+                kset,
             )
-        elif kind in CONV_KINDS + ("dense",):
-            ql = qg.qlayers[name]
-            xq = as_int(src)
-            zp_in = schemes[src].zero_point
-            if kind in ("conv3", "conv1"):
-                acc = conv_int(xq, zp_in, ql.weight.data, ql.bias)
-            elif kind == "upconv2":
-                acc = upconv_int(xq, zp_in, ql.weight.data, ql.bias)
-            else:
-                acc = dense_int(xq, zp_in, ql.weight.data, ql.bias)
+            continue
+        ql = qg.qlayers.get(name)
+        q = kind.int_op(
+            layer,
+            [as_int(src) for src in layer.inputs],
+            [schemes[src] for src in layer.inputs],
+            schemes[name],
+            ql if ql is not None else qg.luts.get(name),
+            naive,
+        )
+        if ql is not None:  # int32 accumulator back to int8
             out_s = schemes[name]
             mult = ql.bias_scale / out_s.scale
-            q = round_half_away(acc.astype(np.float64) * mult) + out_s.zero_point
-            qvals[name] = np.clip(q, -128, 127).astype(np.int8)
-        elif kind == "relu":
-            qvals[name] = kernels.relu_int(as_int(src), schemes[src].zero_point)
-        elif kind == "maxpool2":
-            qvals[name] = kernels.maxpool2(as_int(src))
-        elif kind == "dropout":
-            qvals[name] = as_int(src)
-        elif kind == "tanh":
-            qvals[name] = qg.luts[name][as_int(src).astype(np.int16) + 128]
-        elif kind == "concat":
-            a = _requant(as_int(src), schemes[src], schemes[name])
-            b = _requant(
-                as_int(layer.inputs[1]), schemes[layer.inputs[1]], schemes[name]
-            )
-            if a.shape[:-1] != b.shape[:-1]:
-                raise ShapeMismatch(f"concat {name}: {a.shape} vs {b.shape}")
-            qvals[name] = np.concatenate([a, b], axis=-1)
-        elif kind == "softmax":
-            fvals[name] = kernels.softmax(as_float(src))
-        else:
-            raise ShapeMismatch(f"layer kind {kind!r} not supported in integer mode")
+            q = round_half_away(q.astype(np.float64) * mult) + out_s.zero_point
+            q = np.clip(q, -128, 127).astype(np.int8)
+        qvals[name] = q
 
     out_name = qg.graph.output_name
     if return_all:
@@ -375,107 +343,78 @@ def quant_report(
 
 
 def save_qgraph(path, qg: QuantizedGraph) -> None:
-    manifest = []
-    payload = bytearray()
+    tensors = []
 
-    def put(name, arr, dtype, scale=None, zero_point=None):
+    def put(name, arr, dtype, **scheme):
         arr = np.ascontiguousarray(arr, dtype=dtype)
-        entry = {"name": name, "shape": list(arr.shape), "dtype": dtype}
-        if scale is not None:
-            entry["scale"] = float(scale)
-        if zero_point is not None:
-            entry["zero_point"] = int(zero_point)
-        manifest.append(entry)
-        payload.extend(arr.tobytes())
+        tensors.append(({"name": name, "shape": list(arr.shape), "dtype": dtype,
+                         **scheme}, arr))
 
     for lname, ql in qg.qlayers.items():
-        put(f"{lname}.weight", ql.weight.data, "<i1",
-            ql.weight.scheme.scale, ql.weight.scheme.zero_point)
-        put(f"{lname}.bias", ql.bias, "<i4", ql.bias_scale, 0)
+        put(f"{lname}.weight", ql.weight.data, "<i1", scale=float(ql.weight.scheme.scale),
+            zero_point=int(ql.weight.scheme.zero_point))
+        put(f"{lname}.bias", ql.bias, "<i4", scale=float(ql.bias_scale), zero_point=0)
     for lname, lut in qg.luts.items():
         put(f"{lname}.lut", lut, "<i1")
     for tname, arr in qg.norm_weights.items():
         put(tname, arr, "<f4")
 
-    header = json.dumps(
-        {
-            "format": "sdq",
-            "version": 1,
-            "model": qg.graph.meta,
-            "layers": [
-                {
-                    "name": l.name, "kind": l.kind, "inputs": list(l.inputs),
-                    "in_ch": l.in_ch, "out_ch": l.out_ch,
-                    "kernel": l.kernel, "rate": l.rate,
-                }
-                for l in qg.graph.layers
-            ],
-            "activations": {
-                n: {"scale": s.scale, "zero_point": s.zero_point}
-                for n, s in qg.schemes.items()
-            },
-            "tensors": manifest,
-        }
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.array([len(header)], dtype="<u4").tobytes())
-        f.write(header)
-        f.write(payload)
+    header = {
+        "format": "sdq",
+        "version": 1,
+        "model": qg.graph.meta,
+        "layers": [asdict(l) for l in qg.graph.layers],
+        "activations": {
+            n: {"scale": s.scale, "zero_point": s.zero_point}
+            for n, s in qg.schemes.items()
+        },
+    }
+    write_container(path, MAGIC, header, tensors)
+
+
+def _scheme(d: dict) -> QuantScheme:
+    scale, zp = float(d["scale"]), d["zero_point"]
+    if not (np.isfinite(scale) and scale > 0 and isinstance(zp, int) and -128 <= zp <= 127):
+        raise ValueError(f"bad quantization scheme {d!r}")
+    return QuantScheme(scale, zp)
 
 
 def load_qgraph(path) -> QuantizedGraph:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise CorruptContainer(f"{path}: not a quantized weight container")
-    hlen = int(np.frombuffer(raw[4:8], "<u4")[0])
-    if len(raw) < 8 + hlen:
-        raise CorruptContainer(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[8 : 8 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CorruptContainer(f"{path}: bad header ({e})") from None
-    graph = ModelGraph(
-        [
-            LayerSpec(d["name"], d["kind"], tuple(d["inputs"]),
-                      d["in_ch"], d["out_ch"], d["kernel"], d["rate"])
-            for d in header["layers"]
-        ],
-        meta=header["model"],
-    )
-    schemes = {
-        n: QuantScheme(v["scale"], v["zero_point"])
-        for n, v in header["activations"].items()
-    }
-    arrays: dict[str, tuple[np.ndarray, dict]] = {}
-    offset = 8 + hlen
-    itemsize = {"<i1": 1, "<i4": 4, "<f4": 4}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * itemsize[entry["dtype"]]
-        chunk = raw[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptContainer(f"{path}: truncated payload at {entry['name']}")
-        arrays[entry["name"]] = (
-            np.frombuffer(chunk, entry["dtype"]).reshape(shape).copy(),
-            entry,
-        )
-        offset += nbytes
+    """Read a quantized container back. The model description, the layers
+    and the schemes must be valid, and the file must hold every tensor
+    qforward reads, in the dtype and shape the layer-kind table gives."""
 
-    qlayers: dict[str, QLayer] = {}
-    luts: dict[str, np.ndarray] = {}
-    norm_weights: dict[str, np.ndarray] = {}
-    for name, (arr, entry) in arrays.items():
-        base, tensor = name.rsplit(".", 1)
-        if tensor == "weight":
-            bias_arr, bias_entry = arrays[f"{base}.bias"]
-            qlayers[base] = QLayer(
-                weight=QTensor(arr, QuantScheme(entry["scale"], entry["zero_point"])),
-                bias=bias_arr,
-                bias_scale=bias_entry["scale"],
-            )
-        elif tensor == "lut":
-            luts[base] = arr
-        elif entry["dtype"] == "<f4":
-            norm_weights[name] = arr
-    return QuantizedGraph(graph, schemes, qlayers, luts, norm_weights)
+    def parse(header, arrays):
+        if build_from_meta(header["model"]).meta["config"] != header["model"]["config"]:
+            raise CorruptContainer(f"{path}: incomplete model description")
+        graph = ModelGraph(
+            [LayerSpec(**{**d, "inputs": tuple(d["inputs"])}) for d in header["layers"]],
+            meta=header["model"],
+        )
+        schemes = {n: _scheme(v) for n, v in header["activations"].items()}
+
+        def take(name, shape, dtype):
+            arr, entry = arrays.get(name, (None, {}))
+            if arr is None or arr.shape != shape or entry["dtype"] != dtype:
+                raise CorruptContainer(f"{path}: needs a {dtype} tensor {name!r} {shape}")
+            return arr, entry
+
+        qg = QuantizedGraph(graph, schemes, {}, {})
+        for layer in graph.layers:
+            kind, specs = LAYER_KINDS[layer.kind], layer_tensors(layer)
+            if kind.int_op is None:
+                for name, shape, _ in specs:
+                    qg.norm_weights[name] = take(name, shape, "<f4")[0]
+                continue
+            if any(n not in schemes for n in (*layer.inputs, layer.name)):
+                raise CorruptContainer(f"{path}: no scheme for layer {layer.name!r}")
+            if kind.int_op is table_lookup:
+                qg.luts[layer.name] = take(f"{layer.name}.lut", (256,), "<i1")[0]
+            elif specs:
+                (w, went), (b, bent) = (take(n, shape, dtype) for (n, shape, _), dtype
+                                        in zip(specs, ("<i1", "<i4")))
+                qg.qlayers[layer.name] = QLayer(QTensor(w, _scheme(went)), b,
+                                                _scheme(bent).scale)
+        return qg
+
+    return read_container(path, MAGIC, {t: t for t in ("<i1", "<i4", "<f4")}, parse)

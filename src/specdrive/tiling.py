@@ -57,8 +57,20 @@ class PatchGrid:
         patch = int(d["patch"])
         rows = tuple(int(v) for v in d["rows"])
         cols = tuple(int(v) for v in d["cols"])
-        image_size = (rows[-1] + patch, cols[-1] + patch)
-        return cls(patch, rows, cols, image_size)
+        grid = cls(patch, rows, cols, (rows[-1] + patch, cols[-1] + patch))
+        if not all(map(_covers, (rows, cols), grid.image_size, (patch, patch))):
+            raise InvalidGeometry("grid leaves pixels uncovered")
+        return grid
+
+
+def _covers(starts, size: int, patch: int) -> bool:
+    """Whether patches at these starts cover every index below size."""
+    end = 0
+    for s in sorted(starts):
+        if s > end:
+            return False
+        end = max(end, s + patch)
+    return end >= size
 
 
 def _mirrored_starts(dim: int, patch: int, stride: int) -> tuple[int, ...]:

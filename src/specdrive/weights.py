@@ -4,126 +4,77 @@ Training happens elsewhere; this package consumes weights. For tests and
 demos a seeded generator produces He-style fan-in scaled tensors, so any
 weight-dependent behaviour is reproducible from a single integer.
 
-Container layout (.sdw): 4-byte magic, little-endian uint32 header length,
-UTF-8 JSON header, then the tensor payload. The header carries the model
-kind/config and an ordered tensor manifest (name, shape, dtype); payload
-tensors are concatenated little-endian float32 in manifest order.
+Container layout (.sdw): the framed container of formats.write_container
+(4-byte magic, little-endian uint32 header length, UTF-8 JSON header, then
+the tensor payload). The header carries the model kind/config and an
+ordered tensor manifest (name, shape, dtype); payload tensors are
+concatenated little-endian float32 in manifest order.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .errors import CorruptContainer
-from .model import ModelGraph, build_from_meta
+from .formats import read_container, write_container
+from .model import ModelGraph, build_from_meta, layer_tensors
 
 MAGIC = b"SDW1"
 
 
 def tensor_specs(graph: ModelGraph) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) pairs for every tensor the graph expects."""
-    specs: list[tuple[str, tuple[int, ...]]] = []
-    for layer in graph.layers:
-        n = layer.name
-        if layer.kind in ("conv3", "conv1"):
-            k = layer.kernel
-            specs.append((f"{n}.weight", (k, k, layer.in_ch, layer.out_ch)))
-            specs.append((f"{n}.bias", (layer.out_ch,)))
-        elif layer.kind == "upconv2":
-            specs.append((f"{n}.weight", (2, 2, layer.in_ch, layer.out_ch)))
-            specs.append((f"{n}.bias", (layer.out_ch,)))
-        elif layer.kind == "dense":
-            specs.append((f"{n}.weight", (layer.in_ch, layer.out_ch)))
-            specs.append((f"{n}.bias", (layer.out_ch,)))
-        elif layer.kind == "batchnorm":
-            for t in ("scale", "offset", "mean", "variance"):
-                specs.append((f"{n}.{t}", (layer.out_ch,)))
-        elif layer.kind == "zscore":
-            specs.append((f"{n}.mean", (layer.out_ch,)))
-            specs.append((f"{n}.std", (layer.out_ch,)))
-    return specs
+    return [(name, shape) for layer in graph.layers
+            for name, shape, _ in layer_tensors(layer)]
+
+
+# the seeded draw per tensor suffix: fan-in scaled normals for kernels, small
+# biases, mildly perturbed batch-norm statistics
+_DRAWS = {
+    "weight": lambda rng, s: rng.normal(0.0, np.sqrt(2.0 / int(np.prod(s[:-1]))), size=s),
+    "bias": lambda rng, s: rng.normal(0.0, 0.02, size=s),
+    "scale": lambda rng, s: rng.uniform(0.8, 1.25, size=s),
+    "offset": lambda rng, s: rng.normal(0.0, 0.1, size=s),
+    "mean": lambda rng, s: rng.normal(0.0, 0.1, size=s),
+    "variance": lambda rng, s: rng.uniform(0.5, 1.5, size=s),
+    "std": lambda rng, s: rng.uniform(0.8, 1.25, size=s),
+}
 
 
 def generate_weights(graph: ModelGraph, seed: int = 0) -> dict[str, np.ndarray]:
-    """Seeded pseudo-random weights: fan-in scaled normals for kernels,
-    small biases, mildly perturbed batch-norm statistics."""
+    """Seeded pseudo-random weights, drawn in tensor_specs order. Z-score
+    statistics are identity (mean 0, std 1) unless the caller supplies real
+    ones; they are drawn all the same, so no other tensor changes."""
     rng = np.random.default_rng(seed)
     weights: dict[str, np.ndarray] = {}
-    for name, shape in tensor_specs(graph):
-        tensor = name.rsplit(".", 1)[1]
-        if tensor == "weight":
-            fan_in = int(np.prod(shape[:-1]))
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        elif tensor == "bias":
-            w = rng.normal(0.0, 0.02, size=shape)
-        elif tensor == "scale":
-            w = rng.uniform(0.8, 1.25, size=shape)
-        elif tensor == "offset":
-            w = rng.normal(0.0, 0.1, size=shape)
-        elif tensor == "mean":
-            w = rng.normal(0.0, 0.1, size=shape)
-        elif tensor == "variance":
-            w = rng.uniform(0.5, 1.5, size=shape)
-        elif tensor == "std":
-            w = rng.uniform(0.8, 1.25, size=shape)
-        else:
-            raise KeyError(tensor)
-        weights[name] = w.astype(np.float32)
-    # z-score defaults: identity unless the caller supplies real statistics
-    for name, shape in tensor_specs(graph):
-        if name.endswith("zscore.mean"):
-            weights[name] = np.zeros(shape, np.float32)
-        if name.endswith("zscore.std"):
-            weights[name] = np.ones(shape, np.float32)
+    for layer in graph.layers:
+        for name, shape, role in layer_tensors(layer):
+            w = _DRAWS[name.rsplit(".", 1)[1]](rng, shape)
+            if role == "statistic":
+                w = np.zeros(shape) if name.endswith(".mean") else np.ones(shape)
+            weights[name] = w.astype(np.float32)
     return weights
 
 
 def save_weights(path, graph: ModelGraph, weights: dict[str, np.ndarray]) -> None:
-    specs = tensor_specs(graph)
-    manifest = []
-    payload = bytearray()
-    for name, shape in specs:
+    tensors = []
+    for name, shape in tensor_specs(graph):
         arr = np.ascontiguousarray(weights[name], dtype="<f4")
         if arr.shape != shape:
             raise CorruptContainer(f"tensor {name} has shape {arr.shape}, expected {shape}")
-        manifest.append({"name": name, "shape": list(shape), "dtype": "f32le"})
-        payload += arr.tobytes()
-    header = json.dumps(
-        {"format": "sdw", "version": 1, "model": graph.meta, "tensors": manifest}
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.array([len(header)], dtype="<u4").tobytes())
-        f.write(header)
-        f.write(payload)
+        tensors.append(({"name": name, "shape": list(shape), "dtype": "f32le"}, arr))
+    header = {"format": "sdw", "version": 1, "model": graph.meta}
+    write_container(path, MAGIC, header, tensors)
 
 
 def load_weights(path) -> tuple[ModelGraph, dict[str, np.ndarray]]:
-    """Read a container back into a graph plus weight dict."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 8 or raw[:4] != MAGIC:
-        raise CorruptContainer(f"{path}: not a weight container")
-    hlen = int(np.frombuffer(raw[4:8], "<u4")[0])
-    if len(raw) < 8 + hlen:
-        raise CorruptContainer(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[8 : 8 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CorruptContainer(f"{path}: bad header ({e})") from None
-    graph = build_from_meta(header["model"])
-    weights: dict[str, np.ndarray] = {}
-    offset = 8 + hlen
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape)) * 4
-        chunk = raw[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptContainer(f"{path}: truncated payload at {entry['name']}")
-        weights[entry["name"]] = np.frombuffer(chunk, "<f4").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(raw):
-        raise CorruptContainer(f"{path}: {len(raw) - offset} trailing bytes")
-    return graph, weights
+    """Read a container back into a graph plus weight dict. The tensors must
+    be exactly the ones the model's graph reads, in order and shape."""
+
+    def parse(header, arrays):
+        graph = build_from_meta(header["model"])
+        if [(n, a.shape) for n, (a, _) in arrays.items()] != tensor_specs(graph):
+            raise CorruptContainer(f"{path}: tensors do not match the model")
+        return graph, {n: a for n, (a, _) in arrays.items()}
+
+    return read_container(path, MAGIC, {"f32le": "<f4"}, parse)

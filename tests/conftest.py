@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from specdrive.mosaic import MosaicLayout, preprocess_pipeline
 from specdrive.synth import SceneSpec, synth_scene
+
+# Property and fuzz tests draw a fixed, small example set: the same cases on
+# every run, no per-example deadline (timings on shared machines are noisy)
+# and no example database on disk.
+settings.register_profile(
+    "specdrive", derandomize=True, deadline=None, max_examples=25, database=None
+)
+settings.load_profile("specdrive")
 
 
 @pytest.fixture

@@ -1,0 +1,215 @@
+"""Malformed inputs are data errors: the loaders raise a SpecdriveError and
+the CLI exits 2, never 3 (an internal error) and never 0 with a wrong
+answer."""
+
+import json
+
+import numpy as np
+import pytest
+
+from specdrive import formats
+from specdrive.cli import main
+from specdrive.errors import CorruptContainer, SpecdriveError, StructureError
+from specdrive.model import LayerSpec, ModelGraph, UNetConfig, build_unet
+from specdrive.mosaic import default_layout
+from specdrive.quant import load_qgraph, quantize_model, save_qgraph
+from specdrive.weights import generate_weights, load_weights, save_weights
+
+SMALL = UNetConfig(patch_size=8, encoder_depth=1, initial_filters=2, in_channels=5)
+
+
+def reframe(data: bytes, edit) -> bytes:
+    """Apply edit to the JSON header of a framed container, keeping the
+    framing consistent so only the header content is wrong."""
+    hlen = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8 : 8 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    return data[:4] + len(text).to_bytes(4, "little") + text + data[8 + hlen :]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bad")
+    rng = np.random.default_rng(5)
+    cube = rng.uniform(0.05, 0.95, (12, 12, 5)).astype(np.float32)
+    formats.save_cube(root / "cube.hsc", cube)
+    g = build_unet(SMALL)
+    w = generate_weights(g, 1)
+    save_weights(root / "unet.sdw", g, w)
+    save_qgraph(root / "unet.sdq", quantize_model(g, w, [cube[:8, :8]]))
+    frame = rng.integers(0, 4096, (1088, 2048)).astype(np.uint16)
+    for name in ("raw", "dark", "white"):
+        formats.save_raw(root / f"{name}.u16", frame)
+    formats.save_layout(root / "layout.json", default_layout())
+    formats.save_mask(root / "mask.pgm", np.zeros((4, 4), np.uint8))
+    return root
+
+
+def segment(files, tmp_path, **over):
+    args = {"cube": files / "cube.hsc", "model": files / "unet.sdw",
+            "out": tmp_path / "mask.pgm", **over}
+    return main(["segment"] + [a for k, v in args.items() for a in (f"--{k}", str(v))])
+
+
+def preprocess(files, tmp_path, **over):
+    args = {"raw": files / "raw.u16", "dark": files / "dark.u16",
+            "white": files / "white.u16", "layout": files / "layout.json",
+            "out": tmp_path / "cube.hsc", **over}
+    return main(["preprocess"] + [a for k, v in args.items() for a in (f"--{k}", str(v))])
+
+
+def test_valid_files_run(files, tmp_path):
+    assert segment(files, tmp_path) == 0
+    assert segment(files, tmp_path, model=files / "unet.sdq") == 0
+
+
+def test_sdq_trailing_bytes_exit_2(files, tmp_path):
+    bad = tmp_path / "fat.sdq"
+    bad.write_bytes((files / "unet.sdq").read_bytes() + b"xx")
+    with pytest.raises(CorruptContainer):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_sdw_without_model_exit_2(files, tmp_path):
+    bad = tmp_path / "nomodel.sdw"
+    bad.write_bytes(reframe((files / "unet.sdw").read_bytes(),
+                            lambda h: h.pop("model")))
+    with pytest.raises(CorruptContainer):
+        load_weights(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_sdw_tensors_not_matching_model_exit_2(files, tmp_path):
+    def rename(h):
+        h["tensors"][0]["name"] = "enc0.conv0.kernel"
+
+    bad = tmp_path / "renamed.sdw"
+    bad.write_bytes(reframe((files / "unet.sdw").read_bytes(), rename))
+    with pytest.raises(CorruptContainer):
+        load_weights(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_sdq_without_activations_exit_2(files, tmp_path):
+    bad = tmp_path / "noact.sdq"
+    bad.write_bytes(reframe((files / "unet.sdq").read_bytes(),
+                            lambda h: h.pop("activations")))
+    with pytest.raises(CorruptContainer):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_sdq_f8_tensor_exit_2(files, tmp_path):
+    def widen(h):
+        h["tensors"][-1]["dtype"] = "<f8"
+
+    bad = tmp_path / "f8.sdq"
+    bad.write_bytes(reframe((files / "unet.sdq").read_bytes(), widen))
+    with pytest.raises(CorruptContainer):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_sdq_unknown_layer_kind_exit_2(files, tmp_path):
+    def rename_kind(h):
+        h["layers"][3]["kind"] = "swish"
+
+    bad = tmp_path / "kind.sdq"
+    bad.write_bytes(reframe((files / "unet.sdq").read_bytes(), rename_kind))
+    with pytest.raises(StructureError):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_graph_rejects_unknown_kind():
+    with pytest.raises(StructureError):
+        ModelGraph([LayerSpec("a", "swish", ("input",), 1, 1)])
+
+
+def test_graph_rejects_wrong_input_count():
+    with pytest.raises(StructureError):
+        ModelGraph([LayerSpec("a", "relu", ("input", "input"), 1, 1)])
+
+
+def test_sidecar_without_width_exit_2(files, tmp_path):
+    raw = tmp_path / "raw.u16"
+    raw.write_bytes((files / "raw.u16").read_bytes())
+    meta = json.loads((files / "raw.u16.json").read_text())
+    del meta["width"]
+    (tmp_path / "raw.u16.json").write_text(json.dumps(meta))
+    with pytest.raises(CorruptContainer):
+        formats.load_raw(raw)
+    assert preprocess(files, tmp_path, raw=raw) == 2
+
+
+def test_empty_layout_exit_2(files, tmp_path):
+    bad = tmp_path / "layout.json"
+    bad.write_text("{}")
+    with pytest.raises(CorruptContainer):
+        formats.load_layout(bad)
+    assert preprocess(files, tmp_path, layout=bad) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"patch": 8, "cols": [0, 4]}',                  # no rows
+    '{"patch": 4, "rows": [0, 8], "cols": [0, 8]}',  # leaves pixels uncovered
+    '{"patch": 8, "rows": [], "cols": [0, 4]}',
+    '{"patch": 8, "rows": [Infinity], "cols": [0, 4]}',
+])
+def test_malformed_grid_exit_2(files, tmp_path, text):
+    bad = tmp_path / "grid.json"
+    bad.write_text(text)
+    with pytest.raises(SpecdriveError):
+        formats.load_grid(bad)
+    assert segment(files, tmp_path, grid=bad) == 2
+
+
+def test_sdq_activations_of_wrong_type_exit_2(files, tmp_path):
+    def listify(h):
+        h["activations"] = list(h["activations"])
+
+    bad = tmp_path / "list.sdq"
+    bad.write_bytes(reframe((files / "unet.sdq").read_bytes(), listify))
+    with pytest.raises(CorruptContainer):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_truncated_graymap_header_exit_2(files, tmp_path):
+    bad = tmp_path / "cut.pgm"
+    bad.write_bytes(b"P5\n4")
+    with pytest.raises(CorruptContainer):
+        formats.load_mask(bad)
+    rc = main(["metrics", "--gt", str(bad), "--pred", str(files / "mask.pgm"),
+               "--classes", "3"])
+    assert rc == 2
+
+
+def test_cube_with_nan_exit_2(files, tmp_path):
+    cube = formats.load_cube(files / "cube.hsc")
+    cube[3, 4, 1] = np.nan
+    bad = tmp_path / "nan.hsc"
+    formats.save_cube(bad, cube)
+    with pytest.raises(CorruptContainer):
+        formats.load_cube(bad)
+    assert segment(files, tmp_path, cube=bad) == 2
+
+
+def test_cube_with_inf_rejected(tmp_path):
+    cube = np.ones((2, 3, 4), np.float32)
+    cube[1, 2, 3] = -np.inf
+    formats.save_cube(tmp_path / "inf.hsc", cube)
+    with pytest.raises(SpecdriveError):
+        formats.load_cube(tmp_path / "inf.hsc")
+
+
+def test_sdw_with_nan_weight_exit_2(files, tmp_path):
+    g, w = load_weights(files / "unet.sdw")
+    w["head.conv.bias"][0] = np.nan
+    bad = tmp_path / "nan.sdw"
+    save_weights(bad, g, w)
+    with pytest.raises(CorruptContainer):
+        load_weights(bad)
+    assert segment(files, tmp_path, model=bad) == 2
