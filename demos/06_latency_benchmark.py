@@ -29,7 +29,7 @@ cube = preprocess_pipeline(scene.raw, scene.dark, scene.white, scene.layout).cub
 graph, weights = separating_mlp_weights(scene.signatures)
 grid = build_grid(cube.shape[:2], 128, 44, 57)
 patches = extract_patches(cube, grid)
-icfg = BenchConfig(iterations=3, warmup=1, threads=(1, 2), batch_size=18)
+icfg = BenchConfig(iterations=3, warmup=1, threads=(1, 2))
 inf = bench_inference(icfg, graph, patches, grid, weights=weights,
                       preprocess_ms=report.best().total_mean_ms)
 print("\n=== inference (18-patch batch + reconstruction) ===")

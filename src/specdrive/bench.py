@@ -18,16 +18,16 @@ from __future__ import annotations
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import MissingWeights, NonDeterministicOutput
+from .errors import InvalidOption, MissingWeights, NonDeterministicOutput, int_option
 from .mosaic import STAGE_NAMES, STAGE_TOTAL, MosaicLayout, preprocess_pipeline
 from .model import ModelGraph, forward
 from .quant import QuantizedGraph, qforward
-from .tiling import PatchGrid, overlap_index, reconstruct
+from .tiling import PatchGrid, map_patches, overlap_index, reconstruct
 
 STAGE_INFER = "Inference"
 STAGE_REBUILD = "Reconstruction"
@@ -39,38 +39,32 @@ class BenchConfig:
     warmup: int = 10
     threads: tuple[int, ...] = (1,)
     vectorized: tuple[bool, ...] = (True,)
-    stages: tuple[str, ...] = STAGE_NAMES
-    batch_size: int = 18
     watts: float | None = None
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
-        if any(t < 1 for t in self.threads):
-            raise ValueError("thread counts must be >= 1")
+        int_option("iterations", self.iterations)
+        int_option("warmup", self.warmup, least=0)
+        for t in self.threads:
+            int_option("threads", t)
         if not self.threads or not self.vectorized:
-            raise ValueError("need at least one thread count and one kernel mode")
+            raise InvalidOption("need at least one thread count and one kernel mode")
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
-        kw = {}
-        for key in ("iterations", "warmup", "batch_size"):
-            if key in d:
-                kw[key] = int(d[key])
+        kw = {key: d[key] for key in ("iterations", "warmup") if key in d}
         if "threads" in d:
             t = d["threads"]
-            kw["threads"] = tuple(t) if isinstance(t, (list, tuple)) else (int(t),)
+            kw["threads"] = tuple(t) if isinstance(t, (list, tuple)) else (t,)
         if "vectorized" in d:
             v = d["vectorized"]
             kw["vectorized"] = tuple(bool(b) for b in v) if isinstance(
                 v, (list, tuple)
             ) else (bool(v),)
-        if "stages" in d:
-            kw["stages"] = tuple(d["stages"])
         if d.get("watts") is not None:
-            kw["watts"] = float(d["watts"])
+            try:
+                kw["watts"] = float(d["watts"])
+            except (TypeError, ValueError):
+                raise InvalidOption(f"watts must be a number, got {d['watts']!r}") from None
         return cls(**kw)
 
 
@@ -120,19 +114,47 @@ def _config_key(vectorized: bool, threads: int) -> str:
     return f"vector={'on' if vectorized else 'off'},threads={threads}"
 
 
-def _finalize(results, cfg: BenchConfig, determinism: str) -> BenchReport:
-    baseline = None
-    for r in results:  # prefer the unoptimized corner as speedup baseline
-        if not r.vectorized and r.threads == 1:
-            baseline = r
-    if baseline is None:
-        baseline = max(results, key=lambda r: r.total_mean_ms)
+def _measure(cfg: BenchConfig, run, agree) -> BenchReport:
+    """Gate every configuration against the first one, then time each.
+
+    run(vectorized, threads) returns (output, {stage: ms}). agree(ref, out,
+    same_mode) says whether out may stand for the first configuration's
+    output; same_mode is whether both ran the same kernel mode.
+    """
+    combos = [(v, t) for v in cfg.vectorized for t in cfg.threads]
+    ref = run(*combos[0])[0]
+    for v, t in combos[1:]:
+        if not agree(ref, run(v, t)[0], v == combos[0][0]):
+            raise NonDeterministicOutput(
+                f"configuration {_config_key(v, t)} disagrees with "
+                f"{_config_key(*combos[0])}"
+            )
+
+    results = []
+    for v, t in combos:
+        for _ in range(cfg.warmup):
+            run(v, t)
+        samples = [run(v, t)[1] for _ in range(cfg.iterations)]
+        stages = {
+            name: StageStats.from_samples([s[name] for s in samples])
+            for name in samples[0]
+        }
+        total = sum(s.mean_ms for s in stages.values())
+        results.append(
+            ConfigResult(
+                vectorized=v, threads=t, stages=stages, total_mean_ms=total,
+                fps=1000.0 / total if total > 0 else float("inf"),
+                joules=cfg.watts * total / 1000.0 if cfg.watts else None,
+            )
+        )
+    # prefer the unoptimized corner as speedup baseline
+    corner = [r for r in results if not r.vectorized and r.threads == 1]
+    baseline = corner[-1] if corner else max(results, key=lambda r: r.total_mean_ms)
     speedup = {
         _config_key(r.vectorized, r.threads): baseline.total_mean_ms / r.total_mean_ms
         for r in results
     }
-    return BenchReport(results=results, speedup=speedup, determinism=determinism,
-                       config=cfg)
+    return BenchReport(results=results, speedup=speedup, config=cfg)
 
 
 def bench_preprocess(
@@ -147,58 +169,11 @@ def bench_preprocess(
     All configurations must produce bitwise-identical cubes; that is checked
     before any timing is kept.
     """
-    combos = [(v, t) for v in cfg.vectorized for t in cfg.threads]
-    ref_cube = None
-    for v, t in combos:
-        cube = preprocess_pipeline(frame, dark, white, layout, threads=t,
-                                   vectorized=v).cube
-        if ref_cube is None:
-            ref_cube = cube
-        elif not np.array_equal(ref_cube, cube):
-            raise NonDeterministicOutput(
-                f"configuration {_config_key(v, t)} disagrees with "
-                f"{_config_key(*combos[0])}"
-            )
+    def run(v, t):
+        res = preprocess_pipeline(frame, dark, white, layout, threads=t, vectorized=v)
+        return res.cube, {name: res.timings_ms[name] for name in STAGE_NAMES}
 
-    results = []
-    for v, t in combos:
-        for _ in range(cfg.warmup):
-            preprocess_pipeline(frame, dark, white, layout, threads=t, vectorized=v)
-        samples: dict[str, list[float]] = {name: [] for name in STAGE_NAMES}
-        for _ in range(cfg.iterations):
-            res = preprocess_pipeline(frame, dark, white, layout, threads=t,
-                                      vectorized=v)
-            for name in STAGE_NAMES:
-                samples[name].append(res.timings_ms[name])
-        stages = {
-            name: StageStats.from_samples(samples[name])
-            for name in STAGE_NAMES
-            if name in cfg.stages
-        }
-        total = sum(s.mean_ms for s in stages.values())
-        results.append(
-            ConfigResult(
-                vectorized=v, threads=t, stages=stages, total_mean_ms=total,
-                fps=1000.0 / total if total > 0 else float("inf"),
-                joules=cfg.watts * total / 1000.0 if cfg.watts else None,
-            )
-        )
-    return _finalize(results, cfg, determinism="bitwise")
-
-
-def _run_patches(model, weights, patches, threads: int, naive: bool):
-    if isinstance(model, QuantizedGraph):
-        def one(p):
-            return qforward(model, p, naive=naive)
-    else:
-        if weights is None:
-            raise MissingWeights("float graph needs a weight dict")
-        def one(p):
-            return forward(model, p, weights, naive=naive)
-    if threads <= 1:
-        return [one(p) for p in patches]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, patches))
+    return _measure(cfg, run, lambda ref, cube, same_mode: np.array_equal(ref, cube))
 
 
 def bench_inference(
@@ -209,60 +184,34 @@ def bench_inference(
     weights: dict | None = None,
     preprocess_ms: float | None = None,
 ) -> BenchReport:
-    """Per-image latency: a batch of patches through the model plus
+    """Per-image latency: every patch of the grid through the model plus
     probability-map reconstruction. With preprocess_ms, also reports the
     two-stage pipeline throughput 1 / max(stage means)."""
-    batch = patches[: cfg.batch_size]
+    if isinstance(model, QuantizedGraph):
+        def infer(p, naive):
+            return qforward(model, p, naive=naive)
+    else:
+        if weights is None:
+            raise MissingWeights("float graph needs a weight dict")
+        def infer(p, naive):
+            return forward(model, p, weights, naive=naive)
     oi = overlap_index(grid)
-    combos = [(v, t) for v in cfg.vectorized for t in cfg.threads]
 
-    ref = None
-    determinism = "bitwise"
-    for v, t in combos:
-        probs = _run_patches(model, weights, batch, t, naive=not v)
-        prob_map, labels = reconstruct(probs, grid, oi)
-        if ref is None:
-            ref = (v, prob_map, labels)
-        elif v == ref[0]:
-            if not (np.array_equal(ref[1], prob_map) and np.array_equal(ref[2], labels)):
-                raise NonDeterministicOutput(
-                    f"thread configuration {_config_key(v, t)} changed the output"
-                )
-        else:
-            determinism = "bitwise across threads; <=1e-5 across kernel modes"
-            if not np.allclose(ref[1], prob_map, atol=1e-5) or not np.array_equal(
-                ref[2], labels
-            ):
-                raise NonDeterministicOutput(
-                    f"kernel mode {_config_key(v, t)} disagrees beyond tolerance"
-                )
+    def run(v, t):
+        t0 = time.perf_counter()
+        probs = map_patches(partial(infer, naive=not v), patches, t)
+        t1 = time.perf_counter()
+        out = reconstruct(probs, grid, oi)
+        t2 = time.perf_counter()
+        return out, {STAGE_INFER: (t1 - t0) * 1e3, STAGE_REBUILD: (t2 - t1) * 1e3}
 
-    results = []
-    for v, t in combos:
-        for _ in range(cfg.warmup):
-            _run_patches(model, weights, batch, t, naive=not v)
-        infer_ms, rebuild_ms = [], []
-        for _ in range(cfg.iterations):
-            t0 = time.perf_counter()
-            probs = _run_patches(model, weights, batch, t, naive=not v)
-            t1 = time.perf_counter()
-            reconstruct(probs, grid, oi)
-            t2 = time.perf_counter()
-            infer_ms.append((t1 - t0) * 1e3)
-            rebuild_ms.append((t2 - t1) * 1e3)
-        stages = {
-            STAGE_INFER: StageStats.from_samples(infer_ms),
-            STAGE_REBUILD: StageStats.from_samples(rebuild_ms),
-        }
-        total = sum(s.mean_ms for s in stages.values())
-        results.append(
-            ConfigResult(
-                vectorized=v, threads=t, stages=stages, total_mean_ms=total,
-                fps=1000.0 / total if total > 0 else float("inf"),
-                joules=cfg.watts * total / 1000.0 if cfg.watts else None,
-            )
-        )
-    report = _finalize(results, cfg, determinism=determinism)
+    def agree(ref, out, same_mode):
+        close = np.array_equal if same_mode else partial(np.allclose, atol=1e-5)
+        return close(ref[0], out[0]) and np.array_equal(ref[1], out[1])
+
+    report = _measure(cfg, run, agree)
+    if len(set(cfg.vectorized)) > 1:
+        report.determinism = "bitwise across threads; <=1e-5 across kernel modes"
     if preprocess_ms is not None:
         slowest = max(preprocess_ms, report.best().total_mean_ms)
         report.pipeline_fps = 1000.0 / slowest if slowest > 0 else float("inf")
@@ -286,37 +235,7 @@ def report_csv(report: BenchReport) -> str:
 
 
 def report_json(report: BenchReport) -> str:
-    def cfg_dict(c: BenchConfig):
-        return {
-            "iterations": c.iterations, "warmup": c.warmup,
-            "threads": list(c.threads), "vectorized": list(c.vectorized),
-            "stages": list(c.stages), "batch_size": c.batch_size, "watts": c.watts,
-        }
-
-    payload = {
-        "determinism": report.determinism,
-        "pipeline_fps": report.pipeline_fps,
-        "speedup": report.speedup,
-        "config": cfg_dict(report.config) if report.config else None,
-        "results": [
-            {
-                "vectorized": r.vectorized,
-                "threads": r.threads,
-                "total_mean_ms": r.total_mean_ms,
-                "fps": r.fps,
-                "joules": r.joules,
-                "stages": {
-                    n: {
-                        "mean_ms": s.mean_ms, "median_ms": s.median_ms,
-                        "p95_ms": s.p95_ms, "std_ms": s.std_ms, "samples": s.samples,
-                    }
-                    for n, s in r.stages.items()
-                },
-            }
-            for r in report.results
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps(asdict(report), indent=2)
 
 
 def report_table(report: BenchReport) -> str:

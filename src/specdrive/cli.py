@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import formats, quant
 from .complexity import count_flops
-from .errors import InvalidSpec, ShapeMismatch, SpecdriveError
+from .errors import InvalidSpec, ShapeMismatch, SpecdriveError, int_option
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
 from .model import forward
 from .mosaic import default_layout, preprocess_pipeline
@@ -41,7 +40,7 @@ from .spectral import (
     separability,
 )
 from .synth import SceneSpec, synth_scene
-from .tiling import build_grid, extract_patches, reconstruct
+from .tiling import build_grid, extract_patches, map_patches, reconstruct
 from .weights import load_weights
 
 THREADS_ENV = "SPECDRIVE_THREADS"
@@ -91,8 +90,9 @@ def run_segment(manifest: dict) -> dict:
     """Full image path: cube -> tiles -> model -> reconstruction -> outputs.
 
     Manifest keys: cube, model, out (required); quantized, grid, render,
-    gt, metrics, threads (optional). Flags from the CLI override manifest
-    entries. Returns the per-output paths plus the label mask.
+    gt, metrics, threads (optional; an integer >= 1, default 1). Flags from
+    the CLI override manifest entries. Returns the per-output paths plus the
+    label mask.
     """
     for key in ("cube", "model", "out"):
         if not manifest.get(key):
@@ -107,7 +107,7 @@ def run_segment(manifest: dict) -> dict:
         raise ShapeMismatch(f"cube has {cube.shape[-1]} bands, model expects {bands}")
     grid = _grid_for(meta, cube, manifest.get("grid"))
 
-    threads = int(manifest.get("threads") or 1)
+    threads = int_option("threads", manifest.get("threads", 1))
     patches = extract_patches(cube, grid)
     if kind == "quantized":
         def infer(p):
@@ -115,11 +115,7 @@ def run_segment(manifest: dict) -> dict:
     else:
         def infer(p):
             return forward(model, p, weights)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            probs = list(pool.map(infer, patches))
-    else:
-        probs = [infer(p) for p in patches]
+    probs = map_patches(infer, patches, threads)
     prob_map, labels = reconstruct(probs, grid)
 
     out = {"mask": manifest["out"], "labels": labels}
@@ -193,8 +189,9 @@ def _cmd_segment(args) -> int:
             manifest[key] = value
     if args.quantized:
         manifest["quantized"] = True
-    if args.threads:
+    if args.threads is not None:
         manifest["threads"] = args.threads
+    manifest.setdefault("threads", default_threads())
     result = run_segment(manifest)
     print(f"mask written to {result['mask']}")
     if "report" in result:
@@ -394,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gt")
     s.add_argument("--metrics")
     s.add_argument("--manifest")
-    s.add_argument("--threads", type=int, default=default_threads())
+    s.add_argument("--threads", type=int)
     s.set_defaults(fn=_cmd_segment)
 
     s = sub.add_parser("quantize", help="full-integer post-training quantization")

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that integer
+options share.
 
 The CLI maps these onto exit codes: usage problems exit 1, data/input
 problems exit 2, anything unexpected exits 3.
 """
+
+import operator
 
 
 class SpecdriveError(Exception):
@@ -71,3 +74,18 @@ class CorruptContainer(SpecdriveError):
 
 class NonDeterministicOutput(SpecdriveError):
     """Benchmark configurations disagreed on outputs; timing aborted."""
+
+
+class InvalidOption(SpecdriveError, ValueError):
+    """A command-line flag, manifest entry or config value is out of range."""
+
+
+def int_option(name: str, value, least: int = 1) -> int:
+    """value as an integer >= least; anything else raises InvalidOption."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidOption(f"{name} must be an integer, got {value!r}") from None
+    if n < least:
+        raise InvalidOption(f"{name} must be >= {least}, got {n}")
+    return n

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, int_option
 
 STAGE_CROP = "Image cropping"
 STAGE_REFLECTANCE = "Reflectance correction"
@@ -324,8 +324,7 @@ def preprocess_pipeline(
     """
     if layout is None:
         layout = default_layout()
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    int_option("threads", threads)
 
     refl_fn = _reflectance_rows if vectorized else _reflectance_rows_naive
     extract_fn = _extract_rows if vectorized else _extract_rows_naive

@@ -11,6 +11,7 @@ of all patch masks).
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,18 @@ def extract_patches(cube: np.ndarray, grid: PatchGrid) -> list[np.ndarray]:
         )
     p = grid.patch_size
     return [cube[r : r + p, c : c + p].copy() for r, c in grid.origins()]
+
+
+def map_patches(fn, patches: list[np.ndarray], threads: int) -> list:
+    """fn applied to every patch on `threads` workers, serially when 1.
+
+    Results come back in patch order, so reconstruction sees the same
+    sequence whatever the worker count.
+    """
+    if threads == 1:
+        return [fn(p) for p in patches]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, patches))
 
 
 def reconstruct(

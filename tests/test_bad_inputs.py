@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from specdrive import formats
+from specdrive import cli, formats
 from specdrive.cli import main
 from specdrive.errors import CorruptContainer, SpecdriveError, StructureError
 from specdrive.model import LayerSpec, ModelGraph, UNetConfig, build_unet
@@ -57,6 +57,18 @@ def preprocess(files, tmp_path, **over):
             "white": files / "white.u16", "layout": files / "layout.json",
             "out": tmp_path / "cube.hsc", **over}
     return main(["preprocess"] + [a for k, v in args.items() for a in (f"--{k}", str(v))])
+
+
+def bench(files, tmp_path, **cfg):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(cfg))
+    return main(["bench", "preprocess", "--config", str(path)])
+
+
+def manifest(files, tmp_path, **entries):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(entries))
+    return segment(files, tmp_path, manifest=path)
 
 
 def test_valid_files_run(files, tmp_path):
@@ -213,3 +225,38 @@ def test_sdw_with_nan_weight_exit_2(files, tmp_path):
     with pytest.raises(CorruptContainer):
         load_weights(bad)
     assert segment(files, tmp_path, model=bad) == 2
+
+
+@pytest.mark.parametrize("run, option", [
+    (bench, {"iterations": 0}),
+    (bench, {"iterations": "x"}),
+    (bench, {"warmup": -1}),
+    (bench, {"threads": [0]}),
+    (bench, {"threads": "two"}),
+    (bench, {"watts": "x"}),
+    (preprocess, {"threads": 0}),
+    (segment, {"threads": -2}),
+    (manifest, {"threads": -3}),
+    (manifest, {"threads": "two"}),
+], ids=lambda v: getattr(v, "__name__", None) or json.dumps(v))
+def test_bad_option_exit_2(files, tmp_path, run, option):
+    assert run(files, tmp_path, **option) == 2
+
+
+def test_segment_threads_precedence(files, tmp_path, monkeypatch):
+    """--threads, then the manifest, then SPECDRIVE_THREADS, then 1."""
+    seen = []
+    real = cli.map_patches
+
+    def spy(fn, patches, threads):
+        seen.append(threads)
+        return real(fn, patches, threads)
+
+    monkeypatch.setattr(cli, "map_patches", spy)
+    monkeypatch.setenv("SPECDRIVE_THREADS", "3")
+    assert manifest(files, tmp_path, threads=4) == 0
+    assert segment(files, tmp_path, manifest=tmp_path / "run.json", threads=2) == 0
+    assert segment(files, tmp_path) == 0
+    monkeypatch.delenv("SPECDRIVE_THREADS")
+    assert segment(files, tmp_path) == 0
+    assert seen == [4, 2, 3, 1]

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,7 @@ def test_bench_inference_float_and_int8(rng):
     cube = rng.uniform(0, 1, (32, 48, 5)).astype(np.float32)
     grid = build_grid((32, 48), 16, 12, 12)
     patches = extract_patches(cube, grid)
-    cfg = BenchConfig(iterations=2, warmup=1, threads=(1, 2), batch_size=len(patches))
+    cfg = BenchConfig(iterations=2, warmup=1, threads=(1, 2))
 
     rep_f = bench_inference(cfg, g, patches, grid, weights=w, preprocess_ms=50.0)
     assert set(rep_f.results[0].stages) == {STAGE_INFER, STAGE_REBUILD}
@@ -120,3 +122,67 @@ def test_config_validation():
     )
     assert cfg.iterations == 5 and cfg.threads == (1, 2)
     assert cfg.vectorized == (True,) and cfg.watts == 3.0
+
+
+@pytest.fixture
+def unet_case(rng):
+    g = build_unet(UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
+                              in_channels=5, classes=3))
+    cube = rng.uniform(0, 1, (32, 48, 5)).astype(np.float32)
+    grid = build_grid((32, 48), 16, 12, 12)
+    return g, generate_weights(g, 30), extract_patches(cube, grid), grid
+
+
+def patch_forward(monkeypatch, edit):
+    """Replace the forward pass bench_inference calls with the fast real one,
+    followed by edit(probs, naive) on each patch's output. Pixel (0, 0) of
+    the first patch is covered by no other patch, so an edit there reaches
+    the reconstructed map unchanged."""
+    from specdrive import bench
+
+    real = bench.forward
+
+    def edited(graph, x, weights, naive=False):
+        probs = real(graph, x, weights)
+        edit(probs, naive)
+        return probs
+
+    monkeypatch.setattr(bench, "forward", edited)
+
+
+def near_tie(lead_fast, lead_naive):
+    """Set pixel (0, 0) to a near tie between classes 0 and 1, class 0
+    leading by lead_naive or lead_fast depending on the kernel mode."""
+    def edit(probs, naive):
+        d = lead_naive if naive else lead_fast
+        probs[0, 0] = (0.5 + d / 2, 0.5 - d / 2, 0.0)
+    return edit
+
+
+def test_inference_gate_catches_one_ulp_across_threads(unet_case, monkeypatch):
+    def shift_on_workers(probs, naive):
+        if threading.current_thread() is not threading.main_thread():
+            probs[0, 0, 0] = np.nextafter(probs[0, 0, 0], np.float32(1))
+
+    patch_forward(monkeypatch, shift_on_workers)
+    g, w, patches, grid = unet_case
+    cfg = BenchConfig(iterations=1, warmup=0, threads=(1, 2))
+    with pytest.raises(NonDeterministicOutput):
+        bench_inference(cfg, g, patches, grid, weights=w)
+
+
+def test_inference_gate_catches_label_flip_across_modes(unet_case, monkeypatch):
+    patch_forward(monkeypatch, near_tie(4e-6, -4e-6))
+    g, w, patches, grid = unet_case
+    cfg = BenchConfig(iterations=1, warmup=0, vectorized=(True, False))
+    with pytest.raises(NonDeterministicOutput):
+        bench_inference(cfg, g, patches, grid, weights=w)
+
+
+def test_inference_gate_tolerates_kernel_mode_rounding(unet_case, monkeypatch):
+    patch_forward(monkeypatch, near_tie(4e-6, 6e-6))
+    g, w, patches, grid = unet_case
+    cfg = BenchConfig(iterations=1, warmup=0, threads=(1, 2), vectorized=(True, False))
+    report = bench_inference(cfg, g, patches, grid, weights=w)
+    assert report.determinism == "bitwise across threads; <=1e-5 across kernel modes"
+    assert len(report.results) == 4
