@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -51,6 +52,8 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
+        if not isinstance(d, dict):
+            raise InvalidOption(f"bench config must be a JSON object, got {d!r}")
         kw = {key: d[key] for key in ("iterations", "warmup") if key in d}
         if "threads" in d:
             t = d["threads"]
@@ -187,6 +190,13 @@ def bench_inference(
     """Per-image latency: every patch of the grid through the model plus
     probability-map reconstruction. With preprocess_ms, also reports the
     two-stage pipeline throughput 1 / max(stage means)."""
+    if preprocess_ms is not None and (
+        isinstance(preprocess_ms, bool) or not isinstance(preprocess_ms, (int, float))
+        or not 0 <= preprocess_ms < math.inf
+    ):
+        raise InvalidOption(
+            f"preprocess_ms must be a finite number >= 0, got {preprocess_ms!r}"
+        )
     if isinstance(model, QuantizedGraph):
         def infer(p, naive):
             return qforward(model, p, naive=naive)

@@ -6,9 +6,11 @@ variants are deliberately plain loops; they exist as oracles for the
 optimized ones and as the non-vectorized path of the benchmark harness.
 
 Integer kernels accumulate in 32 bits. The optimized integer path runs the
-accumulation through float64 matmul: every partial product and sum stays far
-below 2^53, where float64 arithmetic on integers is exact, so the result is
-bit-identical to true int32 accumulation while using the fast BLAS path.
+accumulation through float BLAS: float32 when the worst-case sum of a layer
+(terms x 255 x 127 plus the largest bias) stays below 2^24, float64 otherwise.
+Every partial product and sum is then an integer the dtype represents exactly
+(below 2^24 in float32, far below 2^53 in float64), in any summation order,
+so the result is bit-identical to true int32 accumulation.
 """
 
 from __future__ import annotations
@@ -24,25 +26,26 @@ def _same_pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     ph, pw = kh // 2, kw // 2
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((ph, ph), (pw, pw), (0, 0)))
-
-
-def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """All kh x kw windows of a padded (H, W, C) tensor -> (H, W, kh, kw, C)."""
-    v = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
-    return v.transpose(0, 1, 3, 4, 2)
+    h, w, c = x.shape
+    xp = np.zeros((h + 2 * ph, w + 2 * pw, c), x.dtype)
+    xp[ph : ph + h, pw : pw + w] = x
+    return xp
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 convolution via im2col + matmul."""
+    """Same-padded stride-1 convolution: the bias plus one matmul per kernel
+    tap, each over the input shifted by that tap."""
     kh, kw, cin, cout = w.shape
     if x.shape[-1] != cin:
         raise ShapeMismatch(f"conv input has {x.shape[-1]} channels, weight wants {cin}")
     h, wd = x.shape[:2]
-    cols = _windows(_same_pad(x, kh, kw), kh, kw).reshape(h * wd, kh * kw * cin)
-    out = cols @ w.reshape(kh * kw * cin, cout)
-    out += b
-    return out.reshape(h, wd, cout)
+    xp = _same_pad(x, kh, kw)
+    out = np.empty((h, wd, cout), np.result_type(x, w, b))
+    out[...] = b
+    for i in range(kh):
+        for j in range(kw):
+            out += xp[i : i + h, j : j + wd] @ w[i, j]
+    return out
 
 
 def conv2d_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,7 +94,9 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     h, wd, c = x.shape
     if h % 2 or wd % 2:
         raise ShapeMismatch(f"maxpool2 needs even spatial dims, got {(h, wd)}")
-    return x.reshape(h // 2, 2, wd // 2, 2, c).max(axis=(1, 3))
+    v = x.reshape(h // 2, 2, wd // 2, 2, c)
+    rows = np.maximum(v[:, 0], v[:, 1])
+    return np.maximum(rows[:, :, 0], rows[:, :, 1])
 
 
 def maxpool2_naive(x: np.ndarray) -> np.ndarray:
@@ -151,30 +156,36 @@ def zscore(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
 # integer kernels (int8 data, int32 accumulators)
 
 _ACC_LIMIT = 2**31
+_FLOAT32_EXACT = 2**24  # float32 holds every integer of smaller magnitude
 
 
-def _check_acc_bound(n_terms: int, bias: np.ndarray | None):
-    """Worst-case |sum| of n_terms int8*uint8-range products plus bias."""
+def _check_acc_bound(n_terms: int, bias: np.ndarray | None) -> type:
+    """Accumulation dtype for n_terms products of an input minus its zero
+    point (|.| <= 255) and a symmetric int8 weight (|.| <= 127), plus bias:
+    float32 when the worst-case |sum| is below 2^24, else float64. Raises
+    when the sum could overflow an int32 accumulator."""
     worst = n_terms * 255 * 127 + (int(np.abs(bias).max()) if bias is not None else 0)
     if worst >= _ACC_LIMIT:
         raise ShapeMismatch(
             f"int32 accumulator could overflow: worst case {worst} >= 2^31"
         )
+    return np.float32 if worst < _FLOAT32_EXACT else np.float64
 
 
 def _operands(xq, x_zp: int, wq, bias_q, dtype):
     """Operands of an integer kernel as dtype: the input minus its zero
     point, the weight and the bias. The float kernels then accumulate them
-    exactly, in int64 loops or in float64 BLAS calls (every partial sum stays
-    far below 2^53), so the fast and naive paths are bit-identical."""
-    return xq.astype(dtype) - x_zp, wq.astype(dtype), bias_q.astype(dtype)
+    exactly, in int64 loops or in the float BLAS calls of the dtype that
+    _check_acc_bound picks (float32 below 2^24, float64 below 2^31), so the
+    fast and naive paths are bit-identical."""
+    return xq.astype(dtype) - dtype(x_zp), wq.astype(dtype), bias_q.astype(dtype)
 
 
 def conv2d_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
     """Integer convolution: sum((xq - x_zp) * wq) + bias, int32 accumulation."""
     kh, kw, cin, _ = wq.shape
-    _check_acc_bound(kh * kw * cin, bias_q)
-    return np.rint(conv2d(*_operands(xq, x_zp, wq, bias_q, np.float64))).astype(np.int32)
+    acc = _check_acc_bound(kh * kw * cin, bias_q)
+    return conv2d(*_operands(xq, x_zp, wq, bias_q, acc)).astype(np.int32)
 
 
 def conv2d_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
@@ -182,8 +193,8 @@ def conv2d_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
 
 
 def upconv2_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    _check_acc_bound(wq.shape[2], bias_q)
-    return np.rint(upconv2(*_operands(xq, x_zp, wq, bias_q, np.float64))).astype(np.int32)
+    acc = _check_acc_bound(wq.shape[2], bias_q)
+    return upconv2(*_operands(xq, x_zp, wq, bias_q, acc)).astype(np.int32)
 
 
 def upconv2_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
@@ -191,8 +202,8 @@ def upconv2_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
 
 
 def dense_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    _check_acc_bound(wq.shape[0], bias_q)
-    return np.rint(dense(*_operands(xq, x_zp, wq, bias_q, np.float64))).astype(np.int32)
+    acc = _check_acc_bound(wq.shape[0], bias_q)
+    return dense(*_operands(xq, x_zp, wq, bias_q, acc)).astype(np.int32)
 
 
 def dense_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:

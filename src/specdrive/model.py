@@ -132,8 +132,9 @@ def _weighted(kernel: str, shape, **kw) -> LayerKind:
 
 def table_lookup(layer, xs, ins, out, lut, naive):
     """Int op of an elementwise kind: its float op tabulated over all 256
-    int8 inputs (see quant.quantize_graph)."""
-    return lut[xs[0].astype(np.int16) + 128]
+    int8 inputs, from -128 up (see quant.quantize_graph). Rolled by 128, the
+    table is indexed by the inputs' bytes read as uint8."""
+    return np.roll(lut, -128)[xs[0].view(np.uint8)]
 
 
 _CONV = _weighted("conv2d", lambda l: (l.kernel, l.kernel, l.in_ch, l.out_ch))

@@ -47,7 +47,12 @@ MIN_HALF_SPAN = 1e-3
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to the nearest integer, ties away from zero, in one buffer:
+    trunc(x + copysign(0.5, x)). Float addition rounds symmetrically, so this
+    equals sign(x) * floor(|x| + 0.5) for every x (-0.0 stays -0.0)."""
+    out = np.copysign(0.5, x)
+    out += x
+    return np.trunc(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,16 @@ class QuantScheme:
     scale: float
     zero_point: int
 
+    def _to_int8(self, v: np.ndarray) -> np.ndarray:
+        """int8 of round(v) + zero point, saturating, for float64 values v in
+        units of this scale. The zero point and the clip work in place on
+        the rounded buffer."""
+        v = round_half_away(v)
+        v += self.zero_point
+        return np.clip(v, -128, 127, out=v).astype(np.int8)
+
     def quant(self, x: np.ndarray) -> np.ndarray:
-        q = round_half_away(np.asarray(x, np.float64) / self.scale) + self.zero_point
-        return np.clip(q, -128, 127).astype(np.int8)
+        return self._to_int8(np.divide(x, self.scale, dtype=np.float64))
 
     def dequant(self, q: np.ndarray) -> np.ndarray:
         return ((q.astype(np.float64) - self.zero_point) * self.scale).astype(np.float32)
@@ -66,10 +78,9 @@ class QuantScheme:
         """Re-express int8 values held in scheme src in this scheme."""
         if src == self:
             return q
-        v = round_half_away(
-            (q.astype(np.float64) - src.zero_point) * (src.scale / self.scale)
-        ) + self.zero_point
-        return np.clip(v, -128, 127).astype(np.int8)
+        v = np.subtract(q, src.zero_point, dtype=np.float64)
+        v *= src.scale / self.scale
+        return self._to_int8(v)
 
     @classmethod
     def symmetric_for(cls, tensor: np.ndarray) -> "QuantScheme":
@@ -269,10 +280,7 @@ def qforward(
             naive,
         )
         if ql is not None:  # int32 accumulator back to int8
-            out_s = schemes[name]
-            mult = ql.bias_scale / out_s.scale
-            q = round_half_away(q.astype(np.float64) * mult) + out_s.zero_point
-            q = np.clip(q, -128, 127).astype(np.int8)
+            q = schemes[name]._to_int8(q * (ql.bias_scale / schemes[name].scale))
         qvals[name] = q
 
     out_name = qg.graph.output_name
@@ -382,7 +390,8 @@ def _scheme(d: dict) -> QuantScheme:
 def load_qgraph(path) -> QuantizedGraph:
     """Read a quantized container back. The model description, the layers
     and the schemes must be valid, and the file must hold every tensor
-    qforward reads, in the dtype and shape the layer-kind table gives."""
+    qforward reads, in the dtype and shape the layer-kind table gives, with
+    int8 weights in [-127, 127]."""
 
     def parse(header, arrays):
         if build_from_meta(header["model"]).meta["config"] != header["model"]["config"]:
@@ -413,6 +422,8 @@ def load_qgraph(path) -> QuantizedGraph:
             elif specs:
                 (w, went), (b, bent) = (take(n, shape, dtype) for (n, shape, _), dtype
                                         in zip(specs, ("<i1", "<i4")))
+                if w.min(initial=0) < -127:  # the kernels' exactness bound needs it
+                    raise CorruptContainer(f"{path}: {layer.name} weight below -127")
                 qg.qlayers[layer.name] = QLayer(QTensor(w, _scheme(went)), b,
                                                 _scheme(bent).scale)
         return qg

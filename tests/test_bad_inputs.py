@@ -260,3 +260,36 @@ def test_segment_threads_precedence(files, tmp_path, monkeypatch):
     monkeypatch.delenv("SPECDRIVE_THREADS")
     assert segment(files, tmp_path) == 0
     assert seen == [4, 2, 3, 1]
+
+
+def test_bench_config_not_an_object_exit_2(files, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert main(["bench", "preprocess", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("value", ["x", -1, float("inf"), float("nan"), True, [50]],
+                         ids=lambda v: json.dumps(v))
+def test_bench_preprocess_ms_checked_before_timing(files, tmp_path, monkeypatch, value):
+    """A bad preprocess_ms exits 2 before any patch is run."""
+    def no_run(*a, **kw):
+        raise AssertionError("timing ran before preprocess_ms was checked")
+
+    monkeypatch.setattr(cli.bench_mod, "map_patches", no_run)
+    path = tmp_path / "infer.json"
+    path.write_text(json.dumps({"model": str(files / "unet.sdw"),
+                                "cube": str(files / "cube.hsc"),
+                                "iterations": 1, "warmup": 0, "preprocess_ms": value}))
+    assert main(["bench", "infer", "--config", str(path)]) == 2
+
+
+def test_sdq_weight_of_minus_128_exit_2(files, tmp_path):
+    """Symmetric int8 weights lie in [-127, 127]; the integer kernels' exact
+    float32 accumulation is proved for that range only."""
+    qg = load_qgraph(files / "unet.sdq")
+    qg.qlayers["head.conv"].weight.data[0, 0, 0, 0] = -128
+    bad = tmp_path / "w128.sdq"
+    save_qgraph(bad, qg)
+    with pytest.raises(CorruptContainer):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2

@@ -111,3 +111,27 @@ def test_relu_int_clamps_at_zero_point():
     q = np.array([-128, -5, -4, 0, 127], np.int8)
     out = kernels.relu_int(q, -4)
     assert np.array_equal(out, np.array([-4, -4, -4, 0, 127], np.int8))
+
+
+@pytest.mark.parametrize("over, acc", [(0, np.float32), (1, np.float64)],
+                         ids=["2^24-1", "2^24"])
+@pytest.mark.parametrize("kernel, xshape, wshape", [
+    ("conv2d", (3, 3, 57), (3, 3, 57, 2)),    # 513 terms at the centre pixel
+    ("upconv2", (2, 2, 518), (2, 2, 518, 2)),  # 518 terms
+    ("dense", (4, 518), (518, 2)),
+], ids=["conv2d", "upconv2", "dense"])
+def test_int_kernels_exact_at_float32_bound(kernel, xshape, wshape, over, acc):
+    """Worst-case operands (input -128 at zero point 127, weights -127 and
+    127) with the bias chosen so the largest |accumulator| is 2^24 - 1, the
+    last value of the float32 path, or 2^24, the first of the float64 path."""
+    n_terms = int(np.prod(wshape[:-1])) if kernel == "conv2d" else wshape[-2]
+    bias = 2**24 - 1 + over - n_terms * 255 * 127
+    xq = np.full(xshape, -128, np.int8)
+    wq = np.empty(wshape, np.int8)
+    wq[..., 0], wq[..., 1] = -127, 127
+    bq = np.array([bias, -bias], np.int32)
+    assert kernels._check_acc_bound(n_terms, bq) is acc
+    fast = getattr(kernels, f"{kernel}_int")(xq, 127, wq, bq)
+    slow = getattr(kernels, f"{kernel}_int_naive")(xq, 127, wq, bq)
+    assert fast.dtype == np.int32 and np.array_equal(fast, slow)
+    assert fast.max() == 2**24 - 1 + over and fast.min() == -(2**24 - 1 + over)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from specdrive.errors import CorruptContainer, EmptyCalibration, RangeMissing
-from specdrive.model import LayerSpec, ModelGraph, UNetConfig, build_mlp, build_unet, forward
+from specdrive.model import (
+    LayerSpec,
+    ModelGraph,
+    UNetConfig,
+    build_mlp,
+    build_unet,
+    forward,
+    table_lookup,
+)
 from specdrive.quant import (
     QuantScheme,
     calibrate,
@@ -223,3 +231,24 @@ def test_mlp_lut_path(rng):
     yq = qforward(qg, x)
     yf = forward(g, x, w)
     assert (yq.argmax(-1) == yf.argmax(-1)).mean() >= 0.9
+
+
+def test_round_half_away_matches_sign_floor_formula(rng):
+    """round_half_away equals the formula sign(x) * floor(|x| + 0.5) it
+    replaced, as values (-0.0 now rounds to -0.0, not +0.0)."""
+    near = [np.nextafter(v, t) for v in (-2.5, -0.5, 0.5, 2.5) for t in (-np.inf, np.inf)]
+    big = [s * (2.0**52 + d) for s in (-1, 1) for d in (-1.5, -1, -0.5, 0, 1, 2)]
+    scale = 10.0 ** rng.uniform(-3, 6, 100_000)
+    x = np.concatenate([np.arange(-10, 10) + 0.5, near, [0.0, -0.0], big,
+                        rng.standard_normal(100_000) * scale])
+    old = np.sign(x) * np.floor(np.abs(x) + 0.5)
+    new = round_half_away(x)
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+
+
+def test_table_lookup_matches_int16_index(rng):
+    lut = rng.integers(-128, 128, 256).astype(np.int8)
+    x = np.arange(-128, 128, dtype=np.int8)
+    for xs in (x, x.reshape(16, 16).T):  # contiguous and strided
+        got = table_lookup(None, [xs], None, None, lut, False)
+        assert np.array_equal(got, lut[xs.astype(np.int16) + 128])
