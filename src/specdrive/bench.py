@@ -49,26 +49,30 @@ class BenchConfig:
             int_option("threads", t)
         if not self.threads or not self.vectorized:
             raise InvalidOption("need at least one thread count and one kernel mode")
+        if not all(isinstance(v, bool) for v in self.vectorized):
+            raise InvalidOption(f"vectorized must be booleans, got {self.vectorized!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
         if not isinstance(d, dict):
             raise InvalidOption(f"bench config must be a JSON object, got {d!r}")
         kw = {key: d[key] for key in ("iterations", "warmup") if key in d}
-        if "threads" in d:
-            t = d["threads"]
-            kw["threads"] = tuple(t) if isinstance(t, (list, tuple)) else (t,)
-        if "vectorized" in d:
-            v = d["vectorized"]
-            kw["vectorized"] = tuple(bool(b) for b in v) if isinstance(
-                v, (list, tuple)
-            ) else (bool(v),)
+        for key in ("threads", "vectorized"):
+            if key in d:
+                v = d[key]
+                kw[key] = tuple(v) if isinstance(v, (list, tuple)) else (v,)
         if d.get("watts") is not None:
-            try:
-                kw["watts"] = float(d["watts"])
-            except (TypeError, ValueError):
-                raise InvalidOption(f"watts must be a number, got {d['watts']!r}") from None
+            kw["watts"] = float(_finite_nonneg("watts", d["watts"]))
         return cls(**kw)
+
+
+def _finite_nonneg(name: str, value):
+    """value if it is an int or float (not a bool), finite and >= 0;
+    anything else raises InvalidOption."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value < math.inf):
+        raise InvalidOption(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
 
 
 @dataclass
@@ -190,13 +194,8 @@ def bench_inference(
     """Per-image latency: every patch of the grid through the model plus
     probability-map reconstruction. With preprocess_ms, also reports the
     two-stage pipeline throughput 1 / max(stage means)."""
-    if preprocess_ms is not None and (
-        isinstance(preprocess_ms, bool) or not isinstance(preprocess_ms, (int, float))
-        or not 0 <= preprocess_ms < math.inf
-    ):
-        raise InvalidOption(
-            f"preprocess_ms must be a finite number >= 0, got {preprocess_ms!r}"
-        )
+    if preprocess_ms is not None:
+        _finite_nonneg("preprocess_ms", preprocess_ms)
     if isinstance(model, QuantizedGraph):
         def infer(p, naive):
             return qforward(model, p, naive=naive)

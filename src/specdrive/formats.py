@@ -51,10 +51,15 @@ def _header_errors(path):
         raise CorruptContainer(f"{path}: bad header ({type(e).__name__}: {e})") from None
 
 
+def _ints(v, n: int) -> list[int]:
+    """v as a list of n JSON integers; bools, floats and strings are refused."""
+    if not (isinstance(v, list) and len(v) == n and all(type(i) is int for i in v)):
+        raise ValueError(f"expected {n} integers, got {v!r}")
+    return v
+
+
 def _int_pair(v) -> tuple[int, int]:
-    if not (isinstance(v, list) and len(v) == 2 and all(isinstance(i, int) for i in v)):
-        raise ValueError(f"expected two integers, got {v!r}")
-    return v[0], v[1]
+    return tuple(_ints(v, 2))
 
 
 def write_container(path, magic: bytes, header: dict, tensors) -> None:
@@ -184,8 +189,9 @@ def save_layout(path, layout: MosaicLayout) -> None:
 def load_layout(path) -> MosaicLayout:
     with _header_errors(path):
         d = json.loads(Path(path).read_bytes().decode())
+        rows = d["tile"]
         return MosaicLayout(
-            tile=np.asarray(d["tile"], dtype=np.int64),
+            tile=np.array([_ints(row, len(rows[0])) for row in rows], dtype=np.int64),
             active_origin=_int_pair(d["active_origin"]),
             active_size=_int_pair(d["active_size"]),
             center_offset=_int_pair(d["center_offset"]),

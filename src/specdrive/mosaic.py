@@ -10,6 +10,13 @@ cube in four stages:
   3. band extraction (gather each band's lattice samples),
   4. translation to center (interpolate every band at each mosaic center).
 
+The band plane is the unit of work: extraction writes one contiguous
+(mosaic_rows, mosaic_cols) plane per band, and translation computes each
+output plane from its own band's plane alone. Only translation is split
+across worker threads, one band per task through tiling.map_patches; the
+planes are stacked in band order, so the cube does not depend on the
+worker count.
+
 Every stage exists in a vectorized and a naive scalar form. Both are written
 against the same canonical float32 operation order, so their outputs are
 bitwise identical; the naive form doubles as the reference for benchmarks.
@@ -18,12 +25,13 @@ bitwise identical; the naive form doubles as the reference for benchmarks.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, int_option
+from .tiling import map_patches
 
 STAGE_CROP = "Image cropping"
 STAGE_REFLECTANCE = "Reflectance correction"
@@ -131,15 +139,13 @@ def reflectance_correct(
         )
     if eps <= 0:
         raise ValueError("eps must be positive")
-    out = np.empty(img.shape, dtype=np.float32)
-    n_bad = _reflectance_rows(img, dark, white, np.float32(eps), out, 0, img.shape[0])
-    return out, n_bad
+    return _reflectance(img, dark, white, np.float32(eps))
 
 
-def _reflectance_rows(img, dark, white, eps32, out, r_lo, r_hi):
-    i = img[r_lo:r_hi].astype(np.float32)
-    d = dark[r_lo:r_hi].astype(np.float32)
-    span = white[r_lo:r_hi].astype(np.float32)
+def _reflectance(img, dark, white, eps32):
+    i = img.astype(np.float32)
+    d = dark.astype(np.float32)
+    span = white.astype(np.float32)
     np.subtract(span, d, out=span)
     bad = span <= eps32
     np.subtract(i, d, out=i)
@@ -147,15 +153,15 @@ def _reflectance_rows(img, dark, white, eps32, out, r_lo, r_hi):
     np.divide(i, span, out=i)
     np.clip(i, np.float32(0.0), np.float32(1.0), out=i)
     i[bad] = np.float32(0.0)
-    out[r_lo:r_hi] = i
-    return int(bad.sum())
+    return i, int(bad.sum())
 
 
-def _reflectance_rows_naive(img, dark, white, eps32, out, r_lo, r_hi):
+def _reflectance_naive(img, dark, white, eps32):
     zero = np.float32(0.0)
     one = np.float32(1.0)
+    out = np.empty(img.shape, dtype=np.float32)
     n_bad = 0
-    for r in range(r_lo, r_hi):
+    for r in range(img.shape[0]):
         for c in range(img.shape[1]):
             i = np.float32(img[r, c])
             d = np.float32(dark[r, c])
@@ -171,34 +177,39 @@ def _reflectance_rows_naive(img, dark, white, eps32, out, r_lo, r_hi):
                 v = zero
                 n_bad += 1
             out[r, c] = v
-    return n_bad
+    return out, n_bad
 
 
 def band_extract(refl: np.ndarray, layout: MosaicLayout) -> np.ndarray:
-    """Gather each band's own lattice samples into a cube, no interpolation."""
+    """Gather each band's own lattice samples into a cube, no interpolation.
+
+    The result is a (mosaic_rows, mosaic_cols, bands) view of band-major
+    storage, so each band plane cube[:, :, b] is contiguous.
+    """
     _check_active(refl, layout)
-    cube = np.empty(layout.cube_shape, dtype=np.float32)
-    _extract_rows(refl, layout, cube, 0, layout.cube_shape[0])
-    return cube
+    return _extract(refl, layout)
 
 
-def _extract_rows(refl, layout, cube, m_lo, m_hi):
+def _extract(refl, layout):
     p = layout.pitch
+    hm, wm, bands = layout.cube_shape
+    planes = np.empty((bands, hm, wm), dtype=np.float32)
     for dr in range(p):
         for dc in range(p):
-            b = int(layout.tile[dr, dc])
-            cube[m_lo:m_hi, :, b] = refl[m_lo * p + dr : m_hi * p : p, dc::p]
+            planes[layout.tile[dr, dc]] = refl[dr::p, dc::p]
+    return planes.transpose(1, 2, 0)
 
 
-def _extract_rows_naive(refl, layout, cube, m_lo, m_hi):
+def _extract_naive(refl, layout):
     p = layout.pitch
-    n_cols = cube.shape[1]
-    for mr in range(m_lo, m_hi):
-        for mc in range(n_cols):
+    hm, wm, bands = layout.cube_shape
+    planes = np.empty((bands, hm, wm), dtype=np.float32)
+    for mr in range(hm):
+        for mc in range(wm):
             for dr in range(p):
                 for dc in range(p):
-                    b = int(layout.tile[dr, dc])
-                    cube[mr, mc, b] = refl[mr * p + dr, mc * p + dc]
+                    planes[layout.tile[dr, dc], mr, mc] = refl[mr * p + dr, mc * p + dc]
+    return planes.transpose(1, 2, 0)
 
 
 def _axis_coeffs(n_mosaic: int, offset: int, center: int, pitch: int):
@@ -237,60 +248,59 @@ def translate_to_center(refl: np.ndarray, layout: MosaicLayout) -> np.ndarray:
     Bilinear interpolation on the pitch-5 lattice of that band's samples;
     the band whose native offset is the center is copied verbatim.
     """
-    _check_active(refl, layout)
-    lattice = band_extract(refl, layout)
-    cube = np.empty(layout.cube_shape, dtype=np.float32)
-    _translate_rows(lattice, layout, cube, 0, layout.cube_shape[0])
-    return cube
+    return _translate(band_extract(refl, layout), layout, _translate_band, 1)
 
 
-def _translate_rows(lattice, layout, cube, m_lo, m_hi):
+def _translate(lattice, layout, band_fn, threads):
+    """band_fn(lattice, layout, b) for every band on `threads` workers,
+    stacked into one C-contiguous (mosaic_rows, mosaic_cols, bands) cube."""
+    planes = map_patches(partial(band_fn, lattice, layout), range(layout.bands), threads)
+    return np.ascontiguousarray(np.stack(planes).transpose(1, 2, 0))
+
+
+def _translate_band(lattice, layout, b):
     p = layout.pitch
     hm, wm, _ = layout.cube_shape
     cr, cc = layout.center_offset
+    dr, dc = layout.band_offset(b)
+    s = lattice[:, :, b]
+    if (dr, dc) == (cr, cc):
+        return s
+    r0, r1, tr = _axis_coeffs(hm, dr, cr, p)
+    c0, c1, tc = _axis_coeffs(wm, dc, cc, p)
     one = np.float32(1.0)
-    for dr in range(p):
-        for dc in range(p):
-            b = int(layout.tile[dr, dc])
-            s = lattice[:, :, b]
-            if dr == cr and dc == cc:
-                cube[m_lo:m_hi, :, b] = s[m_lo:m_hi]
-                continue
-            r0, r1, tr = _axis_coeffs(hm, dr, cr, p)
-            c0, c1, tc = _axis_coeffs(wm, dc, cc, p)
-            r0, r1, tr = r0[m_lo:m_hi], r1[m_lo:m_hi], tr[m_lo:m_hi]
-            tc_row = tc[None, :]
-            tr_col = tr[:, None]
-            a = s[r0]
-            bb = s[r1]
-            top = (one - tc_row) * np.take(a, c0, 1) + tc_row * np.take(a, c1, 1)
-            bot = (one - tc_row) * np.take(bb, c0, 1) + tc_row * np.take(bb, c1, 1)
-            cube[m_lo:m_hi, :, b] = (one - tr_col) * top + tr_col * bot
+    tc_row = tc[None, :]
+    tr_col = tr[:, None]
+    a = s[r0]
+    bb = s[r1]
+    top = (one - tc_row) * np.take(a, c0, 1) + tc_row * np.take(a, c1, 1)
+    bot = (one - tc_row) * np.take(bb, c0, 1) + tc_row * np.take(bb, c1, 1)
+    return (one - tr_col) * top + tr_col * bot
 
 
-def _translate_rows_naive(lattice, layout, cube, m_lo, m_hi):
+def _translate_band_naive(lattice, layout, b):
     p = layout.pitch
     hm, wm, _ = layout.cube_shape
     cr, cc = layout.center_offset
+    dr, dc = layout.band_offset(b)
+    s = lattice[:, :, b]
     one = np.float32(1.0)
-    for dr in range(p):
-        for dc in range(p):
-            b = int(layout.tile[dr, dc])
-            s = lattice[:, :, b]
-            if dr == cr and dc == cc:
-                for mr in range(m_lo, m_hi):
-                    for mc in range(wm):
-                        cube[mr, mc, b] = s[mr, mc]
-                continue
-            r0, r1, tr = _axis_coeffs(hm, dr, cr, p)
-            c0, c1, tc = _axis_coeffs(wm, dc, cc, p)
-            for mr in range(m_lo, m_hi):
-                for mc in range(wm):
-                    t_r = tr[mr]
-                    t_c = tc[mc]
-                    top = (one - t_c) * s[r0[mr], c0[mc]] + t_c * s[r0[mr], c1[mc]]
-                    bot = (one - t_c) * s[r1[mr], c0[mc]] + t_c * s[r1[mr], c1[mc]]
-                    cube[mr, mc, b] = (one - t_r) * top + t_r * bot
+    out = np.empty((hm, wm), dtype=np.float32)
+    if (dr, dc) == (cr, cc):
+        for mr in range(hm):
+            for mc in range(wm):
+                out[mr, mc] = s[mr, mc]
+        return out
+    r0, r1, tr = _axis_coeffs(hm, dr, cr, p)
+    c0, c1, tc = _axis_coeffs(wm, dc, cc, p)
+    for mr in range(hm):
+        for mc in range(wm):
+            t_r = tr[mr]
+            t_c = tc[mc]
+            top = (one - t_c) * s[r0[mr], c0[mc]] + t_c * s[r0[mr], c1[mc]]
+            bot = (one - t_c) * s[r1[mr], c0[mc]] + t_c * s[r1[mr], c1[mc]]
+            out[mr, mc] = (one - t_r) * top + t_r * bot
+    return out
 
 
 def _check_active(refl: np.ndarray, layout: MosaicLayout):
@@ -298,12 +308,6 @@ def _check_active(refl: np.ndarray, layout: MosaicLayout):
         raise DimensionMismatch(
             f"expected active frame {layout.active_size}, got {refl.shape}"
         )
-
-
-def _row_bands(n_rows: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, n_rows))
-    step = (n_rows + workers - 1) // workers
-    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def preprocess_pipeline(
@@ -318,60 +322,37 @@ def preprocess_pipeline(
 ) -> PreprocessResult:
     """Run the four preprocessing stages and time each one.
 
-    Work is partitioned by row bands across `threads` workers. Every pixel is
-    computed independently and no reductions cross workers, so the cube is
-    bitwise identical for any worker count and for both kernel variants.
+    Crop, reflectance and extraction are whole-array passes. Translation
+    computes one band plane per task and splits the bands across `threads`
+    workers through tiling.map_patches. A plane reads only the lattice and
+    its own band's coefficients, and planes are stacked in band order, so
+    the cube is bitwise identical for any worker count and for both kernel
+    variants.
     """
     if layout is None:
         layout = default_layout()
     int_option("threads", threads)
-
-    refl_fn = _reflectance_rows if vectorized else _reflectance_rows_naive
-    extract_fn = _extract_rows if vectorized else _extract_rows_naive
-    translate_fn = _translate_rows if vectorized else _translate_rows_naive
+    if vectorized:
+        refl_fn, extract_fn, band_fn = _reflectance, _extract, _translate_band
+    else:
+        refl_fn, extract_fn, band_fn = (
+            _reflectance_naive, _extract_naive, _translate_band_naive)
     timings: dict[str, float] = {}
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
-    def run_banded(fn, n_rows, *args):
-        bands = _row_bands(n_rows, threads)
-        if pool is None or len(bands) == 1:
-            return [fn(*args, lo, hi) for lo, hi in bands]
-        futs = [pool.submit(fn, *args, lo, hi) for lo, hi in bands]
-        return [f.result() for f in futs]
-
-    try:
+    def timed(stage, fn, *args):
         t0 = time.perf_counter()
-        active = crop_clip(frame, layout)
-        t1 = time.perf_counter()
-        timings[STAGE_CROP] = (t1 - t0) * 1e3
-        # reference frames are corrected over the same active window
-        dark_a = crop_clip(dark, layout) if dark.shape != active.shape else dark
-        white_a = crop_clip(white, layout) if white.shape != active.shape else white
+        out = fn(*args)
+        timings[stage] = (time.perf_counter() - t0) * 1e3
+        return out
 
-        t0 = time.perf_counter()
-        refl = np.empty(active.shape, dtype=np.float32)
-        bad_counts = run_banded(
-            refl_fn, active.shape[0], active, dark_a, white_a, np.float32(eps), refl
-        )
-        t1 = time.perf_counter()
-        timings[STAGE_REFLECTANCE] = (t1 - t0) * 1e3
-
-        t0 = time.perf_counter()
-        lattice = np.empty(layout.cube_shape, dtype=np.float32)
-        run_banded(extract_fn, layout.cube_shape[0], refl, layout, lattice)
-        t1 = time.perf_counter()
-        timings[STAGE_EXTRACT] = (t1 - t0) * 1e3
-
-        t0 = time.perf_counter()
-        cube = np.empty(layout.cube_shape, dtype=np.float32)
-        run_banded(translate_fn, layout.cube_shape[0], lattice, layout, cube)
-        t1 = time.perf_counter()
-        timings[STAGE_TRANSLATE] = (t1 - t0) * 1e3
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    active = timed(STAGE_CROP, crop_clip, frame, layout)
+    # reference frames are corrected over the same active window
+    dark_a = crop_clip(dark, layout) if dark.shape != active.shape else dark
+    white_a = crop_clip(white, layout) if white.shape != active.shape else white
+    refl, n_bad = timed(
+        STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a, np.float32(eps))
+    lattice = timed(STAGE_EXTRACT, extract_fn, refl, layout)
+    cube = timed(STAGE_TRANSLATE, _translate, lattice, layout, band_fn, threads)
 
     timings[STAGE_TOTAL] = sum(timings[name] for name in STAGE_NAMES)
-    return PreprocessResult(
-        cube=cube, timings_ms=timings, degenerate_pixels=sum(bad_counts)
-    )
+    return PreprocessResult(cube=cube, timings_ms=timings, degenerate_pixels=n_bad)

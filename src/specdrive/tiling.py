@@ -128,16 +128,17 @@ def extract_patches(cube: np.ndarray, grid: PatchGrid) -> list[np.ndarray]:
     return [cube[r : r + p, c : c + p].copy() for r, c in grid.origins()]
 
 
-def map_patches(fn, patches: list[np.ndarray], threads: int) -> list:
-    """fn applied to every patch on `threads` workers, serially when 1.
+def map_patches(fn, items, threads: int) -> list:
+    """fn applied to every item (patches, band indices, any sequence) on
+    `threads` workers, serially when 1.
 
-    Results come back in patch order, so reconstruction sees the same
-    sequence whatever the worker count.
+    Results come back in item order, so reconstruction or stacking sees the
+    same sequence whatever the worker count.
     """
     if threads == 1:
-        return [fn(p) for p in patches]
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, patches))
+        return list(pool.map(fn, items))
 
 
 def reconstruct(

@@ -164,6 +164,22 @@ def test_empty_layout_exit_2(files, tmp_path):
     assert preprocess(files, tmp_path, layout=bad) == 2
 
 
+@pytest.mark.parametrize("over", [
+    {"tile": [[0.9, 1.2], [2.5, 3.7]]},
+    {"tile": [[True, False], [2, 3]]},
+    {"tile": [["0", "1"], ["2", "3"]]},
+    {"center_offset": [True, False]},
+], ids=lambda v: json.dumps(v))
+def test_layout_entry_not_an_integer_exit_2(files, tmp_path, over):
+    # a window that pitches 2 and 5 both divide, so only the entries are wrong
+    d = {**json.loads((files / "layout.json").read_text()), "active_size": [1080, 2040]}
+    bad = tmp_path / "layout.json"
+    bad.write_text(json.dumps({**d, **over}))
+    with pytest.raises(CorruptContainer):
+        formats.load_layout(bad)
+    assert preprocess(files, tmp_path, layout=bad) == 2
+
+
 @pytest.mark.parametrize("text", [
     '{"patch": 8, "cols": [0, 4]}',                  # no rows
     '{"patch": 4, "rows": [0, 8], "cols": [0, 8]}',  # leaves pixels uncovered
@@ -234,6 +250,13 @@ def test_sdw_with_nan_weight_exit_2(files, tmp_path):
     (bench, {"threads": [0]}),
     (bench, {"threads": "two"}),
     (bench, {"watts": "x"}),
+    (bench, {"watts": -5}),
+    (bench, {"watts": "nan"}),
+    (bench, {"watts": "inf"}),
+    (bench, {"watts": True}),
+    (bench, {"watts": "3"}),
+    (bench, {"vectorized": "false"}),
+    (bench, {"vectorized": [0, "no"]}),
     (preprocess, {"threads": 0}),
     (segment, {"threads": -2}),
     (manifest, {"threads": -3}),

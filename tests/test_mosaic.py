@@ -172,6 +172,31 @@ def test_pipeline_thread_count_determinism(rng, small_layout):
         assert np.array_equal(ref, cube)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_pipeline_oracle_on_permuted_layout(threads, vectorized):
+    """A permuted tile, an off-center center, a shifted active window and
+    degenerate pixels, against the naive one-worker pipeline."""
+    rng = np.random.default_rng(7)
+    lay = MosaicLayout(tile=rng.permutation(25).reshape(5, 5), active_origin=(1, 2),
+                       active_size=(20, 25), center_offset=(1, 3))
+    frame = rng.integers(0, 65535, (23, 29)).astype(np.uint16)
+    dark = rng.integers(200, 400, (23, 29)).astype(np.uint16)
+    white = rng.integers(60000, 65000, (23, 29)).astype(np.uint16)
+    white[5:9, 4:10] = dark[5:9, 4:10]
+    ref = preprocess_pipeline(frame, dark, white, lay, threads=1, vectorized=False)
+    refl, _ = reflectance_correct(crop_clip(frame, lay), crop_clip(dark, lay),
+                                  crop_clip(white, lay))
+    assert ref.degenerate_pixels == 24
+    assert np.array_equal(ref.cube[:, :, lay.tile[1, 3]], refl[1::5, 3::5])
+    res = preprocess_pipeline(frame, dark, white, lay, threads=threads,
+                              vectorized=vectorized)
+    assert res.cube.dtype == np.float32 and res.cube.shape == lay.cube_shape
+    assert res.cube.flags.c_contiguous
+    assert np.array_equal(res.cube, ref.cube)
+    assert res.degenerate_pixels == ref.degenerate_pixels
+
+
 def test_pipeline_timing_names(rng, small_layout):
     frame = rng.integers(400, 60000, (22, 28)).astype(np.uint16)
     dark = np.full((22, 28), 300, np.uint16)
