@@ -238,6 +238,10 @@ def _scene_or_files(cfg: dict):
     if "scene" in cfg:
         scene = synth_scene(SceneSpec.from_dict(cfg["scene"]))
         return scene.raw, scene.dark, scene.white, scene.layout
+    missing = [k for k in ("raw", "dark", "white") if k not in cfg]
+    if missing:
+        raise InvalidSpec("bench preprocess config has no 'scene' and lacks "
+                          + ", ".join(missing))
     frame, _ = formats.load_raw(cfg["raw"])
     dark, _ = formats.load_raw(cfg["dark"])
     white, _ = formats.load_raw(cfg["white"])

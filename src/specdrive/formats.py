@@ -131,12 +131,16 @@ def load_raw(path) -> tuple[np.ndarray, dict]:
         bit_depth = meta.get("bit_depth", 16)
     if min(h, w) < 1 or bit_depth not in range(1, 17):
         raise CorruptContainer(f"{path}: bad size {w}x{h} or bit depth {bit_depth}")
-    raw = Path(path).read_bytes()
-    if len(raw) != w * h * 2:
+    size = Path(path).stat().st_size
+    if size != w * h * 2:
         raise CorruptContainer(
-            f"{path}: payload is {len(raw)} bytes, sidecar promises {w * h * 2}"
+            f"{path}: payload is {size} bytes, sidecar promises {w * h * 2}"
         )
-    return np.frombuffer(raw, "<u2").reshape(h, w).copy(), meta
+    frame = np.empty((h, w), "<u2")
+    with open(path, "rb") as f:
+        if f.readinto(frame) != frame.nbytes:
+            raise CorruptContainer(f"{path}: payload changed while reading")
+    return frame, meta
 
 
 def save_cube(path, cube: np.ndarray) -> None:
@@ -147,10 +151,13 @@ def save_cube(path, cube: np.ndarray) -> None:
     header = json.dumps(
         {"height": h, "width": w, "bands": b, "dtype": "f32le", "order": "band-major"}
     )
-    planes = np.ascontiguousarray(cube.transpose(2, 0, 1), dtype="<f4")
+    planes = np.empty((b, h, w), dtype="<f4")
+    # transpose 8 rows at a time: a strided whole-cube transpose misses cache
+    for r in range(0, h, 8):
+        planes[:, r : r + 8] = cube[r : r + 8].transpose(2, 0, 1)
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
-        f.write(planes.tobytes())
+        f.write(planes)
 
 
 def load_cube(path) -> np.ndarray:
@@ -163,7 +170,7 @@ def load_cube(path) -> np.ndarray:
         h, w, b = (meta[k] for k in ("height", "width", "bands"))
         if not all(isinstance(n, int) and n >= 1 for n in (h, w, b)):
             raise ValueError(f"bad cube size {(h, w, b)}")
-    payload = raw[nl + 1 :]
+    payload = memoryview(raw)[nl + 1 :]
     if len(payload) != h * w * b * 4:
         raise CorruptContainer(f"{path}: cube payload truncated")
     planes = np.frombuffer(payload, "<f4").reshape(b, h, w)

@@ -136,7 +136,12 @@ def relu(x):
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
+    # a max over the few classes as np.maximum of their slices: numpy reduces
+    # a short last axis slowly, and a max's bits do not depend on its order
+    m = x[..., :1].copy()
+    for k in range(1, x.shape[-1]):
+        np.maximum(m, x[..., k : k + 1], out=m)
+    z = x - m
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 

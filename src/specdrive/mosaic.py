@@ -12,10 +12,14 @@ cube in four stages:
 
 The band plane is the unit of work: extraction writes one contiguous
 (mosaic_rows, mosaic_cols) plane per band, and translation computes each
-output plane from its own band's plane alone. Only translation is split
-across worker threads, one band per task through tiling.map_patches; the
-planes are stacked in band order, so the cube does not depend on the
-worker count.
+output plane from its own band's plane alone, into that band's slot of one
+band-major stack that is transposed to the cube once. Translation reads its
+neighbours as shifted slices of an edge-padded copy of the plane, not by
+index gathers; the slices hold the same values the gathers read, so the
+cube is bitwise what the gathers gave. Only translation is split across
+worker threads, one band per task through tiling.map_patches; a plane
+depends on nothing but its band, so the cube does not depend on the worker
+count.
 
 Every stage exists in a vectorized and a naive scalar form. Both are written
 against the same canonical float32 operation order, so their outputs are
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -143,17 +146,15 @@ def reflectance_correct(
 
 
 def _reflectance(img, dark, white, eps32):
-    i = img.astype(np.float32)
-    d = dark.astype(np.float32)
-    span = white.astype(np.float32)
-    np.subtract(span, d, out=span)
+    # dtype= casts both operands to float32 before subtracting, as the naive form does
+    span = np.subtract(white, dark, dtype=np.float32)
     bad = span <= eps32
-    np.subtract(i, d, out=i)
+    i = np.subtract(img, dark, dtype=np.float32)
     np.maximum(span, eps32, out=span)
     np.divide(i, span, out=i)
     np.clip(i, np.float32(0.0), np.float32(1.0), out=i)
-    i[bad] = np.float32(0.0)
-    return i, int(bad.sum())
+    np.copyto(i, np.float32(0.0), where=bad)
+    return i, int(np.count_nonzero(bad))
 
 
 def _reflectance_naive(img, dark, white, eps32):
@@ -252,45 +253,79 @@ def translate_to_center(refl: np.ndarray, layout: MosaicLayout) -> np.ndarray:
 
 
 def _translate(lattice, layout, band_fn, threads):
-    """band_fn(lattice, layout, b) for every band on `threads` workers,
-    stacked into one C-contiguous (mosaic_rows, mosaic_cols, bands) cube."""
-    planes = map_patches(partial(band_fn, lattice, layout), range(layout.bands), threads)
-    return np.ascontiguousarray(np.stack(planes).transpose(1, 2, 0))
+    """band_fn(lattice, layout, b, out) fills plane b of one band-major stack
+    for every band on `threads` workers; returns the stack as one
+    C-contiguous (mosaic_rows, mosaic_cols, bands) cube."""
+    hm, wm, bands = layout.cube_shape
+    planes = np.empty((bands, hm, wm), dtype=np.float32)
+    map_patches(lambda b: band_fn(lattice, layout, b, planes[b]), range(bands), threads)
+    return np.ascontiguousarray(planes.transpose(1, 2, 0))
 
 
-def _translate_band(lattice, layout, b):
+# output rows per block in _translate_band: at full width its two scratch
+# blocks are ~50 KB, so each block's six passes stay in cache
+_BLOCK_ROWS = 32
+
+
+def _translate_band(lattice, layout, b, out):
+    """Interpolate band b at the mosaic centers into the (hm, wm) plane out.
+
+    Per axis, _axis_coeffs pairs each query with samples (i, i+1), the last
+    i+1 clamped, when the band's samples lie at or before the center, and
+    with (i-1, i), the first i-1 clamped, when they lie past it; t is 0
+    where it clamps. An edge-padded copy of the plane, its replicated row
+    and column behind the axis in the first case and in front of it in the
+    second, holds those pairs as shifted slices: pad[:hm] is rows i0 and
+    pad[1:] rows i1, likewise for columns. So the four corners are, element
+    for element, the values the index gathers used to read, and they meet
+    in the same float32 expression, (1-t_r)*((1-t_c)*a0 + t_c*a1) +
+    t_r*((1-t_c)*b0 + t_c*b1), operand for operand: the plane is bitwise
+    what the gathers gave. The column pass over padded row i is both the
+    top of output row i and the bottom of row i-1, so it runs once per
+    row, in blocks of _BLOCK_ROWS rows.
+    """
     p = layout.pitch
     hm, wm, _ = layout.cube_shape
     cr, cc = layout.center_offset
     dr, dc = layout.band_offset(b)
     s = lattice[:, :, b]
     if (dr, dc) == (cr, cc):
-        return s
-    r0, r1, tr = _axis_coeffs(hm, dr, cr, p)
-    c0, c1, tc = _axis_coeffs(wm, dc, cc, p)
+        out[...] = s
+        return
+    _, _, tr = _axis_coeffs(hm, dr, cr, p)
+    _, _, tc = _axis_coeffs(wm, dc, cc, p)
+    pr, pc = int(cr < dr), int(cc < dc)
+    pad = np.empty((hm + 1, wm + 1), dtype=np.float32)
+    pad[pr : pr + hm, pc : pc + wm] = s
+    pad[pr : pr + hm, 0 if pc else -1] = s[:, 0 if pc else -1]
+    pad[0 if pr else -1] = pad[1 if pr else -2]
     one = np.float32(1.0)
-    tc_row = tc[None, :]
-    tr_col = tr[:, None]
-    a = s[r0]
-    bb = s[r1]
-    top = (one - tc_row) * np.take(a, c0, 1) + tc_row * np.take(a, c1, 1)
-    bot = (one - tc_row) * np.take(bb, c0, 1) + tc_row * np.take(bb, c1, 1)
-    return (one - tr_col) * top + tr_col * bot
+    uc, ur, tr = one - tc, (one - tr)[:, None], tr[:, None]
+    h = np.empty((_BLOCK_ROWS + 1, wm), dtype=np.float32)
+    tmp = np.empty_like(h)
+    for r in range(0, hm, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, hm - r)
+        hb, tb, ob = h[: n + 1], tmp[: n + 1], out[r : r + n]
+        np.multiply(uc, pad[r : r + n + 1, :wm], out=hb)
+        np.multiply(tc, pad[r : r + n + 1, 1:], out=tb)
+        np.add(hb, tb, out=hb)
+        np.multiply(ur[r : r + n], hb[:n], out=ob)
+        np.multiply(tr[r : r + n], hb[1:], out=tb[:n])
+        np.add(ob, tb[:n], out=ob)
 
 
-def _translate_band_naive(lattice, layout, b):
+def _translate_band_naive(lattice, layout, b, out):
     p = layout.pitch
     hm, wm, _ = layout.cube_shape
     cr, cc = layout.center_offset
     dr, dc = layout.band_offset(b)
     s = lattice[:, :, b]
     one = np.float32(1.0)
-    out = np.empty((hm, wm), dtype=np.float32)
     if (dr, dc) == (cr, cc):
         for mr in range(hm):
             for mc in range(wm):
                 out[mr, mc] = s[mr, mc]
-        return out
+        return
     r0, r1, tr = _axis_coeffs(hm, dr, cr, p)
     c0, c1, tc = _axis_coeffs(wm, dc, cc, p)
     for mr in range(hm):
@@ -300,7 +335,6 @@ def _translate_band_naive(lattice, layout, b):
             top = (one - t_c) * s[r0[mr], c0[mc]] + t_c * s[r0[mr], c1[mc]]
             bot = (one - t_c) * s[r1[mr], c0[mc]] + t_c * s[r1[mr], c1[mc]]
             out[mr, mc] = (one - t_r) * top + t_r * bot
-    return out
 
 
 def _check_active(refl: np.ndarray, layout: MosaicLayout):
@@ -325,8 +359,8 @@ def preprocess_pipeline(
     Crop, reflectance and extraction are whole-array passes. Translation
     computes one band plane per task and splits the bands across `threads`
     workers through tiling.map_patches. A plane reads only the lattice and
-    its own band's coefficients, and planes are stacked in band order, so
-    the cube is bitwise identical for any worker count and for both kernel
+    its own band's coefficients and is written to its band's slot, so the
+    cube is bitwise identical for any worker count and for both kernel
     variants.
     """
     if layout is None:

@@ -285,6 +285,15 @@ def test_segment_threads_precedence(files, tmp_path, monkeypatch):
     assert seen == [4, 2, 3, 1]
 
 
+@pytest.mark.parametrize("given, missing", [((), "raw, dark, white"),
+                                            (("raw",), "dark, white")])
+def test_bench_preprocess_without_inputs_exit_2(files, tmp_path, capsys, given, missing):
+    """A bench config with no scene must name raw, dark and white."""
+    inputs = {k: str(files / f"{k}.u16") for k in given}
+    assert bench(files, tmp_path, iterations=1, **inputs) == 2
+    assert f"lacks {missing}" in capsys.readouterr().err
+
+
 def test_bench_config_not_an_object_exit_2(files, tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1]")

@@ -43,6 +43,23 @@ def test_cube_roundtrip(tmp_path, rng):
     assert '"order": "band-major"' in header and '"dtype": "f32le"' in header
 
 
+@pytest.mark.parametrize("make", [
+    lambda c: c,
+    lambda c: np.ascontiguousarray(c.transpose(1, 0, 2)).transpose(1, 0, 2),
+    lambda c: c.astype(np.float64),
+], ids=["float32", "transposed", "float64"])
+@pytest.mark.parametrize("height", [1, 7, 8, 21])
+def test_cube_payload_is_band_major_planes(tmp_path, rng, height, make):
+    """Row blocks of the cube write give the whole-cube transpose's bytes,
+    for heights below, at and off the block and for any input layout."""
+    cube = make(rng.uniform(0, 1, (height, 6, 5)).astype(np.float32))
+    path = tmp_path / "c.hsc"
+    formats.save_cube(path, cube)
+    payload = path.read_bytes().split(b"\n", 1)[1]
+    assert payload == np.ascontiguousarray(cube.transpose(2, 0, 1), "<f4").tobytes()
+    assert np.array_equal(formats.load_cube(path), cube.astype(np.float32))
+
+
 def test_cube_truncation_detected(tmp_path, rng):
     cube = rng.uniform(0, 1, (4, 4, 3)).astype(np.float32)
     path = tmp_path / "c.hsc"

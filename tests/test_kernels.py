@@ -64,6 +64,32 @@ def test_softmax_normalizes(rng):
     assert np.abs(s.sum(-1) - 1).max() <= 1e-5
 
 
+def _softmax_reduce_max(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4, 5])
+def test_softmax_matches_reduce_max_formula(rng, classes):
+    """The slice-wise max gives the same bits as a max over the last axis,
+    with ties, signed zeros, infinities and NaN, on a strided input too."""
+    x = rng.normal(0, 3, (9, 11, classes)).astype(np.float32)
+    x[0, :, 1] = x[0, :, 0]
+    x[1, 0] = 0.0
+    x[1, 1, 0] = -0.0
+    x[2, 0, -1] = np.inf
+    x[2, 1] = -np.inf
+    x[2, 2, 0] = -np.inf
+    x[2, 3, 1] = np.nan
+    x[2, 4] = np.inf
+    strided = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for arr in (x, x[::2, ::3], strided):
+            assert np.array_equal(kernels.softmax(arr), _softmax_reduce_max(arr),
+                                  equal_nan=True)
+
+
 def test_band_norm_sums_to_one_and_guards_zero(rng):
     x = rng.uniform(0.1, 1, (3, 3, 25)).astype(np.float32)
     x[0, 0] = 0.0

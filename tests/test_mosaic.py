@@ -197,6 +197,33 @@ def test_pipeline_oracle_on_permuted_layout(threads, vectorized):
     assert res.degenerate_pixels == ref.degenerate_pixels
 
 
+def _translate_naive(refl, lay):
+    return mosaic._translate(mosaic._extract_naive(refl, lay), lay,
+                             mosaic._translate_band_naive, 1)
+
+
+@pytest.mark.parametrize("center", [(0, 0), (4, 4), (0, 4), (4, 0), (1, 3)])
+@pytest.mark.parametrize("size", [(5, 5), (5, 30), (30, 5), (35, 20), (335, 15)])
+def test_translate_oracle_across_geometry(size, center):
+    """Vectorized translation against the naive one on 1-row, 1-column and
+    rectangular mosaics, every side of the center, with a permuted tile;
+    67 mosaic rows span three row blocks, the last one partial."""
+    rng = np.random.default_rng(17)
+    lay = MosaicLayout(tile=rng.permutation(25).reshape(5, 5), active_size=size,
+                       center_offset=center)
+    refl = rng.uniform(0, 1, size).astype(np.float32)
+    fast, slow = translate_to_center(refl, lay), _translate_naive(refl, lay)
+    assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], np.float32)
+    refl.ravel()[rng.choice(refl.size, refl.size // 3, replace=False)] = rng.choice(
+        special, refl.size // 3)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        fast, slow = translate_to_center(refl, lay), _translate_naive(refl, lay)
+    assert np.array_equal(fast, slow, equal_nan=True)
+    signed = ~np.isnan(slow)
+    assert np.array_equal(np.signbit(fast[signed]), np.signbit(slow[signed]))
+
+
 def test_pipeline_timing_names(rng, small_layout):
     frame = rng.integers(400, 60000, (22, 28)).astype(np.uint16)
     dark = np.full((22, 28), 300, np.uint16)
