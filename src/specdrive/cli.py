@@ -78,12 +78,15 @@ def _load_model(path: str, want_quantized: bool | None = None):
 
 def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
     """The grid file if one is given, else the default 44/57-stride grid
-    of the model's patch size (per-pixel models: patches of up to 128)."""
+    of the model's patch size (per-pixel models: patches of up to 128).
+    On a cube thinner than the patch, the patch shrinks to the cube and the
+    strides to the patch, so the patches still cover every pixel."""
     if grid_path:
         return formats.load_grid(grid_path)
     h, w = cube.shape[:2]
     patch = meta["config"]["patch_size"] if meta["kind"] == "unet" else 128
-    return build_grid((h, w), min(patch, h, w), 44, 57)
+    patch = min(patch, h, w)
+    return build_grid((h, w), patch, min(44, patch), min(57, patch))
 
 
 def run_segment(manifest: dict) -> dict:

@@ -8,11 +8,22 @@ folding and quantization.
 
 LAYER_KINDS is the one place a layer kind is defined: the tensors a layer of
 that kind reads, its float op, its integer op, whether its integer output
-keeps its input's quantization scheme, its input count and how it resizes
-the spatial grid. Weight specs, parameter and MAC counts, both forward
-walks and the quantizer are derived from it. Adding a kind means adding one
-entry there (and a kernel, if it needs a new one); a graph with a kind that
-is not in the table is rejected when it is built.
+keeps its input's quantization scheme, its input count, how it resizes the
+spatial grid and whether it is per-pixel. Weight specs, parameter and MAC
+counts, both forward walks and the quantizer are derived from it. Adding a
+kind means adding one entry there (and a kernel, if it needs a new one); a
+graph with a kind that is not in the table is rejected when it is built.
+
+A graph whose every layer is per-pixel (the MLP) runs over its input's
+pixels in blocks of PIXEL_BLOCK: forward, quant.qforward and
+quant.calibrate flatten the pixels to (n, C) rows and walk the graph once
+per block. The temporaries of one block (2048 x 100 values) stay in cache
+and come from reused allocations, where a whole 128x128 patch needs 13 MB
+float64 buffers that are page-faulted in afresh on every layer. The block
+size is a constant, never derived from the thread count, so a result is the
+same bits whatever the worker count. walk and return_all do not block: they
+give whole-tensor intermediates, layer by layer. Graphs with a spatial
+layer (the U-Net's conv3, maxpool2, upconv2) run each input whole.
 
 Naming is stable: encoder blocks are enc0, enc1, ..., the bottom block is
 bridge, decoder blocks dec1, dec0, ... and the classifier is head.
@@ -68,6 +79,12 @@ class ModelGraph:
     def output_name(self) -> str:
         return self.layers[-1].name
 
+    @property
+    def per_pixel(self) -> bool:
+        """Whether every layer is per-pixel, so the graph may run on any
+        grouping of its input's pixels."""
+        return all(LAYER_KINDS[l.kind].per_pixel for l in self.layers)
+
     def layer(self, name: str) -> LayerSpec:
         for l in self.layers:
             if l.name == name:
@@ -97,6 +114,9 @@ class LayerKind:
     inherits_scheme: bool = False  # relu/pool/dropout add no requantization
     arity: int = 1
     resize: float = 1.0  # factor on the spatial side of the output
+    # the output at a pixel reads only that pixel, and the ops take any
+    # (..., C) array of pixels (conv1 is pointwise but needs an (H, W, C) grid)
+    per_pixel: bool = False
 
 
 def _vec(layer: LayerSpec) -> tuple[int, ...]:
@@ -133,48 +153,53 @@ def _weighted(kernel: str, shape, **kw) -> LayerKind:
 def table_lookup(layer, xs, ins, out, lut, naive):
     """Int op of an elementwise kind: its float op tabulated over all 256
     int8 inputs, from -128 up (see quant.quantize_graph). Rolled by 128, the
-    table is indexed by the inputs' bytes read as uint8."""
-    return np.roll(lut, -128)[xs[0].view(np.uint8)]
+    table is indexed by the inputs' bytes read as uint8. The roll is a
+    concatenation and the lookup np.take, which cost less per call than
+    np.roll and fancy indexing."""
+    return np.take(np.concatenate((lut[128:], lut[:128])), xs[0].view(np.uint8))
 
 
 _CONV = _weighted("conv2d", lambda l: (l.kernel, l.kernel, l.in_ch, l.out_ch))
 
 LAYER_KINDS: dict[str, LayerKind] = {
-    "band_norm": LayerKind(lambda l, xs, *_: kernels.band_norm(xs[0])),
+    "band_norm": LayerKind(lambda l, xs, *_: kernels.band_norm(xs[0]), per_pixel=True),
     "zscore": LayerKind(
         lambda l, xs, ts, k: kernels.zscore(xs[0], *ts),
         tensors=(Tensor("mean", _vec, "statistic"), Tensor("std", _vec, "statistic")),
+        per_pixel=True,
     ),
     "conv3": _CONV,
     "conv1": _CONV,
     "upconv2": _weighted("upconv2", lambda l: (2, 2, l.in_ch, l.out_ch), resize=2.0),
-    "dense": _weighted("dense", lambda l: (l.in_ch, l.out_ch)),
+    "dense": _weighted("dense", lambda l: (l.in_ch, l.out_ch), per_pixel=True),
     "batchnorm": LayerKind(
         lambda l, xs, ts, k: kernels.batchnorm_infer(xs[0], *ts),
         tensors=(Tensor("scale", _vec), Tensor("offset", _vec),
                  Tensor("mean", _vec, "non_trainable"),
                  Tensor("variance", _vec, "non_trainable")),
+        per_pixel=True,
     ),
     "relu": LayerKind(
         lambda l, xs, *_: kernels.relu(xs[0]),
         lambda l, xs, ins, *_: kernels.relu_int(xs[0], ins[0].zero_point),
         inherits_scheme=True,
+        per_pixel=True,
     ),
-    "tanh": LayerKind(lambda l, xs, *_: np.tanh(xs[0]), table_lookup),
+    "tanh": LayerKind(lambda l, xs, *_: np.tanh(xs[0]), table_lookup, per_pixel=True),
     "maxpool2": LayerKind(
         lambda l, xs, ts, k: k["maxpool2"](xs[0]),
         lambda l, xs, *_: kernels.maxpool2(xs[0]),
         inherits_scheme=True,
         resize=0.5,
     ),
-    "dropout": LayerKind(_identity, _identity, inherits_scheme=True),
+    "dropout": LayerKind(_identity, _identity, inherits_scheme=True, per_pixel=True),
     # the int op first re-expresses both halves in the concat's own scheme
     "concat": LayerKind(
         _concat,
         lambda l, xs, ins, out, *_: _concat(l, list(map(out.requant, xs, ins))),
         arity=2,
     ),
-    "softmax": LayerKind(lambda l, xs, *_: kernels.softmax(xs[0])),
+    "softmax": LayerKind(lambda l, xs, *_: kernels.softmax(xs[0]), per_pixel=True),
 }
 
 
@@ -327,6 +352,14 @@ def build_from_meta(meta: dict) -> ModelGraph:
     raise InvalidConfig(f"unknown model kind {meta.get('kind')!r}")
 
 
+# pixels per block of a per-pixel graph, chosen by measurement (numpy 2.4,
+# OpenBLAS 0.3.31): OpenBLAS picks its sgemm path by row count, and
+# 2048-row blocks take the path of a 128x128 patch's 128-row products, so
+# float outputs stayed the same bits; 4096 moved the float softmax by 1 ulp,
+# and 256 lost the gain to per-block Python overhead
+PIXEL_BLOCK = 2048
+
+
 def _weight(weights: dict, key: str) -> np.ndarray:
     try:
         return weights[key]
@@ -357,6 +390,31 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False
         yield layer.name, out
 
 
+def pixel_blocks(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
+    """x's pixels flattened to (n, C) rows, PIXEL_BLOCK rows a block, when
+    every layer of the graph is per-pixel and x holds more than one block;
+    [x] otherwise."""
+    if not graph.per_pixel or x.ndim < 2 or x.size <= PIXEL_BLOCK * x.shape[-1]:
+        return [x]
+    flat = x.reshape(-1, x.shape[-1])
+    return [flat[i : i + PIXEL_BLOCK] for i in range(0, len(flat), PIXEL_BLOCK)]
+
+
+def map_pixel_blocks(fn, graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+    """fn(x) for a function that maps (..., C) pixels to (..., K) outputs,
+    run block by block (see pixel_blocks) into one preallocated output."""
+    blocks = pixel_blocks(graph, x)
+    if len(blocks) == 1:
+        return fn(x)
+    out = None
+    for i, block in enumerate(blocks):
+        y = fn(block)
+        if out is None:
+            out = np.empty((x.size // x.shape[-1], y.shape[-1]), y.dtype)
+        out[i * PIXEL_BLOCK : i * PIXEL_BLOCK + len(y)] = y
+    return out.reshape(*x.shape[:-1], out.shape[-1])
+
+
 def forward(
     graph: ModelGraph,
     x: np.ndarray,
@@ -366,9 +424,19 @@ def forward(
     return_all: bool = False,
 ):
     """Float32 inference. Dropout is identity; batch norm uses its stored
-    statistics. With return_all, gives every intermediate tensor by name."""
-    tensors = dict(walk(graph, x, weights, naive=naive))
-    return tensors if return_all else tensors[graph.output_name]
+    statistics. With return_all, gives every intermediate tensor by name,
+    from one whole-tensor walk. Otherwise a per-pixel graph runs in blocks
+    of PIXEL_BLOCK pixels (see the module docstring) and any other graph on
+    the whole input, keeping one layer's working set at a time."""
+    if return_all:
+        return dict(walk(graph, x, weights, naive=naive))
+
+    def output(block):
+        for _, out in walk(graph, block, weights, naive=naive):
+            pass
+        return out
+
+    return map_pixel_blocks(output, graph, np.asarray(x, dtype=np.float32))
 
 
 def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:

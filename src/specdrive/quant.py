@@ -36,6 +36,8 @@ from .model import (
     fold_batchnorm,
     forward,
     layer_tensors,
+    map_pixel_blocks,
+    pixel_blocks,
     table_lookup,
     walk,
 )
@@ -135,18 +137,20 @@ class SizeReport:
 def calibrate(graph: ModelGraph, weights: dict, calib: list[np.ndarray]) -> dict:
     """Record the running min/max of every tensor (input and all layer
     outputs) over the calibration samples. Min/max folding is commutative,
-    so sample order does not matter."""
+    so sample order does not matter, and a per-pixel graph walks each sample
+    in pixel blocks (see model.pixel_blocks) without changing a range."""
     if len(calib) == 0:
         raise EmptyCalibration("need at least one calibration sample")
     ranges: dict[str, tuple[float, float]] = {}
     for sample in calib:
-        for name, arr in walk(graph, sample, weights):
-            lo, hi = float(arr.min()), float(arr.max())
-            if name in ranges:
-                plo, phi = ranges[name]
-                ranges[name] = (min(plo, lo), max(phi, hi))
-            else:
-                ranges[name] = (lo, hi)
+        for block in pixel_blocks(graph, np.asarray(sample, np.float32)):
+            for name, arr in walk(graph, block, weights):
+                lo, hi = float(arr.min()), float(arr.max())
+                if name in ranges:
+                    plo, phi = ranges[name]
+                    ranges[name] = (min(plo, lo), max(phi, hi))
+                else:
+                    ranges[name] = (lo, hi)
     return ranges
 
 
@@ -231,20 +235,10 @@ def quantize_model(
     return quantize_graph(graph, weights, ranges)
 
 
-def qforward(
-    qg: QuantizedGraph,
-    x: np.ndarray,
-    *,
-    naive: bool = False,
-    return_all: bool = False,
-):
-    """Integer inference. Input normalization runs in float, the body in
-    int8 with int32 accumulators, and the head dequantizes before softmax.
-
-    With return_all, returns {tensor name: float array} with every int
-    tensor dequantized through its scheme, for error analysis against the
-    float network.
-    """
+def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool):
+    """One walk of the quantized graph over x: (float tensors, int8 tensors)
+    by name. Int tensors are made from float ones, and back, where a layer
+    of the other domain needs them."""
     kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
     fvals: dict[str, np.ndarray] = {"input": np.asarray(x, np.float32)}
     qvals: dict[str, np.ndarray] = {}
@@ -282,12 +276,40 @@ def qforward(
         if ql is not None:  # int32 accumulator back to int8
             q = schemes[name]._to_int8(q * (ql.bias_scale / schemes[name].scale))
         qvals[name] = q
+    return fvals, qvals
 
-    out_name = qg.graph.output_name
+
+def qforward(
+    qg: QuantizedGraph,
+    x: np.ndarray,
+    *,
+    naive: bool = False,
+    return_all: bool = False,
+):
+    """Integer inference. Input normalization runs in float, the body in
+    int8 with int32 accumulators, and the head dequantizes before softmax.
+
+    With return_all, returns {tensor name: float array} from one
+    whole-tensor walk, with every int tensor dequantized through its
+    scheme, for error analysis against the float network. Otherwise a
+    per-pixel graph runs in blocks of model.PIXEL_BLOCK pixels, as forward
+    does. Its float ops reduce over channels only and its integer ops are
+    exact, so the result is the same bits as the whole-tensor walk.
+    """
+    schemes = qg.schemes
     if return_all:
+        fvals, qvals = _qwalk(qg, x, naive)
         return {n: (fvals[n] if n in fvals else schemes[n].dequant(qvals[n]))
                 for n in {**qvals, **fvals}}
-    return as_float(out_name)
+
+    out_name = qg.graph.output_name
+
+    def output(block):
+        fvals, qvals = _qwalk(qg, block, naive)
+        return fvals[out_name] if out_name in fvals else schemes[out_name].dequant(
+            qvals[out_name])
+
+    return map_pixel_blocks(output, qg.graph, np.asarray(x, np.float32))
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specdrive import formats
-from specdrive.cli import main, run_segment
+from specdrive.cli import _grid_for, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
 from specdrive.model import UNetConfig, build_mlp, build_unet
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
@@ -257,13 +257,40 @@ def test_threads_env_var(monkeypatch):
 
 
 def test_segment_threads_do_not_change_output(work, tmp_path):
-    base = {
-        "cube": str(work / "crop.hsc"),
-        "model": str(work / "mlp.sdw"),
-    }
-    run_segment({**base, "out": str(tmp_path / "t1.pgm"), "threads": 1})
-    run_segment({**base, "out": str(tmp_path / "t4.pgm"), "threads": 4})
-    assert (tmp_path / "t1.pgm").read_bytes() == (tmp_path / "t4.pgm").read_bytes()
+    """Float and int8 MLP masks are the same bytes at 1 and 4 threads; the
+    crop's 64x64 patches run in two pixel blocks each."""
+    if not (work / "mlp.sdq").exists():  # independent of test ordering
+        assert main(["quantize", "--model", str(work / "mlp.sdw"),
+                     "--calib", str(work / "calib"),
+                     "--out", str(work / "mlp.sdq")]) == 0
+    for model in ("mlp.sdw", "mlp.sdq"):
+        base = {
+            "cube": str(work / "crop.hsc"),
+            "model": str(work / model),
+        }
+        run_segment({**base, "out": str(tmp_path / "t1.pgm"), "threads": 1})
+        run_segment({**base, "out": str(tmp_path / "t4.pgm"), "threads": 4})
+        assert (tmp_path / "t1.pgm").read_bytes() == (tmp_path / "t4.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("model, hw", [("mlp.sdw", (3, 700)), ("unet.sdw", (40, 300))])
+def test_segment_thin_cube_default_grid(work, tmp_path, model, hw):
+    """A cube thinner than the patch segments with the default grid; the
+    44/57 strides used to leave gaps between its smaller patches (exit 2)."""
+    cube = np.random.default_rng(5).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
+    formats.save_cube(tmp_path / "thin.hsc", cube)
+    assert main(["segment", "--cube", str(tmp_path / "thin.hsc"),
+                 "--model", str(work / model), "--out", str(tmp_path / "m.pgm")]) == 0
+    assert formats.load_mask(tmp_path / "m.pgm").shape == hw
+
+
+@pytest.mark.parametrize("meta", [{"kind": "unet", "config": {"patch_size": 128}},
+                                  {"kind": "mlp", "config": {}}])
+def test_default_grid_of_full_size_cube(meta):
+    grid = _grid_for(meta, np.empty((216, 409, 1), np.float32), None)
+    assert grid.patch_size == 128
+    assert grid.origins() == [(r, c) for r in (0, 44, 88)
+                              for c in (0, 57, 114, 167, 224, 281)]
 
 
 def test_bench_infer_float_vs_int8(work, tmp_path, capsys):

@@ -90,6 +90,27 @@ def test_softmax_matches_reduce_max_formula(rng, classes):
                                   equal_nan=True)
 
 
+@pytest.mark.parametrize("classes", range(2, 13))
+def test_softmax_sum_matches_numpy_sum(rng, classes):
+    """The denominator's class-slice adds give e.sum's bits up to 7 classes,
+    where numpy sums a last axis left to right, on magnitudes from 1e-8 to
+    1e8 and on strided inputs. From 8 classes numpy changes its order, so
+    there the two agree to rtol 1e-6, with the same argmax wherever the top
+    two probabilities are further apart than that."""
+    for mag in 10.0 ** np.arange(-8, 9, 2):
+        x = (rng.standard_normal((6, 10, classes)) * mag).astype(np.float32)
+        for arr in (x, x[::2, ::3], x.transpose(1, 0, 2)):
+            got, want = kernels.softmax(arr), _softmax_reduce_max(arr)
+            if classes <= 7:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-6,
+                                           atol=np.finfo(np.float32).tiny)
+                top = np.sort(want, axis=-1)
+                clear = top[..., -1] - top[..., -2] > 1e-6 * top[..., -1]
+                assert np.array_equal(got.argmax(-1)[clear], want.argmax(-1)[clear])
+
+
 def test_band_norm_sums_to_one_and_guards_zero(rng):
     x = rng.uniform(0.1, 1, (3, 3, 25)).astype(np.float32)
     x[0, 0] = 0.0

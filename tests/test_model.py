@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from specdrive import kernels
 from specdrive.errors import InvalidConfig, MissingWeights, StructureError
 from specdrive.model import (
+    LAYER_KINDS,
     LayerSpec,
     ModelGraph,
     UNetConfig,
@@ -10,7 +12,9 @@ from specdrive.model import (
     build_unet,
     fold_batchnorm,
     forward,
+    layer_tensors,
 )
+from specdrive.quant import QLayer, QTensor, QuantScheme
 from specdrive.weights import generate_weights
 
 SMALL = UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
@@ -199,6 +203,76 @@ def test_mlp_applies_per_pixel(rng):
     assert y.shape == (6, 7, 3)
     single = forward(g, cube[2, 3], w)
     np.testing.assert_allclose(y[2, 3], single, atol=1e-6)
+
+
+PER_PIXEL = ("band_norm", "zscore", "dense", "tanh", "relu", "batchnorm", "dropout",
+             "softmax")
+
+
+def _single_layer(rng, kind, c=6):
+    """A layer of this kind on c channels, with positive random tensors."""
+    layer = LayerSpec("l", kind, ("input",), in_ch=c, out_ch=c,
+                      kernel=3 if kind == "conv3" else 2)
+    tensors = [rng.uniform(0.5, 1.5, shape).astype(np.float32)
+               for _, shape, _ in layer_tensors(layer)]
+    return layer, tensors
+
+
+def _changed_pixels(a, b):
+    return (a != b).reshape(*a.shape[:2], -1).any(axis=-1)
+
+
+def test_per_pixel_kinds_are_flagged():
+    assert {k for k, v in LAYER_KINDS.items() if v.per_pixel} == set(PER_PIXEL)
+    assert build_mlp(25, 3).per_pixel
+    assert not build_unet(SMALL).per_pixel
+
+
+@pytest.mark.parametrize("kind", PER_PIXEL)
+def test_per_pixel_kind_reads_only_its_pixel(rng, kind):
+    """Perturbing one input pixel changes that output pixel and no other, in
+    the float op and in the int op where the kind has one."""
+    layer, tensors = _single_layer(rng, kind)
+    op = LAYER_KINDS[kind]
+    x = rng.uniform(0.1, 1.0, (6, 8, 6)).astype(np.float32)
+    x2 = x.copy()
+    x2[2, 5] += 0.5
+    only = np.zeros((6, 8), bool)
+    only[2, 5] = True
+
+    def run(v):
+        return op.float_op(layer, [v], tensors, kernels.FAST_KERNELS)
+
+    assert np.array_equal(_changed_pixels(run(x), run(x2)), only)
+    if op.int_op is None:
+        return
+    xq = rng.integers(10, 100, (6, 8, 6)).astype(np.int8)
+    xq2 = xq.copy()
+    xq2[2, 5] += 5
+    ins = [QuantScheme(0.02, 3)]
+    if kind == "dense":
+        wq = rng.integers(-127, 128, (6, 6)).astype(np.int8)
+        extra = QLayer(QTensor(wq, QuantScheme(0.01, 0)),
+                       rng.integers(-100, 100, 6).astype(np.int32), 2e-4)
+    else:  # a one-to-one table, so every changed input changes its entry
+        extra = (rng.permutation(256) - 128).astype(np.int8)
+
+    def run_int(v):
+        return op.int_op(layer, [v], ins, QuantScheme(0.05, -7), extra, False)
+
+    assert np.array_equal(_changed_pixels(run_int(xq), run_int(xq2)), only)
+
+
+@pytest.mark.parametrize("kind", ["conv3", "maxpool2", "upconv2"])
+def test_spatial_kind_spreads_or_resizes(rng, kind):
+    layer, tensors = _single_layer(rng, kind)
+    op = LAYER_KINDS[kind]
+    assert not op.per_pixel
+    x = rng.uniform(0.1, 1.0, (6, 8, 6)).astype(np.float32)
+    x2 = x.copy()
+    x2[2, 5] += 0.5
+    y, y2 = (op.float_op(layer, [v], tensors, kernels.FAST_KERNELS) for v in (x, x2))
+    assert y.shape[:2] != x.shape[:2] or _changed_pixels(y, y2).sum() > 1
 
 
 def test_graph_rejects_forward_reference():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from specdrive import kernels, quant
 from specdrive.errors import CorruptContainer, EmptyCalibration, RangeMissing
 from specdrive.model import (
+    PIXEL_BLOCK,
     LayerSpec,
     ModelGraph,
     UNetConfig,
@@ -10,6 +12,7 @@ from specdrive.model import (
     build_unet,
     forward,
     table_lookup,
+    walk,
 )
 from specdrive.quant import (
     QuantScheme,
@@ -252,3 +255,97 @@ def test_table_lookup_matches_int16_index(rng):
     for xs in (x, x.reshape(16, 16).T):  # contiguous and strided
         got = table_lookup(None, [xs], None, None, lut, False)
         assert np.array_equal(got, lut[xs.astype(np.int16) + 128])
+
+
+def _grid_of(n: int) -> tuple[int, int]:
+    """(H, W) with H the largest divisor of n up to sqrt(n)."""
+    h = max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
+    return h, n // h
+
+
+BLOCK_SHAPES = [lead for n in (1, PIXEL_BLOCK - 1, PIXEL_BLOCK, PIXEL_BLOCK + 1,
+                               5 * PIXEL_BLOCK // 2)
+                for lead in (_grid_of(n), (n,))]
+
+
+@pytest.fixture(scope="module")
+def mlp_models():
+    rng = np.random.default_rng(77)
+    g = build_mlp(25, 3)
+    w = generate_weights(g, 31)
+    calib = [rng.uniform(0.05, 0.95, (40, 128, 25)).astype(np.float32)]
+    return g, w, quantize_model(g, w, calib)
+
+
+def _spy_rows(monkeypatch, owner, key):
+    """Record the pixel count of every call to owner[key] / owner.key."""
+    rows = []
+    fn = owner[key] if isinstance(owner, dict) else getattr(owner, key)
+
+    def spy(x, *args):
+        rows.append(x.size // x.shape[-1])
+        return fn(x, *args)
+
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, key, spy)
+    else:
+        monkeypatch.setattr(owner, key, spy)
+    return rows
+
+
+@pytest.mark.parametrize("lead", BLOCK_SHAPES, ids=str)
+def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
+    """Blocks of PIXEL_BLOCK pixels: qforward gives the bits of its
+    whole-tensor return_all walk, forward the bits or agreement within 1e-5
+    with the same labels (BLAS may sum a 2048-row block in another order)."""
+    g, w, qg = mlp_models
+    n = int(np.prod(lead))
+    x = np.random.default_rng(n).uniform(0.05, 0.95, (*lead, 25)).astype(np.float32)
+    blocks = [min(PIXEL_BLOCK, n - i) for i in range(0, n, PIXEL_BLOCK)]
+    want_rows = [rows for rows in blocks for _ in range(4)]  # four dense layers
+
+    rows = _spy_rows(monkeypatch, kernels.FAST_KERNELS, "dense")
+    y = forward(g, x, w)
+    assert rows == want_rows
+    ref = forward(g, x, w, return_all=True)[g.output_name]
+    assert y.shape == ref.shape == (*lead, 3) and y.dtype == np.float32
+    if not np.array_equal(y, ref):
+        assert np.abs(y - ref).max() <= 1e-5
+        assert np.array_equal(y.argmax(-1), ref.argmax(-1))
+
+    rows = _spy_rows(monkeypatch, kernels, "dense_int")
+    yq = qforward(qg, x)
+    assert rows == want_rows
+    qref = qforward(qg, x, return_all=True)[qg.graph.output_name]
+    assert yq.shape == (*lead, 3) and yq.dtype == np.float32
+    assert np.array_equal(yq, qref)
+
+
+def test_mlp_blocks_keep_the_naive_gate(mlp_models):
+    g, w, qg = mlp_models
+    x = np.random.default_rng(3).uniform(0.05, 0.95, (PIXEL_BLOCK + 1, 25)).astype(np.float32)
+    fast, slow = forward(g, x, w), forward(g, x, w, naive=True)
+    assert np.abs(fast - slow).max() <= 1e-5
+    assert np.array_equal(fast.argmax(-1), slow.argmax(-1))
+    assert np.array_equal(qforward(qg, x), qforward(qg, x, naive=True))
+
+
+def test_calibrate_walks_pixel_blocks(monkeypatch, rng):
+    """Ranges from a block-by-block walk match the whole-sample walk's."""
+    g = build_mlp(25, 3)
+    w = generate_weights(g, 32)
+    sample = rng.uniform(0.05, 0.95, (40, 128, 25)).astype(np.float32)
+    whole = {n: (float(a.min()), float(a.max())) for n, a in walk(g, sample, w)}
+    shapes = []
+
+    def spy(graph, x, weights):
+        shapes.append(x.shape)
+        return walk(graph, x, weights)
+
+    monkeypatch.setattr(quant, "walk", spy)
+    ranges = calibrate(g, w, [sample])
+    assert shapes == [(PIXEL_BLOCK, 25), (PIXEL_BLOCK, 25), (1024, 25)]
+    assert ranges.keys() == whole.keys()
+    assert ranges["input"] == whole["input"]
+    for name in whole:
+        np.testing.assert_allclose(ranges[name], whole[name], rtol=1e-6)
