@@ -22,7 +22,7 @@ from . import formats, quant
 from .complexity import count_flops
 from .errors import InvalidSpec, ShapeMismatch, SpecdriveError, int_option
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
-from .model import forward
+from .model import forward, run_input_prefix
 from .mosaic import default_layout, preprocess_pipeline
 from .quant import (
     load_qgraph,
@@ -90,7 +90,8 @@ def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
 
 
 def run_segment(manifest: dict) -> dict:
-    """Full image path: cube -> tiles -> model -> reconstruction -> outputs.
+    """Full image path: cube -> input prefix -> tiles -> model body ->
+    reconstruction -> outputs (see model.split_input).
 
     Manifest keys: cube, model, out (required); quantized, grid, render,
     gt, metrics, threads (optional; an integer >= 1, default 1). Flags from
@@ -111,14 +112,19 @@ def run_segment(manifest: dict) -> dict:
     grid = _grid_for(meta, cube, manifest.get("grid"))
 
     threads = int_option("threads", manifest.get("threads", 1))
-    patches = extract_patches(cube, grid)
+    # the per-pixel input prefix (normalization, and on a quantized model the
+    # quantization) runs once over the cube; patches feed the body
     if kind == "quantized":
+        body, cube = quant.run_input_prefix(model, cube)
+
         def infer(p):
-            return qforward(model, p)
+            return qforward(body, p)
     else:
+        body, cube = run_input_prefix(model, cube, weights)
+
         def infer(p):
-            return forward(model, p, weights)
-    probs = map_patches(infer, patches, threads)
+            return forward(body, p, weights)
+    probs = map_patches(infer, extract_patches(cube, grid), threads)
     prob_map, labels = reconstruct(probs, grid)
 
     out = {"mask": manifest["out"], "labels": labels}

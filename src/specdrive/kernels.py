@@ -174,7 +174,8 @@ def _check_acc_bound(n_terms: int, bias: np.ndarray | None) -> type:
     point (|.| <= 255) and a symmetric int8 weight (|.| <= 127), plus bias:
     float32 when the worst-case |sum| is below 2^24, else float64. Raises
     when the sum could overflow an int32 accumulator."""
-    worst = n_terms * 255 * 127 + (int(np.abs(bias).max()) if bias is not None else 0)
+    peak = int(np.abs(bias, dtype=np.int64).max(initial=0)) if bias is not None else 0
+    worst = n_terms * 255 * 127 + peak
     if worst >= _ACC_LIMIT:
         raise ShapeMismatch(
             f"int32 accumulator could overflow: worst case {worst} >= 2^31"
@@ -187,8 +188,9 @@ def _operands(xq, x_zp: int, wq, bias_q, dtype):
     point, the weight and the bias. The float kernels then accumulate them
     exactly, in int64 loops or in the float BLAS calls of the dtype that
     _check_acc_bound picks (float32 below 2^24, float64 below 2^31), so the
-    fast and naive paths are bit-identical."""
-    return xq.astype(dtype) - dtype(x_zp), wq.astype(dtype), bias_q.astype(dtype)
+    fast and naive paths are bit-identical. The zero point is subtracted in
+    the same pass that widens the input."""
+    return np.subtract(xq, x_zp, dtype=dtype), wq.astype(dtype), bias_q.astype(dtype)
 
 
 def conv2d_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:

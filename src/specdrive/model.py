@@ -25,6 +25,11 @@ same bits whatever the worker count. walk and return_all do not block: they
 give whole-tensor intermediates, layer by layer. Graphs with a spatial
 layer (the U-Net's conv3, maxpool2, upconv2) run each input whole.
 
+split_input cuts a graph into its input prefix, the leading per-pixel
+layers without an int op (band_norm, zscore), and the body that follows.
+run_input_prefix runs the prefix once over a whole cube, in pixel blocks,
+so patches cut from its output only pay for the body.
+
 Naming is stable: encoder blocks are enc0, enc1, ..., the bottom block is
 bridge, decoder blocks dec1, dec0, ... and the classifier is head.
 """
@@ -77,7 +82,7 @@ class ModelGraph:
 
     @property
     def output_name(self) -> str:
-        return self.layers[-1].name
+        return self.layers[-1].name if self.layers else "input"
 
     @property
     def per_pixel(self) -> bool:
@@ -196,7 +201,8 @@ LAYER_KINDS: dict[str, LayerKind] = {
     # the int op first re-expresses both halves in the concat's own scheme
     "concat": LayerKind(
         _concat,
-        lambda l, xs, ins, out, *_: _concat(l, list(map(out.requant, xs, ins))),
+        lambda l, xs, ins, out, _, naive: _concat(
+            l, [out.requant(q, s, naive) for q, s in zip(xs, ins)]),
         arity=2,
     ),
     "softmax": LayerKind(lambda l, xs, *_: kernels.softmax(xs[0]), per_pixel=True),
@@ -437,6 +443,35 @@ def forward(
         return out
 
     return map_pixel_blocks(output, graph, np.asarray(x, dtype=np.float32))
+
+
+def split_input(graph: ModelGraph) -> tuple[ModelGraph, ModelGraph]:
+    """(prefix, body): the graph's leading chain of per-pixel layers without
+    an int op (its input normalization, band_norm and zscore) and the rest
+    of the graph, which reads the prefix's output under the name "input".
+    The prefix runs on any grouping of pixels, so it can run once over a
+    whole cube and the body per patch. The body keeps at least the last
+    layer and reads no prefix tensor but the prefix's output."""
+    n, prev = 0, "input"
+    for layer in graph.layers[:-1]:
+        kind = LAYER_KINDS[layer.kind]
+        if not (kind.per_pixel and kind.int_op is None and layer.inputs == (prev,)):
+            break
+        n, prev = n + 1, layer.name
+    names = ["input"] + [l.name for l in graph.layers[:n]]
+    while n and any(src in names[:n] for l in graph.layers[n:] for src in l.inputs):
+        n -= 1
+    body = [replace(l, inputs=tuple("input" if s == names[n] else s for s in l.inputs))
+            for l in graph.layers[n:]]
+    return ModelGraph(graph.layers[:n], graph.meta), ModelGraph(body, graph.meta)
+
+
+def run_input_prefix(graph: ModelGraph, x: np.ndarray, weights: dict):
+    """(body, prefix output): graph split by split_input, its prefix run
+    once over x in blocks of PIXEL_BLOCK pixels. forward(body, patch of the
+    output) is the same bits as forward(graph, patch of x)."""
+    prefix, body = split_input(graph)
+    return body, forward(prefix, x, weights)
 
 
 def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:

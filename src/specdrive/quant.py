@@ -8,6 +8,24 @@ as a 256-entry int8 lookup table. Input normalization stays in float in
 front of the quantization boundary and the final softmax runs in float after
 dequantization.
 
+Requantization is one pass over a kernel layer's accumulator: it is
+multiplied straight into float64 in units of the output scale, clipped to
+[-128 - zp, 127 - zp], rounded, and added to the zero point zp directly
+into the int8 output. Clipping first is exact: round-half-away is monotone
+and maps integers to themselves, so clip-then-round gives the integers of
+round-then-clip. When a kernel layer's only consumer is a relu, the floor
+rises to 0 (the zero point in int8) and the relu passes its input through;
+max(clip(r + zp), zp) is clip(r, 0, 127 - zp) + zp for any zp in int8, and
+on values >= 0 round-half-away is trunc(v + 0.5). The naive walk keeps the
+reference tail (round, add the zero point, clip, then a separate relu) as
+the oracle of the fused one, and return_all walks unfused so every tensor
+is its own layer's output.
+
+A graph's leading per-pixel float layers (input normalization) and the
+quantization of their output need no neighbours, so run_input_prefix runs
+them once over a whole cube; qforward takes an int8 input as already
+quantized in the scheme of "input".
+
 Batch norm must be folded into the convolutions before quantization;
 quantize_graph folds automatically when it sees batch-norm layers, and
 calibration then runs on the folded graph so recorded ranges line up.
@@ -38,6 +56,7 @@ from .model import (
     layer_tensors,
     map_pixel_blocks,
     pixel_blocks,
+    split_input,
     table_lookup,
     walk,
 )
@@ -62,27 +81,40 @@ class QuantScheme:
     scale: float
     zero_point: int
 
-    def _to_int8(self, v: np.ndarray) -> np.ndarray:
-        """int8 of round(v) + zero point, saturating, for float64 values v in
-        units of this scale. The zero point and the clip work in place on
-        the rounded buffer."""
-        v = round_half_away(v)
-        v += self.zero_point
-        return np.clip(v, -128, 127, out=v).astype(np.int8)
+    def _to_int8(self, v: np.ndarray, *, relu: bool = False,
+                 naive: bool = False) -> np.ndarray:
+        """int8 of round(v) + zero point, saturating, for an owned float64
+        buffer v in units of this scale; with relu, floored at the zero point
+        (real zero). The naive form is the reference: round, add the zero
+        point, clip, cast. The fast form clips v first, to [-128 - zp,
+        127 - zp] (or [0, 127 - zp]), then rounds and adds the zero point
+        straight into the int8 output (see the module docstring)."""
+        zp = self.zero_point
+        if naive:
+            v = round_half_away(v)
+            v += zp
+            return np.clip(v, -128, 127, out=v).astype(np.int8)
+        np.clip(v, 0 if relu else -128 - zp, 127 - zp, out=v)
+        if relu:  # v >= 0: round half away is trunc(v + 0.5)
+            v += 0.5
+            np.trunc(v, out=v)
+        else:
+            v = round_half_away(v)
+        return np.add(v, zp, out=np.empty(v.shape, np.int8), casting="unsafe")
 
-    def quant(self, x: np.ndarray) -> np.ndarray:
-        return self._to_int8(np.divide(x, self.scale, dtype=np.float64))
+    def quant(self, x: np.ndarray, naive: bool = False) -> np.ndarray:
+        return self._to_int8(np.divide(x, self.scale, dtype=np.float64), naive=naive)
 
     def dequant(self, q: np.ndarray) -> np.ndarray:
         return ((q.astype(np.float64) - self.zero_point) * self.scale).astype(np.float32)
 
-    def requant(self, q: np.ndarray, src: "QuantScheme") -> np.ndarray:
+    def requant(self, q: np.ndarray, src: "QuantScheme", naive: bool = False) -> np.ndarray:
         """Re-express int8 values held in scheme src in this scheme."""
         if src == self:
             return q
         v = np.subtract(q, src.zero_point, dtype=np.float64)
         v *= src.scale / self.scale
-        return self._to_int8(v)
+        return self._to_int8(v, naive=naive)
 
     @classmethod
     def symmetric_for(cls, tensor: np.ndarray) -> "QuantScheme":
@@ -178,6 +210,13 @@ def _assign_schemes(graph: ModelGraph, ranges: dict) -> dict[str, QuantScheme]:
     return schemes
 
 
+def _check_acc_bound(wq: np.ndarray, bias_q: np.ndarray) -> None:
+    """Prove a kernel layer's worst-case int32 accumulator safe up front:
+    every input term of an output (all axes of the weight but the last)
+    at its largest magnitude, plus the largest bias."""
+    kernels._check_acc_bound(int(np.prod(wq.shape[:-1])), bias_q)
+
+
 def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedGraph:
     """Quantize a float graph given calibrated activation ranges.
 
@@ -214,9 +253,7 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
             bias_q = round_half_away(b.astype(np.float64) / bias_scale)
             if np.abs(bias_q).max(initial=0) >= 2**31:
                 raise ShapeMismatch(f"bias of {layer.name} overflows int32")
-            # worst-case accumulator magnitude proved safe up front
-            n_terms = int(np.prod(wq.shape[:-1]))
-            kernels._check_acc_bound(n_terms, bias_q.astype(np.int64))
+            _check_acc_bound(wq, bias_q.astype(np.int64))
             qg.qlayers[layer.name] = QLayer(
                 weight=QTensor(wq, wscheme),
                 bias=bias_q.astype(np.int32),
@@ -235,18 +272,31 @@ def quantize_model(
     return quantize_graph(graph, weights, ranges)
 
 
-def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool):
-    """One walk of the quantized graph over x: (float tensors, int8 tensors)
-    by name. Int tensors are made from float ones, and back, where a layer
-    of the other domain needs them."""
+def _relu_folds(qg: QuantizedGraph) -> set[str]:
+    """Kernel layers whose only consumer is a relu."""
+    readers: dict[str, list[LayerSpec]] = {}
+    for layer in qg.graph.layers:
+        for src in layer.inputs:
+            readers.setdefault(src, []).append(layer)
+    return {name for name, rs in readers.items()
+            if name in qg.qlayers and len(rs) == 1 and rs[0].kind == "relu"}
+
+
+def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool, folded: set[str]):
+    """One walk of the quantized graph over x (float, or int8 already in the
+    scheme of "input"): (float tensors, int8 tensors) by name. Int tensors
+    are made from float ones, and back, where a layer of the other domain
+    needs them. A kernel layer in folded requantizes with the floor of the
+    relu that consumes it, and that relu passes it through."""
     kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
-    fvals: dict[str, np.ndarray] = {"input": np.asarray(x, np.float32)}
+    fvals: dict[str, np.ndarray] = {}
     qvals: dict[str, np.ndarray] = {}
+    (qvals if x.dtype == np.int8 else fvals)["input"] = x
     schemes = qg.schemes
 
     def as_int(name: str) -> np.ndarray:
         if name not in qvals:
-            qvals[name] = schemes[name].quant(fvals[name])
+            qvals[name] = schemes[name].quant(fvals[name], naive)
         return qvals[name]
 
     def as_float(name: str) -> np.ndarray:
@@ -264,6 +314,9 @@ def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool):
                 kset,
             )
             continue
+        if layer.inputs[0] in folded:  # the relu already ran in the requantization
+            qvals[name] = qvals[layer.inputs[0]]
+            continue
         ql = qg.qlayers.get(name)
         q = kind.int_op(
             layer,
@@ -274,7 +327,8 @@ def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool):
             naive,
         )
         if ql is not None:  # int32 accumulator back to int8
-            q = schemes[name]._to_int8(q * (ql.bias_scale / schemes[name].scale))
+            v = np.multiply(q, ql.bias_scale / schemes[name].scale, dtype=np.float64)
+            q = schemes[name]._to_int8(v, relu=name in folded, naive=naive)
         qvals[name] = q
     return fvals, qvals
 
@@ -288,28 +342,58 @@ def qforward(
 ):
     """Integer inference. Input normalization runs in float, the body in
     int8 with int32 accumulators, and the head dequantizes before softmax.
+    An int8 x is taken as already quantized in the scheme of "input" (see
+    run_input_prefix).
 
     With return_all, returns {tensor name: float array} from one
     whole-tensor walk, with every int tensor dequantized through its
     scheme, for error analysis against the float network. Otherwise a
     per-pixel graph runs in blocks of model.PIXEL_BLOCK pixels, as forward
     does. Its float ops reduce over channels only and its integer ops are
-    exact, so the result is the same bits as the whole-tensor walk.
+    exact, so the result is the same bits as the whole-tensor walk. Without
+    naive or return_all, relus fold into the requantization before them.
     """
+    x = np.asarray(x)
+    if x.dtype != np.int8:
+        x = x.astype(np.float32, copy=False)
+    elif "input" not in qg.schemes:
+        raise RangeMissing('an int8 input needs a scheme for "input"')
     schemes = qg.schemes
     if return_all:
-        fvals, qvals = _qwalk(qg, x, naive)
+        fvals, qvals = _qwalk(qg, x, naive, set())
         return {n: (fvals[n] if n in fvals else schemes[n].dequant(qvals[n]))
                 for n in {**qvals, **fvals}}
 
     out_name = qg.graph.output_name
+    folded = set() if naive else _relu_folds(qg)
 
     def output(block):
-        fvals, qvals = _qwalk(qg, block, naive)
+        fvals, qvals = _qwalk(qg, block, naive, folded)
         return fvals[out_name] if out_name in fvals else schemes[out_name].dequant(
             qvals[out_name])
 
-    return map_pixel_blocks(output, qg.graph, np.asarray(x, np.float32))
+    return map_pixel_blocks(output, qg.graph, x)
+
+
+def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
+    """(body, prefix output) for a quantized graph: model.split_input's
+    float prefix run once over x in blocks of model.PIXEL_BLOCK pixels, each
+    block's output quantized in the scheme the body's layers read it in, so
+    qforward(body, patch of the output) is the same bits as qforward(qg,
+    patch of x). When a float layer of the body reads the prefix's output,
+    it stays float."""
+    prefix, body = split_input(qg.graph)
+    scheme = qg.schemes.get(prefix.output_name)
+    schemes = qg.schemes if scheme is None else {**qg.schemes, "input": scheme}
+    to_int = scheme is not None and all(
+        LAYER_KINDS[l.kind].int_op for l in body.layers if "input" in l.inputs)
+
+    def block(b):
+        y = forward(prefix, b, qg.norm_weights)
+        return scheme.quant(y) if to_int else y
+
+    body = QuantizedGraph(body, schemes, qg.qlayers, qg.luts, qg.norm_weights)
+    return body, map_pixel_blocks(block, prefix, np.asarray(x, np.float32))
 
 
 @dataclass
@@ -446,6 +530,10 @@ def load_qgraph(path) -> QuantizedGraph:
                                         in zip(specs, ("<i1", "<i4")))
                 if w.min(initial=0) < -127:  # the kernels' exactness bound needs it
                     raise CorruptContainer(f"{path}: {layer.name} weight below -127")
+                try:
+                    _check_acc_bound(w, b)
+                except ShapeMismatch as e:
+                    raise CorruptContainer(f"{path}: {layer.name}: {e}") from None
                 qg.qlayers[layer.name] = QLayer(QTensor(w, _scheme(went)), b,
                                                 _scheme(bent).scale)
         return qg

@@ -325,3 +325,25 @@ def test_sdq_weight_of_minus_128_exit_2(files, tmp_path):
     with pytest.raises(CorruptContainer):
         load_qgraph(bad)
     assert segment(files, tmp_path, model=bad) == 2
+
+
+def test_sdq_accumulator_bound_checked_at_load_exit_2(files, tmp_path):
+    """A bias that lets a layer's worst-case int32 sum reach 2^31 makes a
+    corrupt container when it loads, as quantize_graph would have refused
+    it: model-info exits 2, not only segment at its first patch."""
+    qg = load_qgraph(files / "unet.sdq")
+    ql = qg.qlayers["enc0.conv0"]
+    worst = int(np.prod(ql.weight.data.shape[:-1])) * 255 * 127
+    ql.bias[0] = -(2**31 - worst - 1)  # one below the bound still loads
+    save_qgraph(tmp_path / "edge.sdq", qg)
+    assert main(["model-info", str(tmp_path / "edge.sdq")]) == 0
+    ql.bias[0] -= 1
+    bad = tmp_path / "acc.sdq"
+    save_qgraph(bad, qg)
+    with pytest.raises(CorruptContainer, match="enc0.conv0"):
+        load_qgraph(bad)
+    assert main(["model-info", str(bad)]) == 2
+    assert segment(files, tmp_path, model=bad) == 2
+    ql.bias[0] = -(2**31)  # its int32 absolute value wraps to itself
+    save_qgraph(bad, qg)
+    assert main(["model-info", str(bad)]) == 2

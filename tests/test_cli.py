@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from specdrive import formats
+from specdrive import cli, formats
 from specdrive.cli import _grid_for, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
-from specdrive.model import UNetConfig, build_mlp, build_unet
+from specdrive.model import UNetConfig, build_mlp, build_unet, forward
+from specdrive.quant import qforward
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
+from specdrive.tiling import extract_patches, reconstruct
 from specdrive.weights import generate_weights, save_weights
 
 
@@ -256,21 +258,42 @@ def test_threads_env_var(monkeypatch):
     assert default_threads() == 1
 
 
-def test_segment_threads_do_not_change_output(work, tmp_path):
-    """Float and int8 MLP masks are the same bytes at 1 and 4 threads; the
-    crop's 64x64 patches run in two pixel blocks each."""
-    if not (work / "mlp.sdq").exists():  # independent of test ordering
-        assert main(["quantize", "--model", str(work / "mlp.sdw"),
-                     "--calib", str(work / "calib"),
-                     "--out", str(work / "mlp.sdq")]) == 0
-    for model in ("mlp.sdw", "mlp.sdq"):
-        base = {
-            "cube": str(work / "crop.hsc"),
-            "model": str(work / model),
-        }
-        run_segment({**base, "out": str(tmp_path / "t1.pgm"), "threads": 1})
-        run_segment({**base, "out": str(tmp_path / "t4.pgm"), "threads": 4})
-        assert (tmp_path / "t1.pgm").read_bytes() == (tmp_path / "t4.pgm").read_bytes()
+def _library_segment(cube, model_path):
+    """The per-patch library path: the whole graph on each float patch."""
+    kind, model, weights = cli._load_model(str(model_path))
+    grid = _grid_for(model.meta if kind == "float" else model.graph.meta, cube, None)
+    probs = [qforward(model, p) if kind == "quantized" else forward(model, p, weights)
+             for p in extract_patches(cube, grid)]
+    return reconstruct(probs, grid)
+
+
+def test_segment_threads_do_not_change_output(work, tmp_path, monkeypatch):
+    """Float and int8 MLP and U-Net masks and probability maps are, at 1, 2
+    and 4 threads, the bits of the per-patch library path, though segment
+    normalizes (and quantizes) the cube once. The crop's 64x64 patches run
+    in two pixel blocks each through the MLP."""
+    for name in ("mlp", "unet"):
+        if not (work / f"{name}.sdq").exists():  # independent of test ordering
+            assert main(["quantize", "--model", str(work / f"{name}.sdw"),
+                         "--calib", str(work / "calib"),
+                         "--out", str(work / f"{name}.sdq")]) == 0
+    cube = formats.load_cube(work / "crop.hsc")
+    maps = []
+
+    def spy(probs, grid):
+        maps.append(reconstruct(probs, grid))
+        return maps[-1]
+
+    monkeypatch.setattr(cli, "reconstruct", spy)
+    for model in ("mlp.sdw", "mlp.sdq", "unet.sdw", "unet.sdq"):
+        want_map, want_labels = _library_segment(cube, work / model)
+        for threads in (1, 2, 4):
+            maps.clear()
+            out = run_segment({"cube": str(work / "crop.hsc"), "model": str(work / model),
+                               "out": str(tmp_path / f"t{threads}.pgm"), "threads": threads})
+            assert np.array_equal(maps[0][0], want_map), (model, threads)
+            assert np.array_equal(out["labels"], want_labels), (model, threads)
+            assert np.array_equal(formats.load_mask(tmp_path / f"t{threads}.pgm"), want_labels)
 
 
 @pytest.mark.parametrize("model, hw", [("mlp.sdw", (3, 700)), ("unet.sdw", (40, 300))])

@@ -13,6 +13,8 @@ from specdrive.model import (
     fold_batchnorm,
     forward,
     layer_tensors,
+    run_input_prefix,
+    split_input,
 )
 from specdrive.quant import QLayer, QTensor, QuantScheme
 from specdrive.weights import generate_weights
@@ -300,3 +302,48 @@ def test_unet_zscore_input_variant(rng):
     y = forward(g, x, w)
     assert y.shape == (16, 16, 3)
     assert np.abs(y.sum(-1) - 1).max() <= 1e-5
+
+
+def _names(graph):
+    return [l.name for l in graph.layers]
+
+
+@pytest.mark.parametrize("graph, prefix", [
+    (build_mlp(25, 3), ["norm.bands", "norm.zscore"]),
+    (build_unet(SMALL), ["norm.bands"]),
+    (build_unet(UNetConfig(patch_size=16, in_channels=5, input_norm="zscore")),
+     ["norm.zscore"]),
+    (build_unet(UNetConfig(patch_size=16, in_channels=5, input_norm="none")), []),
+], ids=["mlp", "unet", "unet-zscore", "unet-none"])
+def test_split_input_takes_the_normalization_prefix(graph, prefix):
+    head, body = split_input(graph)
+    assert _names(head) == prefix
+    assert head.output_name == (prefix[-1] if prefix else "input")
+    assert _names(body) == _names(graph)[len(prefix):]
+    assert body.layers[0].inputs == ("input",)
+    assert [l.inputs for l in body.layers[1:]] == [
+        l.inputs for l in graph.layers[len(prefix) + 1:]]
+
+
+def test_split_input_keeps_what_the_body_reads(rng):
+    """The prefix stops before a tensor a later layer reads, and before the
+    last layer; running prefix then body is the graph's forward."""
+    layers = [
+        LayerSpec("a", "band_norm", ("input",), 4, 4),
+        LayerSpec("b", "zscore", ("a",), 4, 4),
+        LayerSpec("c", "conv1", ("b",), 4, 4, kernel=1),
+        LayerSpec("d", "concat", ("c", "a"), 8, 8),
+        LayerSpec("e", "softmax", ("d",), 8, 8),
+    ]
+    g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
+    head, body = split_input(g)
+    assert _names(head) == ["a"]
+    assert body.layer("b").inputs == ("input",) and body.layer("d").inputs == ("c", "input")
+    w = generate_weights(g, 3)
+    x = rng.uniform(0.1, 0.9, (6, 7, 4)).astype(np.float32)
+    body, y = run_input_prefix(g, x, w)
+    assert np.array_equal(forward(body, y, w), forward(g, x, w))
+
+    only = ModelGraph(layers[:1], meta={"kind": "custom", "config": {}})
+    head, body = split_input(only)
+    assert _names(head) == [] and _names(body) == ["a"]

@@ -3,6 +3,7 @@ import pytest
 
 from specdrive import kernels, quant
 from specdrive.errors import CorruptContainer, EmptyCalibration, RangeMissing
+from specdrive import model
 from specdrive.model import (
     PIXEL_BLOCK,
     LayerSpec,
@@ -24,6 +25,7 @@ from specdrive.quant import (
     quantize_graph,
     quantize_model,
     round_half_away,
+    run_input_prefix,
     save_qgraph,
 )
 from specdrive.weights import generate_weights
@@ -349,3 +351,105 @@ def test_calibrate_walks_pixel_blocks(monkeypatch, rng):
     assert ranges["input"] == whole["input"]
     for name in whole:
         np.testing.assert_allclose(ranges[name], whole[name], rtol=1e-6)
+
+
+def _epilogue_values() -> np.ndarray:
+    """Integers across every clip bound, the ties k +- 0.5 and their
+    nextafter neighbours, the largest double below 0.5, signed zeros and
+    values far outside int8."""
+    ks = np.arange(-300.0, 301.0)
+    ties = np.concatenate([ks - 0.5, ks + 0.5])
+    near = np.concatenate([np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)])
+    below_half = 0.5 - 2.0**-54
+    return np.concatenate([ks, ties, near,
+                           [below_half, -below_half, 0.0, -0.0, 3e9, -3e9]])
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
+def test_requantization_epilogue_matches_reference(relu):
+    """The clip-first epilogue gives the bits of round, add the zero point,
+    clip (then relu_int with the relu floor), for every zero point."""
+    v = _epilogue_values()
+    rounded = round_half_away(v)
+    for zp in range(-128, 128):
+        scheme = QuantScheme(1.0, zp)
+        want = np.clip(rounded + zp, -128, 127).astype(np.int8)
+        if relu:
+            want = kernels.relu_int(want, zp)
+        else:
+            assert np.array_equal(scheme._to_int8(v.copy(), naive=True), want), zp
+        got = scheme._to_int8(v.copy(), relu=relu)
+        assert got.dtype == np.int8 and np.array_equal(got, want), zp
+
+
+def test_relu_folds_into_requantization(monkeypatch, rng):
+    """qforward without naive or return_all floors a kernel layer that only
+    feeds a relu in its requantization and never calls relu_int; the naive
+    and return_all walks run every relu and give the same output bits."""
+    g = small_unet()
+    w = generate_weights(g, 25)
+    calib = [rng.uniform(0, 1, (16, 16, 5)).astype(np.float32) for _ in range(2)]
+    qg = quantize_model(g, w, calib)
+    relus = sum(l.kind == "relu" for l in qg.graph.layers)
+    calls = []
+    relu_int = kernels.relu_int
+    monkeypatch.setattr(kernels, "relu_int", lambda *a: calls.append(1) or relu_int(*a))
+    x = calib[1]
+    fast = qforward(qg, x)
+    assert calls == []
+    assert np.array_equal(qforward(qg, x, naive=True), fast) and len(calls) == relus
+    full = qforward(qg, x, return_all=True)
+    assert np.array_equal(full[qg.graph.output_name], fast) and len(calls) == 2 * relus
+    assert full["enc0.conv0"].min() < full["enc0.relu0"].min()  # the relu ran after
+
+
+@pytest.mark.parametrize("norm", ["band_sum", "zscore", "band_sum+zscore", "none"])
+def test_input_prefix_once_equals_per_patch(norm, rng):
+    """Normalizing and quantizing a cube once, then cutting patches from it,
+    gives the bits of running the whole graph on each float patch."""
+    g = build_unet(UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
+                              in_channels=5, classes=3, input_norm=norm))
+    w = generate_weights(g, 26)
+    cube = rng.uniform(0.05, 0.95, (40, 72, 5)).astype(np.float32)
+    cube[3, 4] = 0.0  # an all-zero spectrum stays zero through band_norm
+    qg = quantize_model(g, w, [cube[:16, :16], cube[20:36, 50:66]])
+    body, q8 = run_input_prefix(qg, cube)
+    assert q8.dtype == np.int8 and q8.shape == cube.shape
+    fbody, normed = model.run_input_prefix(g, cube, w)
+    for r, c in ((0, 0), (3, 1), (24, 56), (11, 30)):
+        patch = cube[r : r + 16, c : c + 16]
+        assert np.array_equal(qforward(body, q8[r : r + 16, c : c + 16]), qforward(qg, patch))
+        assert np.array_equal(forward(fbody, normed[r : r + 16, c : c + 16], w),
+                              forward(g, patch, w))
+
+
+def test_input_prefix_stays_float_for_a_float_reader(rng):
+    """When a float layer of the body reads the prefix's output, the prefix
+    output is not quantized, and the body still gives the graph's bits."""
+    layers = [
+        LayerSpec("a", "band_norm", ("input",), 4, 4),
+        LayerSpec("b", "dense", ("a",), 4, 4),
+        LayerSpec("c", "softmax", ("a",), 4, 4),
+        LayerSpec("d", "concat", ("b", "c"), 8, 8),
+        LayerSpec("e", "softmax", ("d",), 8, 8),
+    ]
+    g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
+    x = rng.uniform(0.05, 0.95, (6, 9, 4)).astype(np.float32)
+    qg = quantize_model(g, generate_weights(g, 4), [x])
+    body, y = run_input_prefix(qg, x)
+    assert y.dtype == np.float32 and body.schemes["input"] == qg.schemes["a"]
+    assert np.array_equal(qforward(body, y), qforward(qg, x))
+
+
+def test_mlp_input_prefix_runs_in_pixel_blocks(monkeypatch, mlp_models):
+    """The MLP's prefix runs over a cube in PIXEL_BLOCK blocks and the int8
+    cube's pixel blocks through the body match the float patch walk."""
+    g, w, qg = mlp_models
+    cube = np.random.default_rng(8).uniform(0.05, 0.95, (48, 100, 25)).astype(np.float32)
+    rows = _spy_rows(monkeypatch, kernels, "band_norm")
+    body, q8 = run_input_prefix(qg, cube)
+    assert rows == [PIXEL_BLOCK, PIXEL_BLOCK, 48 * 100 - 2 * PIXEL_BLOCK]
+    assert [l.kind for l in body.graph.layers[:1]] == ["dense"]
+    assert np.array_equal(qforward(body, q8), qforward(qg, cube))
+    with pytest.raises(RangeMissing):  # the whole graph reads float "input"
+        qforward(qg, q8)
