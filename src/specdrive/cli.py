@@ -20,7 +20,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import formats, quant
 from .complexity import count_flops
-from .errors import InvalidSpec, ShapeMismatch, SpecdriveError, int_option
+from .errors import InvalidOption, InvalidSpec, ShapeMismatch, SpecdriveError, int_option
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
 from .model import forward, run_input_prefix
 from .mosaic import default_layout, preprocess_pipeline
@@ -179,7 +179,8 @@ def _cmd_preprocess(args) -> int:
         frame, dark, white, layout,
         threads=args.threads, vectorized=not args.no_vector,
     )
-    formats.save_cube(args.out, res.cube)
+    # the file stores band-major planes: write the result's as they are
+    formats.save_cube(args.out, res.planes.transpose(1, 2, 0))
     for name, ms in res.timings_ms.items():
         print(f"{name:<24} {ms:10.3f} ms")
     if res.degenerate_pixels:
@@ -302,15 +303,39 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# label masks are 8-bit graymaps, so at most 256 classes
+MAX_CLASSES = 256
+
+
+def _class_count(n) -> int:
+    n = int_option("classes", n)
+    if n > MAX_CLASSES:
+        raise InvalidOption(f"classes must be <= {MAX_CLASSES}, got {n}")
+    return n
+
+
+def _frequencies(text: str) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise InvalidOption(
+            f"frequencies must be comma-separated numbers, got {text!r}") from None
+
+
+def _labels_for(cube: np.ndarray, path) -> np.ndarray:
+    """The label mask at path; it must cover the cube pixel for pixel."""
+    labels = formats.load_mask(path)
+    if labels.shape != cube.shape[:2]:
+        raise ShapeMismatch(f"labels {labels.shape} vs cube pixels {cube.shape[:2]}")
+    return labels
+
+
 def _cmd_metrics(args) -> int:
+    classes = _class_count(args.classes)
     gt = formats.load_mask(args.gt)
     pred = formats.load_mask(args.pred)
-    cm = accumulate(gt, pred, args.classes, args.ignore)
-    freqs = (
-        np.array([float(v) for v in args.frequencies.split(",")])
-        if args.frequencies
-        else None
-    )
+    cm = accumulate(gt, pred, classes, args.ignore)
+    freqs = _frequencies(args.frequencies) if args.frequencies else None
     report = compute_metrics(cm, frequencies=freqs)
     csv = report_csv(report)
     if args.out:
@@ -328,10 +353,10 @@ def _cmd_spectral(args) -> int:
     elif args.what == "jm":
         if not args.gt:
             raise InvalidSpec("jm needs --gt labels")
-        labels = formats.load_mask(args.gt)
-        stats = class_stats(cube, labels, args.classes, args.ignore)
+        classes = _class_count(args.classes)
+        stats = class_stats(cube, _labels_for(cube, args.gt), classes, args.ignore)
         rep = separability(stats)
-        names = [f"class{i}" for i in range(args.classes)]
+        names = [f"class{i}" for i in range(classes)]
         text = matrix_csv(rep.jm, names)
         text += "mean," + ",".join(
             "" if np.isnan(v) else f"{v:.4f}" for v in rep.class_means
@@ -339,8 +364,7 @@ def _cmd_spectral(args) -> int:
     else:  # select-bands
         data = cube.reshape(-1, cube.shape[-1])
         if args.gt:
-            labels = formats.load_mask(args.gt).ravel()
-            data = data[labels != args.ignore]
+            data = data[_labels_for(cube, args.gt).ravel() != args.ignore]
         bands = select_bands(data, args.k)
         text = "slot,band\n" + "".join(
             f"{i},{b}\n" for i, b in enumerate(bands)

@@ -144,6 +144,11 @@ def load_raw(path) -> tuple[np.ndarray, dict]:
 
 
 def save_cube(path, cube: np.ndarray) -> None:
+    """Write a (rows, cols, bands) cube as its JSON header line and its
+    band-major little-endian float32 planes. A cube that is a view of such
+    planes, as preprocess writes PreprocessResult.planes.transpose(1, 2, 0),
+    is written straight from its buffer; any other layout is transposed
+    into the planes 8 rows at a time. The bytes are the same either way."""
     cube = np.asarray(cube, dtype=np.float32)
     if cube.ndim != 3:
         raise DimensionMismatch(f"cube must be 3-d, got {cube.shape}")
@@ -151,10 +156,12 @@ def save_cube(path, cube: np.ndarray) -> None:
     header = json.dumps(
         {"height": h, "width": w, "bands": b, "dtype": "f32le", "order": "band-major"}
     )
-    planes = np.empty((b, h, w), dtype="<f4")
-    # transpose 8 rows at a time: a strided whole-cube transpose misses cache
-    for r in range(0, h, 8):
-        planes[:, r : r + 8] = cube[r : r + 8].transpose(2, 0, 1)
+    planes = cube.transpose(2, 0, 1)
+    if not (planes.flags.c_contiguous and planes.dtype == np.dtype("<f4")):
+        planes = np.empty((b, h, w), dtype="<f4")
+        # transpose 8 rows at a time: a strided whole-cube transpose misses cache
+        for r in range(0, h, 8):
+            planes[:, r : r + 8] = cube[r : r + 8].transpose(2, 0, 1)
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
         f.write(planes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMatrix, LabelOutOfRange, ShapeMismatch
+from .errors import EmptyMatrix, InvalidOption, LabelOutOfRange, ShapeMismatch
 
 IGNORE_LABEL = 255
 
@@ -100,8 +100,9 @@ def compute_metrics(
     """Derive per-class and aggregate scores from a confusion matrix.
 
     Weights come from, in order of precedence: the explicit `weights`
-    vector, inverse `frequencies`, or inverse class frequency observed in
-    the matrix itself. Classes absent from the ground truth are excluded
+    vector, inverse `frequencies` (one finite value >= 0 per class, summing
+    to more than 0), or inverse class frequency observed in the matrix
+    itself. Classes absent from the ground truth are excluded
     from the mean and weighted aggregates (with a warning), and the weights
     are renormalized over the remaining classes.
     """
@@ -156,7 +157,7 @@ def compute_metrics(
         w_full = w_full / w_full.sum()
     else:
         freq = (
-            np.asarray(frequencies, np.float64)
+            _check_frequencies(frequencies, cm.num_classes)
             if frequencies is not None
             else gt_count / total
         )
@@ -179,6 +180,20 @@ def compute_metrics(
         present=present,
         warnings=warnings,
     )
+
+
+def _check_frequencies(frequencies, num_classes: int) -> np.ndarray:
+    freq = np.asarray(frequencies, np.float64)
+    if freq.shape != (num_classes,):
+        raise ShapeMismatch(
+            f"{freq.size} frequencies given for {num_classes} classes")
+    if not (np.isfinite(freq).all() and (freq >= 0).all() and freq.sum() > 0):
+        raise InvalidOption(
+            f"frequencies must be finite, >= 0 and not all 0, got {freq.tolist()}")
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.isfinite(1.0 / freq[freq > 0]).all():
+            raise InvalidOption(f"frequencies too small to invert: {freq.tolist()}")
+    return freq
 
 
 def report_csv(report: MetricsReport, class_names: list[str] | None = None) -> str:

@@ -13,7 +13,11 @@ cube in four stages:
 The band plane is the unit of work: extraction writes one contiguous
 (mosaic_rows, mosaic_cols) plane per band, and translation computes each
 output plane from its own band's plane alone, into that band's slot of one
-band-major stack that is transposed to the cube once. Translation reads its
+band-major (bands, mosaic_rows, mosaic_cols) stack. That stack is the
+pipeline's result and the .hsc payload's layout, so writing a cube file
+moves no data between layouts; the (rows, cols, bands) cube is transposed
+from it only when a caller asks for it. Cropping returns a view, and
+reflectance runs in row blocks that stay in cache. Translation reads its
 neighbours as shifted slices of an edge-padded copy of the plane, not by
 index gathers; the slices hold the same values the gathers read, so the
 cube is bitwise what the gathers gave. Only translation is split across
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,10 +98,11 @@ class MosaicLayout:
         k = self.pitch
         return (self.active_size[0] // k, self.active_size[1] // k, self.bands)
 
-    def band_offset(self, band: int) -> tuple[int, int]:
-        """Return the (dr, dc) lattice offset of a band inside the tile."""
-        pos = np.argwhere(self.tile == band)
-        return int(pos[0, 0]), int(pos[0, 1])
+    @cached_property
+    def band_offsets(self) -> tuple[tuple[int, int], ...]:
+        """The inverse of tile: band_offsets[b] is band b's (dr, dc)."""
+        rows, cols = np.divmod(np.argsort(self.tile, axis=None), self.pitch)
+        return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def default_layout() -> MosaicLayout:
@@ -107,13 +113,24 @@ def default_layout() -> MosaicLayout:
 
 @dataclass
 class PreprocessResult:
-    cube: np.ndarray
+    """The pipeline's output: planes is the band-major (bands, mosaic_rows,
+    mosaic_cols) float32 stack, the layout a .hsc file stores, so
+    formats.save_cube(path, planes.transpose(1, 2, 0)) writes it as is.
+    cube is the C-contiguous (mosaic_rows, mosaic_cols, bands) array,
+    transposed from planes on first access and kept; it can be assigned."""
+
+    planes: np.ndarray
     timings_ms: dict[str, float] = field(default_factory=dict)
     degenerate_pixels: int = 0
 
+    @cached_property
+    def cube(self) -> np.ndarray:
+        return np.ascontiguousarray(self.planes.transpose(1, 2, 0))
+
 
 def crop_clip(frame: np.ndarray, layout: MosaicLayout) -> np.ndarray:
-    """Cut the filter-covered active window out of the raw frame."""
+    """The filter-covered active window of the raw frame, as a view: it
+    shares the frame's memory, so writing to it writes to the frame."""
     r0, c0 = layout.active_origin
     h, w = layout.active_size
     if frame.ndim != 2 or frame.shape[0] < r0 + h or frame.shape[1] < c0 + w:
@@ -121,7 +138,7 @@ def crop_clip(frame: np.ndarray, layout: MosaicLayout) -> np.ndarray:
             f"frame {frame.shape} smaller than active window "
             f"{layout.active_size} at origin {layout.active_origin}"
         )
-    return frame[r0 : r0 + h, c0 : c0 + w].copy()
+    return frame[r0 : r0 + h, c0 : c0 + w]
 
 
 def reflectance_correct(
@@ -145,16 +162,39 @@ def reflectance_correct(
     return _reflectance(img, dark, white, np.float32(eps))
 
 
+# frame rows per reflectance block: at full width a block's uint16 inputs,
+# its output and its three scratch arrays are ~1.2 MB, so the block's passes
+# run in L2 instead of streaming the 8.8 MB frame from memory each time
+_REFL_ROWS = 32
+
+
 def _reflectance(img, dark, white, eps32):
-    # dtype= casts both operands to float32 before subtracting, as the naive form does
-    span = np.subtract(white, dark, dtype=np.float32)
-    bad = span <= eps32
-    i = np.subtract(img, dark, dtype=np.float32)
-    np.maximum(span, eps32, out=span)
-    np.divide(i, span, out=i)
-    np.clip(i, np.float32(0.0), np.float32(1.0), out=i)
-    np.copyto(i, np.float32(0.0), where=bad)
-    return i, int(np.count_nonzero(bad))
+    """The whole-array expression, one block of _REFL_ROWS rows at a time
+    into one output. Each operand is cast to float32 once per block before
+    anything is subtracted, as the naive form casts it, so every pixel
+    meets the same float32 operations."""
+    out = np.empty(img.shape, np.float32)
+    span = np.empty((min(_REFL_ROWS, len(img)),) + img.shape[1:], np.float32)
+    d = np.empty_like(span)
+    bad = np.empty(span.shape, np.bool_)
+    zero, one = np.float32(0.0), np.float32(1.0)
+    n_bad = 0
+    for r in range(0, len(img), _REFL_ROWS):
+        rows = slice(r, r + _REFL_ROWS)
+        o = out[rows]
+        s, db, b = span[: len(o)], d[: len(o)], bad[: len(o)]
+        np.copyto(db, dark[rows])
+        np.copyto(s, white[rows])
+        np.copyto(o, img[rows])
+        np.subtract(s, db, out=s)
+        np.less_equal(s, eps32, out=b)
+        np.subtract(o, db, out=o)
+        np.maximum(s, eps32, out=s)
+        np.divide(o, s, out=o)
+        np.clip(o, zero, one, out=o)
+        np.copyto(o, zero, where=b)
+        n_bad += int(np.count_nonzero(b))
+    return out, n_bad
 
 
 def _reflectance_naive(img, dark, white, eps32):
@@ -188,17 +228,18 @@ def band_extract(refl: np.ndarray, layout: MosaicLayout) -> np.ndarray:
     storage, so each band plane cube[:, :, b] is contiguous.
     """
     _check_active(refl, layout)
-    return _extract(refl, layout)
+    return _extract(refl, layout).transpose(1, 2, 0)
 
 
 def _extract(refl, layout):
+    """The band-major (bands, mosaic_rows, mosaic_cols) lattice planes."""
     p = layout.pitch
     hm, wm, bands = layout.cube_shape
     planes = np.empty((bands, hm, wm), dtype=np.float32)
     for dr in range(p):
         for dc in range(p):
             planes[layout.tile[dr, dc]] = refl[dr::p, dc::p]
-    return planes.transpose(1, 2, 0)
+    return planes
 
 
 def _extract_naive(refl, layout):
@@ -210,7 +251,7 @@ def _extract_naive(refl, layout):
             for dr in range(p):
                 for dc in range(p):
                     planes[layout.tile[dr, dc], mr, mc] = refl[mr * p + dr, mc * p + dc]
-    return planes.transpose(1, 2, 0)
+    return planes
 
 
 def _axis_coeffs(n_mosaic: int, offset: int, center: int, pitch: int):
@@ -243,23 +284,39 @@ def _axis_coeffs(n_mosaic: int, offset: int, center: int, pitch: int):
     return i0, i1, t
 
 
+def _axis_t(n_mosaic: int, offset: int, center: int, pitch: int) -> np.ndarray:
+    """_axis_coeffs' t alone, from the same float32 scalars: the clamped
+    query is the last one when the samples lie at or before the center
+    (i1 = i+1 runs off the end) and the first one when they lie past it
+    (i0 = i-1 runs off the start)."""
+    after = center >= offset
+    t = np.full(n_mosaic, np.float32(center - offset + (0 if after else pitch))
+                / np.float32(pitch), np.float32)
+    t[-1 if after else 0] = np.float32(0.0)
+    return t
+
+
 def translate_to_center(refl: np.ndarray, layout: MosaicLayout) -> np.ndarray:
     """Estimate every band at each mosaic's center position.
 
     Bilinear interpolation on the pitch-5 lattice of that band's samples;
-    the band whose native offset is the center is copied verbatim.
+    the band whose native offset is the center is copied verbatim. Returns
+    a C-contiguous (mosaic_rows, mosaic_cols, bands) cube.
     """
-    return _translate(band_extract(refl, layout), layout, _translate_band, 1)
+    _check_active(refl, layout)
+    planes = _translate(_extract(refl, layout), layout, _translate_band, 1)
+    return np.ascontiguousarray(planes.transpose(1, 2, 0))
 
 
 def _translate(lattice, layout, band_fn, threads):
-    """band_fn(lattice, layout, b, out) fills plane b of one band-major stack
-    for every band on `threads` workers; returns the stack as one
-    C-contiguous (mosaic_rows, mosaic_cols, bands) cube."""
+    """band_fn(lattice[b], layout, b, out) fills plane b of one band-major
+    stack for every band on `threads` workers; returns the (bands,
+    mosaic_rows, mosaic_cols) stack."""
     hm, wm, bands = layout.cube_shape
     planes = np.empty((bands, hm, wm), dtype=np.float32)
-    map_patches(lambda b: band_fn(lattice, layout, b, planes[b]), range(bands), threads)
-    return np.ascontiguousarray(planes.transpose(1, 2, 0))
+    map_patches(lambda b: band_fn(lattice[b], layout, b, planes[b]), range(bands),
+                threads)
+    return planes
 
 
 # output rows per block in _translate_band: at full width its two scratch
@@ -267,40 +324,40 @@ def _translate(lattice, layout, band_fn, threads):
 _BLOCK_ROWS = 32
 
 
-def _translate_band(lattice, layout, b, out):
-    """Interpolate band b at the mosaic centers into the (hm, wm) plane out.
+def _translate_band(s, layout, b, out):
+    """Interpolate band b's lattice plane s at the mosaic centers into the
+    (hm, wm) plane out.
 
     Per axis, _axis_coeffs pairs each query with samples (i, i+1), the last
     i+1 clamped, when the band's samples lie at or before the center, and
     with (i-1, i), the first i-1 clamped, when they lie past it; t is 0
-    where it clamps. An edge-padded copy of the plane, its replicated row
-    and column behind the axis in the first case and in front of it in the
-    second, holds those pairs as shifted slices: pad[:hm] is rows i0 and
-    pad[1:] rows i1, likewise for columns. So the four corners are, element
-    for element, the values the index gathers used to read, and they meet
-    in the same float32 expression, (1-t_r)*((1-t_c)*a0 + t_c*a1) +
+    where it clamps (_axis_t gives that t without the index arrays). An
+    edge-padded copy of the plane, its replicated row and column behind the
+    axis in the first case and in front of it in the second, holds those
+    pairs as shifted slices: pad[:hm] is rows i0 and pad[1:] rows i1,
+    likewise for columns. So the four corners are, element for element,
+    the values the index gathers used to read, and they meet in the same
+    float32 expression, (1-t_r)*((1-t_c)*a0 + t_c*a1) +
     t_r*((1-t_c)*b0 + t_c*b1), operand for operand: the plane is bitwise
     what the gathers gave. The column pass over padded row i is both the
     top of output row i and the bottom of row i-1, so it runs once per
     row, in blocks of _BLOCK_ROWS rows.
     """
     p = layout.pitch
-    hm, wm, _ = layout.cube_shape
+    hm, wm = s.shape
     cr, cc = layout.center_offset
-    dr, dc = layout.band_offset(b)
-    s = lattice[:, :, b]
+    dr, dc = layout.band_offsets[b]
     if (dr, dc) == (cr, cc):
         out[...] = s
         return
-    _, _, tr = _axis_coeffs(hm, dr, cr, p)
-    _, _, tc = _axis_coeffs(wm, dc, cc, p)
     pr, pc = int(cr < dr), int(cc < dc)
     pad = np.empty((hm + 1, wm + 1), dtype=np.float32)
     pad[pr : pr + hm, pc : pc + wm] = s
     pad[pr : pr + hm, 0 if pc else -1] = s[:, 0 if pc else -1]
     pad[0 if pr else -1] = pad[1 if pr else -2]
     one = np.float32(1.0)
-    uc, ur, tr = one - tc, (one - tr)[:, None], tr[:, None]
+    tr, tc = _axis_t(hm, dr, cr, p)[:, None], _axis_t(wm, dc, cc, p)
+    uc, ur = one - tc, one - tr
     h = np.empty((_BLOCK_ROWS + 1, wm), dtype=np.float32)
     tmp = np.empty_like(h)
     for r in range(0, hm, _BLOCK_ROWS):
@@ -314,12 +371,11 @@ def _translate_band(lattice, layout, b, out):
         np.add(ob, tb[:n], out=ob)
 
 
-def _translate_band_naive(lattice, layout, b, out):
+def _translate_band_naive(s, layout, b, out):
     p = layout.pitch
-    hm, wm, _ = layout.cube_shape
+    hm, wm = s.shape
     cr, cc = layout.center_offset
-    dr, dc = layout.band_offset(b)
-    s = lattice[:, :, b]
+    dr, dc = layout.band_offsets[b]
     one = np.float32(1.0)
     if (dr, dc) == (cr, cc):
         for mr in range(hm):
@@ -356,12 +412,13 @@ def preprocess_pipeline(
 ) -> PreprocessResult:
     """Run the four preprocessing stages and time each one.
 
-    Crop, reflectance and extraction are whole-array passes. Translation
+    Crop, reflectance and extraction are whole-array passes; the crops are
+    views, and no stage writes to frame, dark or white. Translation
     computes one band plane per task and splits the bands across `threads`
     workers through tiling.map_patches. A plane reads only the lattice and
-    its own band's coefficients and is written to its band's slot, so the
-    cube is bitwise identical for any worker count and for both kernel
-    variants.
+    its own band's coefficients and is written to its band's slot of the
+    result's planes, so they are bitwise identical for any worker count and
+    for both kernel variants.
     """
     if layout is None:
         layout = default_layout()
@@ -386,7 +443,7 @@ def preprocess_pipeline(
     refl, n_bad = timed(
         STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a, np.float32(eps))
     lattice = timed(STAGE_EXTRACT, extract_fn, refl, layout)
-    cube = timed(STAGE_TRANSLATE, _translate, lattice, layout, band_fn, threads)
+    planes = timed(STAGE_TRANSLATE, _translate, lattice, layout, band_fn, threads)
 
     timings[STAGE_TOTAL] = sum(timings[name] for name in STAGE_NAMES)
-    return PreprocessResult(cube=cube, timings_ms=timings, degenerate_pixels=n_bad)
+    return PreprocessResult(planes=planes, timings_ms=timings, degenerate_pixels=n_bad)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, RankDeficient, SingularCovariance
+from .errors import InsufficientData, RankDeficient, ShapeMismatch, SingularCovariance
 from .metrics import IGNORE_LABEL
 
 
@@ -66,6 +66,8 @@ def class_stats(
     ignore_label: int = IGNORE_LABEL,
 ) -> list[ClassStats | None]:
     """Per-class statistics over a labelled cube; None for empty classes."""
+    if labels.shape != cube.shape[:-1]:
+        raise ShapeMismatch(f"labels {labels.shape} vs cube pixels {cube.shape[:-1]}")
     flat = cube.reshape(-1, cube.shape[-1])
     lab = labels.ravel()
     out: list[ClassStats | None] = []

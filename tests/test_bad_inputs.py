@@ -9,10 +9,18 @@ import pytest
 
 from specdrive import cli, formats
 from specdrive.cli import main
-from specdrive.errors import CorruptContainer, SpecdriveError, StructureError
+from specdrive.errors import (
+    CorruptContainer,
+    InvalidOption,
+    ShapeMismatch,
+    SpecdriveError,
+    StructureError,
+)
+from specdrive.metrics import ConfusionMatrix, compute_metrics
 from specdrive.model import LayerSpec, ModelGraph, UNetConfig, build_unet
 from specdrive.mosaic import default_layout
 from specdrive.quant import load_qgraph, quantize_model, save_qgraph
+from specdrive.spectral import class_stats
 from specdrive.weights import generate_weights, load_weights, save_weights
 
 SMALL = UNetConfig(patch_size=8, encoder_depth=1, initial_filters=2, in_channels=5)
@@ -43,6 +51,7 @@ def files(tmp_path_factory):
         formats.save_raw(root / f"{name}.u16", frame)
     formats.save_layout(root / "layout.json", default_layout())
     formats.save_mask(root / "mask.pgm", np.zeros((4, 4), np.uint8))
+    formats.save_mask(root / "labels.pgm", rng.integers(0, 3, (12, 12)).astype(np.uint8))
     return root
 
 
@@ -347,3 +356,59 @@ def test_sdq_accumulator_bound_checked_at_load_exit_2(files, tmp_path):
     ql.bias[0] = -(2**31)  # its int32 absolute value wraps to itself
     save_qgraph(bad, qg)
     assert main(["model-info", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # these exited 3: a count other than --classes, text, a --gt of another
+    # shape than the cube (4x4 labels, 12x12 cube)
+    ["metrics", "--classes", "3", "--frequencies", "1,2"],
+    ["metrics", "--classes", "3", "--frequencies", "a,b,c"],
+    ["spectral", "jm", "--gt", "mask.pgm"],
+    ["spectral", "select-bands", "--gt", "mask.pgm"],
+    # these exited 0 with NaN weights or an empty matrix
+    ["metrics", "--classes", "3", "--frequencies", "nan,1,1"],
+    ["metrics", "--classes", "3", "--frequencies", "0,0,0"],
+    ["spectral", "jm", "--gt", "labels.pgm", "--classes", "0"],
+    # and their neighbours
+    ["metrics", "--classes", "3", "--frequencies", "inf,1,1"],
+    ["metrics", "--classes", "3", "--frequencies=-1,1,1"],
+    ["metrics", "--classes", "3", "--frequencies", "1e-320,1,1"],
+    ["metrics", "--classes", "0"],
+    ["metrics", "--classes", "257"],
+    ["spectral", "jm", "--gt", "labels.pgm", "--classes", "-1"],
+], ids=" ".join)
+def test_analysis_command_bad_argument_exit_2(files, argv):
+    """metrics scores mask.pgm against itself; spectral reads the 12x12 cube."""
+    paths = {"mask.pgm": str(files / "mask.pgm"), "labels.pgm": str(files / "labels.pgm")}
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] == "metrics":
+        argv += ["--gt", paths["mask.pgm"], "--pred", paths["mask.pgm"]]
+    else:
+        argv += ["--cube", str(files / "cube.hsc")]
+    assert main(argv) == 2
+
+
+def test_analysis_commands_good_arguments_exit_0(files):
+    mask, labels = str(files / "mask.pgm"), str(files / "labels.pgm")
+    cube = str(files / "cube.hsc")
+    assert main(["metrics", "--gt", mask, "--pred", mask, "--classes", "3",
+                 "--frequencies", "0,1,1"]) == 0
+    assert main(["spectral", "jm", "--cube", cube, "--gt", labels]) == 0
+    assert main(["spectral", "select-bands", "--cube", cube, "--gt", labels]) == 0
+
+
+@pytest.mark.parametrize("freqs, error", [
+    ([1.0, 2.0], ShapeMismatch),
+    ([np.nan, 1.0, 1.0], InvalidOption),
+    ([-1.0, 1.0, 1.0], InvalidOption),
+    ([0.0, 0.0, 0.0], InvalidOption),
+    ([1e-320, 1.0, 1.0], InvalidOption),
+])
+def test_compute_metrics_rejects_bad_frequencies(freqs, error):
+    with pytest.raises(error):
+        compute_metrics(ConfusionMatrix(np.eye(3, dtype=np.int64)), frequencies=freqs)
+
+
+def test_class_stats_rejects_labels_of_another_shape():
+    with pytest.raises(ShapeMismatch):
+        class_stats(np.zeros((4, 5, 3)), np.zeros((5, 4), np.uint8), 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from specdrive import cli, formats
 from specdrive.cli import _grid_for, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
 from specdrive.model import UNetConfig, build_mlp, build_unet, forward
+from specdrive.mosaic import MosaicLayout, preprocess_pipeline
 from specdrive.quant import qforward
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
 from specdrive.tiling import extract_patches, reconstruct
@@ -63,6 +65,47 @@ def test_preprocess_matches_ground_truth(work):
     labels = formats.load_mask(work / "scene/labels.pgm")
     scored = labels != IGNORE_LABEL
     assert np.abs(cube - gt)[scored].max() <= 1e-5
+
+
+def small_raw_scene(root, seed=11):
+    """Seeded raw, dark and white frames with a permuted tile, an
+    off-center center, a shifted active window and a patch of degenerate
+    reference pixels, written to root; returns them and their layout."""
+    rng = np.random.default_rng(seed)
+    lay = MosaicLayout(tile=rng.permutation(25).reshape(5, 5), active_origin=(3, 1),
+                       active_size=(85, 120), center_offset=(1, 3))
+    frame = rng.integers(0, 65535, (90, 125)).astype(np.uint16)
+    dark = rng.integers(200, 400, (90, 125)).astype(np.uint16)
+    white = rng.integers(60000, 65000, (90, 125)).astype(np.uint16)
+    white[14:20, 10:40] = dark[14:20, 10:40]
+    for name, a in (("raw", frame), ("dark", dark), ("white", white)):
+        formats.save_raw(root / f"{name}.u16", a)
+    formats.save_layout(root / "layout.json", lay)
+    return frame, dark, white, lay
+
+
+# sha256 of the .hsc file that preprocess writes for small_raw_scene(seed=11),
+# recorded when the file was still written from the (rows, cols, bands) cube
+SMALL_SCENE_HSC_SHA256 = "d55ea195c436925af4d6dfe8cbfe014c648e0ff5921939a5897b65f3ae5c9a9d"
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("vector", [True, False])
+def test_preprocess_file_is_library_cube(tmp_path, vector, threads):
+    """The file preprocess writes from the band planes holds the bytes
+    save_cube writes for the library's cube, for both kernel variants and
+    any worker count, and they have not changed."""
+    frame, dark, white, lay = small_raw_scene(tmp_path)
+    rc = main(["preprocess"] + [
+        a for k in ("raw", "dark", "white") for a in (f"--{k}", str(tmp_path / f"{k}.u16"))
+    ] + ["--layout", str(tmp_path / "layout.json"), "--out", str(tmp_path / "cli.hsc"),
+         "--threads", str(threads)] + ([] if vector else ["--no-vector"]))
+    assert rc == 0
+    formats.save_cube(tmp_path / "lib.hsc",
+                      preprocess_pipeline(frame, dark, white, lay).cube)
+    data = (tmp_path / "cli.hsc").read_bytes()
+    assert data == (tmp_path / "lib.hsc").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SMALL_SCENE_HSC_SHA256
 
 
 def test_segment_with_metrics_and_render(work):

@@ -46,12 +46,17 @@ def test_cube_roundtrip(tmp_path, rng):
 @pytest.mark.parametrize("make", [
     lambda c: c,
     lambda c: np.ascontiguousarray(c.transpose(1, 0, 2)).transpose(1, 0, 2),
+    lambda c: np.ascontiguousarray(c.transpose(2, 0, 1)).transpose(1, 2, 0),
+    lambda c: np.repeat(c, 2, axis=1)[:, ::2],
+    lambda c: np.ascontiguousarray(c.transpose(2, 0, 1), ">f4").transpose(1, 2, 0),
     lambda c: c.astype(np.float64),
-], ids=["float32", "transposed", "float64"])
+], ids=["float32", "transposed", "band-major", "strided", "big-endian", "float64"])
 @pytest.mark.parametrize("height", [1, 7, 8, 21])
 def test_cube_payload_is_band_major_planes(tmp_path, rng, height, make):
-    """Row blocks of the cube write give the whole-cube transpose's bytes,
-    for heights below, at and off the block and for any input layout."""
+    """The cube write gives the whole-cube transpose's bytes for heights
+    below, at and off the 8-row block and for any input layout: a view of
+    little-endian band-major planes is written as it is, anything else in
+    row blocks."""
     cube = make(rng.uniform(0, 1, (height, 6, 5)).astype(np.float32))
     path = tmp_path / "c.hsc"
     formats.save_cube(path, cube)

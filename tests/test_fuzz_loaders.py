@@ -1,6 +1,7 @@
 """Fuzzed loaders: every on-disk format, truncated, bit-flipped or with a
 header key dropped, either loads or raises a SpecdriveError, and the CLI
-command that reads it exits 0 or 2, never 3.
+command that reads it exits 0 or 2, never 3. The analysis commands' own
+arguments are fuzzed the same way.
 
 The example set is fixed by the hypothesis profile in conftest.py."""
 
@@ -43,6 +44,7 @@ def ws(tmp_path_factory):
                          rng.integers(hi - 200, hi, (10, 15)).astype(np.uint16))
     formats.save_grid(root / "grid.json", build_grid((12, 12), 8, 4, 4))
     formats.save_mask(root / "mask.pgm", rng.integers(0, 3, (6, 7)).astype(np.uint8))
+    formats.save_mask(root / "labels.pgm", rng.integers(0, 3, (12, 12)).astype(np.uint8))
     (root / "out").mkdir()
     return root
 
@@ -193,3 +195,27 @@ def test_fuzz_grid(ws, d):
 def test_fuzz_mask(ws, d):
     check(ws, d, "mask.pgm", _drop_pnm_field, formats.load_mask,
           ["metrics", "--gt", "@", "--pred", ws / "mask.pgm", "--classes", "3"])
+
+
+_NUMBER = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from(["", "x"])).map(str)
+
+
+@given(d=st.data())
+def test_fuzz_analysis_arguments(ws, d):
+    """Any --classes, --frequencies, --ignore, -k or label mask (6x7 or
+    the cube's 12x12) given to metrics or spectral exits 0 or 2. Values go
+    in as --flag=value, so a leading minus is a value, not a flag."""
+    masks = st.sampled_from([ws / "mask.pgm", ws / "labels.pgm"])
+    classes = f"--classes={d.draw(st.integers(-2, 300))}"
+    ignore = f"--ignore={d.draw(st.integers(-300, 300) | st.integers())}"
+    what = d.draw(st.sampled_from(["metrics", "corr", "jm", "select-bands"]))
+    if what == "metrics":
+        freqs = d.draw(st.lists(_NUMBER, max_size=5).map(",".join) | st.text(max_size=6))
+        argv = ["metrics", "--gt", d.draw(masks), "--pred", d.draw(masks), classes,
+                ignore, f"--frequencies={freqs}"]
+    else:
+        argv = ["spectral", what, "--cube", ws / "cube.hsc", classes, ignore,
+                f"-k={d.draw(st.integers(-2, 30))}"]
+        if d.draw(st.booleans()):
+            argv += ["--gt", d.draw(masks)]
+    assert main([str(a) for a in argv]) in (0, 2)

@@ -198,8 +198,9 @@ def test_pipeline_oracle_on_permuted_layout(threads, vectorized):
 
 
 def _translate_naive(refl, lay):
-    return mosaic._translate(mosaic._extract_naive(refl, lay), lay,
-                             mosaic._translate_band_naive, 1)
+    planes = mosaic._translate(mosaic._extract_naive(refl, lay), lay,
+                               mosaic._translate_band_naive, 1)
+    return planes.transpose(1, 2, 0)
 
 
 @pytest.mark.parametrize("center", [(0, 0), (4, 4), (0, 4), (4, 0), (1, 3)])
@@ -253,3 +254,81 @@ def test_axis_coeffs_interior_and_borders():
     assert list(i0) == [0, 0, 1, 2]
     assert list(i1) == [0, 1, 2, 3]
     assert t[0] == 0.0 and t[1] == pytest.approx(0.6)
+
+
+B = mosaic._REFL_ROWS
+
+
+@pytest.mark.parametrize("height", [1, B - 1, B, B + 1, 5 * B // 2, 1080])
+def test_reflectance_blocks_match_naive(height):
+    """Row blocks of the whole-array expression are bitwise the naive
+    per-pixel form, below, at, off and far past the block height, with
+    degenerate pixels on both sides of a block edge."""
+    rng = np.random.default_rng(height)
+    shape = (height, 7)
+    img = rng.integers(0, 65535, shape).astype(np.uint16)
+    dark = rng.integers(200, 2000, shape).astype(np.uint16)
+    white = rng.integers(30000, 65000, shape).astype(np.uint16)
+    img[::3] = dark[::3]  # reflectance 0 exactly, and clamped rows below it
+    img[1::5] = 0
+    edge = min(B, height - 1)
+    white[max(edge - 1, 0) : edge + 2, 2:5] = dark[max(edge - 1, 0) : edge + 2, 2:5]
+    eps = np.float32(mosaic.DEFAULT_EPS)
+    fast, n_fast = mosaic._reflectance(img, dark, white, eps)
+    slow, n_slow = mosaic._reflectance_naive(img, dark, white, eps)
+    assert fast.shape == shape and fast.flags.c_contiguous
+    assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
+    assert n_fast == n_slow == int(np.count_nonzero(white == dark))
+    assert n_fast > 0
+
+
+def test_pipeline_leaves_inputs_unchanged(rng):
+    lay = MosaicLayout(tile=np.arange(25).reshape(5, 5), active_origin=(1, 2),
+                       active_size=(20, 25))
+    frame = rng.integers(0, 65535, (23, 29)).astype(np.uint16)
+    dark = rng.integers(200, 400, (23, 29)).astype(np.uint16)
+    white = rng.integers(60000, 65000, (23, 29)).astype(np.uint16)
+    white[4:6] = dark[4:6]
+    before = [a.copy() for a in (frame, dark, white)]
+    for vectorized in (True, False):
+        preprocess_pipeline(frame, dark, white, lay, vectorized=vectorized, threads=2)
+        for a, b in zip((frame, dark, white), before):
+            assert np.array_equal(a, b)
+
+
+def test_crop_is_a_view_of_the_frame():
+    lay = MosaicLayout(tile=np.arange(25).reshape(5, 5), active_origin=(3, 2),
+                       active_size=(10, 15))
+    frame = np.arange(20 * 20, dtype=np.uint16).reshape(20, 20)
+    assert np.shares_memory(crop_clip(frame, lay), frame)
+
+
+def test_result_cube_is_contiguous_transpose_of_planes(rng, small_layout):
+    frame = rng.integers(400, 60000, (22, 28)).astype(np.uint16)
+    dark = np.full((22, 28), 300, np.uint16)
+    white = np.full((22, 28), 61000, np.uint16)
+    res = preprocess_pipeline(frame, dark, white, small_layout)
+    hm, wm, bands = small_layout.cube_shape
+    assert res.planes.shape == (bands, hm, wm) and res.planes.flags.c_contiguous
+    assert res.cube.flags.c_contiguous and res.cube.shape == (hm, wm, bands)
+    assert np.array_equal(res.cube, res.planes.transpose(1, 2, 0))
+    assert res.cube is res.cube  # transposed once, then kept
+    res.cube = np.zeros(3)
+    assert res.cube.shape == (3,)
+
+
+def test_band_offsets_invert_the_tile():
+    rng = np.random.default_rng(3)
+    lay = MosaicLayout(tile=rng.permutation(25).reshape(5, 5))
+    for b, (dr, dc) in enumerate(lay.band_offsets):
+        assert lay.tile[dr, dc] == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_axis_t_is_axis_coeffs_t(n):
+    for offset in range(5):
+        for center in range(5):
+            _, _, want = mosaic._axis_coeffs(n, offset, center, 5)
+            got = mosaic._axis_t(n, offset, center, 5)
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
