@@ -28,7 +28,7 @@ for row in oi[::16, ::23]:
 rng = np.random.default_rng(0)
 prob_map = rng.dirichlet(np.ones(3), (216, 409)).astype(np.float32)
 patches = extract_patches(prob_map, grid)
-rebuilt, labels = reconstruct(patches, grid, oi)
+rebuilt, labels = reconstruct(patches, grid)
 print(f"\nrebuild of a coherent map: max |diff| "
       f"{np.abs(rebuilt - prob_map).max():.2e}")
 print(f"per-pixel class sums stay normalized: "

@@ -24,11 +24,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidOption, MissingWeights, NonDeterministicOutput, int_option
+from . import cli
+from .errors import InvalidOption, NonDeterministicOutput, int_option
 from .mosaic import STAGE_NAMES, STAGE_TOTAL, MosaicLayout, preprocess_pipeline
-from .model import ModelGraph, forward
-from .quant import QuantizedGraph, qforward
-from .tiling import PatchGrid, map_patches, overlap_index, reconstruct
+from .model import ModelGraph
+from .quant import QuantizedGraph
+from .tiling import PatchGrid, reconstruct
 
 STAGE_INFER = "Inference"
 STAGE_REBUILD = "Reconstruction"
@@ -178,39 +179,31 @@ def bench_preprocess(
     """
     def run(v, t):
         res = preprocess_pipeline(frame, dark, white, layout, threads=t, vectorized=v)
-        return res.cube, {name: res.timings_ms[name] for name in STAGE_NAMES}
+        return res.planes, {name: res.timings_ms[name] for name in STAGE_NAMES}
 
-    return _measure(cfg, run, lambda ref, cube, same_mode: np.array_equal(ref, cube))
+    return _measure(cfg, run, lambda ref, planes, same_mode: np.array_equal(ref, planes))
 
 
 def bench_inference(
     cfg: BenchConfig,
     model: ModelGraph | QuantizedGraph,
-    patches: list[np.ndarray],
+    cube: np.ndarray,
     grid: PatchGrid,
     weights: dict | None = None,
     preprocess_ms: float | None = None,
 ) -> BenchReport:
-    """Per-image latency: every patch of the grid through the model plus
-    probability-map reconstruction. With preprocess_ms, also reports the
-    two-stage pipeline throughput 1 / max(stage means)."""
+    """Per-image latency of segment's path: cli.infer_cube over the cube
+    (the input prefix once, then the model body on every patch of the grid)
+    as Inference, plus probability-map reconstruction. With preprocess_ms,
+    also reports the two-stage pipeline throughput 1 / max(stage means)."""
     if preprocess_ms is not None:
         _finite_nonneg("preprocess_ms", preprocess_ms)
-    if isinstance(model, QuantizedGraph):
-        def infer(p, naive):
-            return qforward(model, p, naive=naive)
-    else:
-        if weights is None:
-            raise MissingWeights("float graph needs a weight dict")
-        def infer(p, naive):
-            return forward(model, p, weights, naive=naive)
-    oi = overlap_index(grid)
 
     def run(v, t):
         t0 = time.perf_counter()
-        probs = map_patches(partial(infer, naive=not v), patches, t)
+        probs = cli.infer_cube(model, cube, grid, weights=weights, threads=t, naive=not v)
         t1 = time.perf_counter()
-        out = reconstruct(probs, grid, oi)
+        out = reconstruct(probs, grid)
         t2 = time.perf_counter()
         return out, {STAGE_INFER: (t1 - t0) * 1e3, STAGE_REBUILD: (t2 - t1) * 1e3}
 

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import traceback
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ import numpy as np
 from . import bench as bench_mod
 from . import formats, quant
 from .complexity import count_flops
-from .errors import InvalidOption, InvalidSpec, ShapeMismatch, SpecdriveError, int_option
+from .errors import (InvalidOption, InvalidSpec, MissingWeights, ShapeMismatch,
+                     SpecdriveError, int_option)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
 from .model import forward, run_input_prefix
 from .mosaic import default_layout, preprocess_pipeline
@@ -89,9 +91,29 @@ def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
     return build_grid((h, w), patch, min(44, patch), min(57, patch))
 
 
+def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
+    """The Inference stage that segment runs and bench infer times: the
+    model's per-pixel input prefix (normalization, and on a quantized model
+    the quantization) once over the cube, then the body on every patch of
+    its output on `threads` workers (see model.split_input). Returns the
+    per-patch probabilities in grid order; naive selects reference kernels."""
+    quantized = isinstance(model, quant.QuantizedGraph)
+    bands = int((model.graph if quantized else model).meta["config"]["in_channels"])
+    if cube.shape[-1] != bands:
+        raise ShapeMismatch(f"cube has {cube.shape[-1]} bands, model expects {bands}")
+    if quantized:
+        body, x = quant.run_input_prefix(model, cube, naive=naive)
+        infer = partial(qforward, body, naive=naive)
+    elif weights is None:
+        raise MissingWeights("float graph needs a weight dict")
+    else:
+        body, x = run_input_prefix(model, cube, weights)
+        infer = partial(forward, body, weights=weights, naive=naive)
+    return map_patches(infer, extract_patches(x, grid), threads)
+
+
 def run_segment(manifest: dict) -> dict:
-    """Full image path: cube -> input prefix -> tiles -> model body ->
-    reconstruction -> outputs (see model.split_input).
+    """Full image path: cube -> infer_cube -> reconstruction -> outputs.
 
     Manifest keys: cube, model, out (required); quantized, grid, render,
     gt, metrics, threads (optional; an integer >= 1, default 1). Flags from
@@ -106,26 +128,10 @@ def run_segment(manifest: dict) -> dict:
         manifest["model"], manifest.get("quantized") or None
     )
     meta = model.meta if kind == "float" else model.graph.meta
-    bands = int(meta["config"]["in_channels"])
-    if cube.shape[-1] != bands:
-        raise ShapeMismatch(f"cube has {cube.shape[-1]} bands, model expects {bands}")
     grid = _grid_for(meta, cube, manifest.get("grid"))
-
     threads = int_option("threads", manifest.get("threads", 1))
-    # the per-pixel input prefix (normalization, and on a quantized model the
-    # quantization) runs once over the cube; patches feed the body
-    if kind == "quantized":
-        body, cube = quant.run_input_prefix(model, cube)
-
-        def infer(p):
-            return qforward(body, p)
-    else:
-        body, cube = run_input_prefix(model, cube, weights)
-
-        def infer(p):
-            return forward(body, p, weights)
-    probs = map_patches(infer, extract_patches(cube, grid), threads)
-    prob_map, labels = reconstruct(probs, grid)
+    prob_map, labels = reconstruct(
+        infer_cube(model, cube, grid, weights=weights, threads=threads), grid)
 
     out = {"mask": manifest["out"], "labels": labels}
     formats.save_mask(manifest["out"], labels)
@@ -277,15 +283,14 @@ def _cmd_bench(args) -> int:
                                        scene.layout).cube
         meta = model.meta if kind == "float" else model.graph.meta
         grid = _grid_for(meta, cube, cfg_dict.get("grid"))
-        patches = extract_patches(cube, grid)
         report = bench_mod.bench_inference(
-            bcfg, model, patches, grid, weights=weights,
+            bcfg, model, cube, grid, weights=weights,
             preprocess_ms=cfg_dict.get("preprocess_ms"),
         )
         if cfg_dict.get("quantized_model"):
             _, qmodel, _ = _load_model(cfg_dict["quantized_model"], True)
             qreport = bench_mod.bench_inference(
-                bcfg, qmodel, patches, grid,
+                bcfg, qmodel, cube, grid,
                 preprocess_ms=cfg_dict.get("preprocess_ms"),
             )
             f_ms = report.best().total_mean_ms

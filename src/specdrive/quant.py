@@ -375,13 +375,14 @@ def qforward(
     return map_pixel_blocks(output, qg.graph, x)
 
 
-def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
+def run_input_prefix(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
     """(body, prefix output) for a quantized graph: model.split_input's
     float prefix run once over x in blocks of model.PIXEL_BLOCK pixels, each
     block's output quantized in the scheme the body's layers read it in, so
     qforward(body, patch of the output) is the same bits as qforward(qg,
     patch of x). When a float layer of the body reads the prefix's output,
-    it stays float."""
+    it stays float. naive quantizes with the reference requantization, as
+    qforward(qg, x, naive=True) does."""
     prefix, body = split_input(qg.graph)
     scheme = qg.schemes.get(prefix.output_name)
     schemes = qg.schemes if scheme is None else {**qg.schemes, "input": scheme}
@@ -390,7 +391,7 @@ def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
 
     def block(b):
         y = forward(prefix, b, qg.norm_weights)
-        return scheme.quant(y) if to_int else y
+        return scheme.quant(y, naive) if to_int else y
 
     body = QuantizedGraph(body, schemes, qg.qlayers, qg.luts, qg.norm_weights)
     return body, map_pixel_blocks(block, prefix, np.asarray(x, np.float32))

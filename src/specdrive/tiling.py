@@ -142,9 +142,7 @@ def map_patches(fn, items, threads: int) -> list:
 
 
 def reconstruct(
-    prob_patches: list[np.ndarray],
-    grid: PatchGrid,
-    oi: np.ndarray | None = None,
+    prob_patches: list[np.ndarray], grid: PatchGrid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average per-class probabilities of overlapping patches.
 
@@ -163,8 +161,7 @@ def reconstruct(
             raise ShapeMismatch(
                 f"patch shape {patch.shape} does not match ({p}, {p}, {classes})"
             )
-    if oi is None:
-        oi = overlap_index(grid)
+    oi = overlap_index(grid)
     h, w = grid.image_size
     acc = np.zeros((h, w, classes), dtype=np.float64)
     for (r, c), patch in zip(grid.origins(), prob_patches):

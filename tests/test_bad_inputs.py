@@ -17,7 +17,7 @@ from specdrive.errors import (
     StructureError,
 )
 from specdrive.metrics import ConfusionMatrix, compute_metrics
-from specdrive.model import LayerSpec, ModelGraph, UNetConfig, build_unet
+from specdrive.model import LayerSpec, ModelGraph, UNetConfig, build_mlp, build_unet
 from specdrive.mosaic import default_layout
 from specdrive.quant import load_qgraph, quantize_model, save_qgraph
 from specdrive.spectral import class_stats
@@ -294,6 +294,27 @@ def test_segment_threads_precedence(files, tmp_path, monkeypatch):
     assert seen == [4, 2, 3, 1]
 
 
+@pytest.mark.parametrize("mismatched", ["model", "quantized_model"])
+def test_bench_infer_band_mismatch_exit_2(files, tmp_path, capsys, mismatched):
+    """bench infer, like segment, rejects a cube whose band count is not the
+    model's, for the float model and for the int8 one. A per-pixel model
+    used to reach a numpy broadcast instead and exit 3."""
+    cube = formats.load_cube(files / "cube.hsc")
+    formats.save_cube(tmp_path / "three.hsc", cube[..., :3].copy())
+    g3, g5 = build_mlp(3, 3), build_mlp(5, 3)
+    w5 = generate_weights(g5, 5)
+    save_weights(tmp_path / "mlp3.sdw", g3, generate_weights(g3, 3))
+    save_weights(tmp_path / "mlp5.sdw", g5, w5)
+    save_qgraph(tmp_path / "mlp5.sdq", quantize_model(g5, w5, [cube]))
+    float_model = "mlp5.sdw" if mismatched == "model" else "mlp3.sdw"
+    path = tmp_path / "infer.json"
+    path.write_text(json.dumps({
+        "model": str(tmp_path / float_model), "quantized_model": str(tmp_path / "mlp5.sdq"),
+        "cube": str(tmp_path / "three.hsc"), "iterations": 1, "warmup": 0}))
+    assert main(["bench", "infer", "--config", str(path)]) == 2
+    assert "cube has 3 bands, model expects 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("given, missing", [((), "raw, dark, white"),
                                             (("raw",), "dark, white")])
 def test_bench_preprocess_without_inputs_exit_2(files, tmp_path, capsys, given, missing):
@@ -316,7 +337,7 @@ def test_bench_preprocess_ms_checked_before_timing(files, tmp_path, monkeypatch,
     def no_run(*a, **kw):
         raise AssertionError("timing ran before preprocess_ms was checked")
 
-    monkeypatch.setattr(cli.bench_mod, "map_patches", no_run)
+    monkeypatch.setattr(cli, "map_patches", no_run)
     path = tmp_path / "infer.json"
     path.write_text(json.dumps({"model": str(files / "unet.sdw"),
                                 "cube": str(files / "cube.hsc"),

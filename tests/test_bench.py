@@ -64,7 +64,7 @@ def test_gate_catches_nondeterminism(tiny_frames, monkeypatch):
     def crooked(frame, dark, white, layout=None, **kw):
         res = real(frame, dark, white, layout, **kw)
         if not kw.get("vectorized", True):
-            res.cube = res.cube + np.float32(1e-3)
+            res.planes = res.planes + np.float32(1e-3)
         return res
     monkeypatch.setattr("specdrive.bench.preprocess_pipeline", crooked)
     cfg = BenchConfig(iterations=1, warmup=0, vectorized=(True, False))
@@ -85,18 +85,21 @@ def test_bench_inference_float_and_int8(rng):
     w = generate_weights(g, 30)
     cube = rng.uniform(0, 1, (32, 48, 5)).astype(np.float32)
     grid = build_grid((32, 48), 16, 12, 12)
-    patches = extract_patches(cube, grid)
     cfg = BenchConfig(iterations=2, warmup=1, threads=(1, 2))
 
-    rep_f = bench_inference(cfg, g, patches, grid, weights=w, preprocess_ms=50.0)
+    rep_f = bench_inference(cfg, g, cube, grid, weights=w, preprocess_ms=50.0)
     assert set(rep_f.results[0].stages) == {STAGE_INFER, STAGE_REBUILD}
     assert rep_f.determinism == "bitwise"
     assert rep_f.pipeline_fps == pytest.approx(
         1000.0 / max(50.0, rep_f.best().total_mean_ms)
     )
 
-    qg = quantize_model(g, w, patches[:2])
-    rep_q = bench_inference(cfg, qg, patches, grid)
+    # both kernel modes: the naive one quantizes the input with the
+    # reference requantization too
+    qg = quantize_model(g, w, extract_patches(cube, grid)[:2])
+    qcfg = BenchConfig(iterations=2, warmup=1, threads=(1, 2), vectorized=(True, False))
+    rep_q = bench_inference(qcfg, qg, cube, grid)
+    assert len(rep_q.results) == 4
     ratio = rep_q.best().total_mean_ms / rep_f.best().total_mean_ms
     assert ratio > 0  # informational: int8-vs-float latency ratio on this host
 
@@ -130,24 +133,24 @@ def unet_case(rng):
                               in_channels=5, classes=3))
     cube = rng.uniform(0, 1, (32, 48, 5)).astype(np.float32)
     grid = build_grid((32, 48), 16, 12, 12)
-    return g, generate_weights(g, 30), extract_patches(cube, grid), grid
+    return g, generate_weights(g, 30), cube, grid
 
 
 def patch_forward(monkeypatch, edit):
-    """Replace the forward pass bench_inference calls with the fast real one,
-    followed by edit(probs, naive) on each patch's output. Pixel (0, 0) of
-    the first patch is covered by no other patch, so an edit there reaches
-    the reconstructed map unchanged."""
-    from specdrive import bench
+    """Replace the forward pass of the engine bench_inference times
+    (cli.infer_cube) with the fast real one, followed by edit(probs, naive)
+    on each patch's output. Pixel (0, 0) of the first patch is covered by no
+    other patch, so an edit there reaches the reconstructed map unchanged."""
+    from specdrive import cli
 
-    real = bench.forward
+    real = cli.forward
 
     def edited(graph, x, weights, naive=False):
         probs = real(graph, x, weights)
         edit(probs, naive)
         return probs
 
-    monkeypatch.setattr(bench, "forward", edited)
+    monkeypatch.setattr(cli, "forward", edited)
 
 
 def near_tie(lead_fast, lead_naive):
@@ -165,24 +168,24 @@ def test_inference_gate_catches_one_ulp_across_threads(unet_case, monkeypatch):
             probs[0, 0, 0] = np.nextafter(probs[0, 0, 0], np.float32(1))
 
     patch_forward(monkeypatch, shift_on_workers)
-    g, w, patches, grid = unet_case
+    g, w, cube, grid = unet_case
     cfg = BenchConfig(iterations=1, warmup=0, threads=(1, 2))
     with pytest.raises(NonDeterministicOutput):
-        bench_inference(cfg, g, patches, grid, weights=w)
+        bench_inference(cfg, g, cube, grid, weights=w)
 
 
 def test_inference_gate_catches_label_flip_across_modes(unet_case, monkeypatch):
     patch_forward(monkeypatch, near_tie(4e-6, -4e-6))
-    g, w, patches, grid = unet_case
+    g, w, cube, grid = unet_case
     cfg = BenchConfig(iterations=1, warmup=0, vectorized=(True, False))
     with pytest.raises(NonDeterministicOutput):
-        bench_inference(cfg, g, patches, grid, weights=w)
+        bench_inference(cfg, g, cube, grid, weights=w)
 
 
 def test_inference_gate_tolerates_kernel_mode_rounding(unet_case, monkeypatch):
     patch_forward(monkeypatch, near_tie(4e-6, 6e-6))
-    g, w, patches, grid = unet_case
+    g, w, cube, grid = unet_case
     cfg = BenchConfig(iterations=1, warmup=0, threads=(1, 2), vectorized=(True, False))
-    report = bench_inference(cfg, g, patches, grid, weights=w)
+    report = bench_inference(cfg, g, cube, grid, weights=w)
     assert report.determinism == "bitwise across threads; <=1e-5 across kernel modes"
     assert len(report.results) == 4

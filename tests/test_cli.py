@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from specdrive import cli, formats
+from specdrive import cli, formats, kernels
 from specdrive.cli import _grid_for, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
 from specdrive.model import UNetConfig, build_mlp, build_unet, forward
@@ -301,6 +301,16 @@ def test_threads_env_var(monkeypatch):
     assert default_threads() == 1
 
 
+def _quantized(work, name):
+    """The int8 container of work/<name>.sdw, made on first use so tests
+    do not depend on their order."""
+    path = work / f"{name}.sdq"
+    if not path.exists():
+        assert main(["quantize", "--model", str(work / f"{name}.sdw"),
+                     "--calib", str(work / "calib"), "--out", str(path)]) == 0
+    return path
+
+
 def _library_segment(cube, model_path):
     """The per-patch library path: the whole graph on each float patch."""
     kind, model, weights = cli._load_model(str(model_path))
@@ -316,10 +326,7 @@ def test_segment_threads_do_not_change_output(work, tmp_path, monkeypatch):
     normalizes (and quantizes) the cube once. The crop's 64x64 patches run
     in two pixel blocks each through the MLP."""
     for name in ("mlp", "unet"):
-        if not (work / f"{name}.sdq").exists():  # independent of test ordering
-            assert main(["quantize", "--model", str(work / f"{name}.sdw"),
-                         "--calib", str(work / "calib"),
-                         "--out", str(work / f"{name}.sdq")]) == 0
+        _quantized(work, name)
     cube = formats.load_cube(work / "crop.hsc")
     maps = []
 
@@ -360,10 +367,7 @@ def test_default_grid_of_full_size_cube(meta):
 
 
 def test_bench_infer_float_vs_int8(work, tmp_path, capsys):
-    if not (work / "mlp.sdq").exists():  # independent of test ordering
-        assert main(["quantize", "--model", str(work / "mlp.sdw"),
-                     "--calib", str(work / "calib"),
-                     "--out", str(work / "mlp.sdq")]) == 0
+    _quantized(work, "mlp")
     cfg = {
         "iterations": 1, "warmup": 0,
         "model": str(work / "mlp.sdw"),
@@ -375,3 +379,37 @@ def test_bench_infer_float_vs_int8(work, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "float/int8 ratio" in out
+
+
+@pytest.mark.parametrize("model", ["mlp.sdw", "mlp.sdq", "unet.sdw", "unet.sdq"])
+def test_segment_and_bench_infer_normalize_each_pixel_once(work, tmp_path, monkeypatch,
+                                                           model):
+    """segment and bench infer run one engine, cli.infer_cube, which
+    normalizes the cube once: band_norm sees exactly one pixel per cube
+    pixel and engine run, though the crop's two 64x64 patches overlap."""
+    name, ext = model.split(".")
+    path = _quantized(work, name) if ext == "sdq" else work / model
+    normed, runs = [], []
+    real_norm, real_infer = kernels.band_norm, cli.infer_cube
+
+    def norm_spy(x):
+        normed.append(x.size // x.shape[-1])
+        return real_norm(x)
+
+    def infer_spy(*args, **kw):
+        runs.append(1)
+        return real_infer(*args, **kw)
+
+    monkeypatch.setattr(kernels, "band_norm", norm_spy)
+    monkeypatch.setattr(cli, "infer_cube", infer_spy)
+    cube = work / "crop.hsc"
+    h, w = formats.load_cube(cube).shape[:2]
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"iterations": 1, "warmup": 0, "model": str(path), "cube": str(cube)}))
+    for argv in (["segment", "--cube", str(cube), "--model", str(path),
+                  "--out", str(tmp_path / "m.pgm")],
+                 ["bench", "infer", "--config", str(tmp_path / "b.json")]):
+        normed.clear()
+        runs.clear()
+        assert main(argv) == 0
+        assert runs and sum(normed) / (len(runs) * h * w) == 1.0, argv[0]
