@@ -127,16 +127,19 @@ def _measure(cfg: BenchConfig, run, agree) -> BenchReport:
 
     run(vectorized, threads) returns (output, {stage: ms}). agree(ref, out,
     same_mode) says whether out may stand for the first configuration's
-    output; same_mode is whether both ran the same kernel mode.
+    output; same_mode is whether both ran the same kernel mode. A single
+    configuration has nothing to be gated against, so it runs warmup +
+    iterations times and no more.
     """
     combos = [(v, t) for v in cfg.vectorized for t in cfg.threads]
-    ref = run(*combos[0])[0]
-    for v, t in combos[1:]:
-        if not agree(ref, run(v, t)[0], v == combos[0][0]):
-            raise NonDeterministicOutput(
-                f"configuration {_config_key(v, t)} disagrees with "
-                f"{_config_key(*combos[0])}"
-            )
+    if len(combos) > 1:
+        ref = run(*combos[0])[0]
+        for v, t in combos[1:]:
+            if not agree(ref, run(v, t)[0], v == combos[0][0]):
+                raise NonDeterministicOutput(
+                    f"configuration {_config_key(v, t)} disagrees with "
+                    f"{_config_key(*combos[0])}"
+                )
 
     results = []
     for v, t in combos:

@@ -24,7 +24,7 @@ from .complexity import count_flops
 from .errors import (InvalidOption, InvalidSpec, MissingWeights, ShapeMismatch,
                      SpecdriveError, int_option)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
-from .model import forward, run_input_prefix
+from .model import build_from_meta, fold_batchnorm, forward, run_input_prefix
 from .mosaic import default_layout, preprocess_pipeline
 from .quant import (
     load_qgraph,
@@ -95,18 +95,20 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     """The Inference stage that segment runs and bench infer times: the
     model's per-pixel input prefix (normalization, and on a quantized model
     the quantization) once over the cube, then the body on every patch of
-    its output on `threads` workers (see model.split_input). Returns the
-    per-patch probabilities in grid order; naive selects reference kernels."""
-    quantized = isinstance(model, quant.QuantizedGraph)
-    bands = int((model.graph if quantized else model).meta["config"]["in_channels"])
+    its output on `threads` workers (see model.split_input). A float model
+    has its batch norm folded once here, in both kernel modes, so no patch
+    folds it again. Returns the per-patch probabilities in grid order;
+    naive selects reference kernels."""
+    bands = int(model.meta["config"]["in_channels"])
     if cube.shape[-1] != bands:
         raise ShapeMismatch(f"cube has {cube.shape[-1]} bands, model expects {bands}")
-    if quantized:
+    if isinstance(model, quant.QuantizedGraph):
         body, x = quant.run_input_prefix(model, cube, naive=naive)
         infer = partial(qforward, body, naive=naive)
     elif weights is None:
         raise MissingWeights("float graph needs a weight dict")
     else:
+        model, weights = fold_batchnorm(model, weights)
         body, x = run_input_prefix(model, cube, weights)
         infer = partial(forward, body, weights=weights, naive=naive)
     return map_patches(infer, extract_patches(x, grid), threads)
@@ -124,11 +126,10 @@ def run_segment(manifest: dict) -> dict:
         if not manifest.get(key):
             raise InvalidSpec(f"manifest is missing {key!r}")
     cube = formats.load_cube(manifest["cube"])
-    kind, model, weights = _load_model(
+    _, model, weights = _load_model(
         manifest["model"], manifest.get("quantized") or None
     )
-    meta = model.meta if kind == "float" else model.graph.meta
-    grid = _grid_for(meta, cube, manifest.get("grid"))
+    grid = _grid_for(model.meta, cube, manifest.get("grid"))
     threads = int_option("threads", manifest.get("threads", 1))
     prob_map, labels = reconstruct(
         infer_cube(model, cube, grid, weights=weights, threads=threads), grid)
@@ -274,15 +275,14 @@ def _cmd_bench(args) -> int:
     else:
         if "model" not in cfg_dict:
             raise InvalidSpec("bench infer config needs a 'model' path")
-        kind, model, weights = _load_model(cfg_dict["model"])
+        _, model, weights = _load_model(cfg_dict["model"])
         if "cube" in cfg_dict:
             cube = formats.load_cube(cfg_dict["cube"])
         else:
             scene = synth_scene(SceneSpec.from_dict(cfg_dict.get("scene", {})))
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
-        meta = model.meta if kind == "float" else model.graph.meta
-        grid = _grid_for(meta, cube, cfg_dict.get("grid"))
+        grid = _grid_for(model.meta, cube, cfg_dict.get("grid"))
         report = bench_mod.bench_inference(
             bcfg, model, cube, grid, weights=weights,
             preprocess_ms=cfg_dict.get("preprocess_ms"),
@@ -383,17 +383,18 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_model_info(args) -> int:
+    """Counts the network as defined, batch norm unfolded, for a float and
+    a quantized file alike."""
     kind, model, _weights = _load_model(args.model)
-    graph = model if kind == "float" else model.graph
-    meta = graph.meta
-    patches = 18 if meta["kind"] == "unet" else 216 * 409
-    rep = count_flops(graph, patches_per_image=patches)
+    meta = model.meta
+    unet = meta["kind"] == "unet"
+    rep = count_flops(build_from_meta(meta), patches_per_image=18 if unet else 216 * 409)
     print(f"kind: {meta['kind']} ({json.dumps(meta['config'])})")
     print(f"params {rep.np_total} ({rep.non_trainable} non-trainable)")
-    unit = "patch" if meta["kind"] == "unet" else "pixel"
+    unit, units = ("patch", "patches") if unet else ("pixel", "pixels")
     print(f"MACs per {unit}: {rep.macs_per_patch:,}")
     print(f"FLOPs per {unit} (2xMAC): {rep.flops_per_patch:,}")
-    print(f"FLOPs per image ({rep.patches_per_image} {unit}s): {rep.flops_per_image:,}")
+    print(f"FLOPs per image ({rep.patches_per_image} {units}): {rep.flops_per_image:,}")
     print(f"float payload bytes: {4 * rep.np_total:,}")
     if kind == "quantized":
         q = payload_bytes(model)

@@ -6,6 +6,11 @@ live outside the graph in a flat dict keyed "<layer>.<tensor>", which keeps
 the same graph usable for float inference, complexity counting, batch-norm
 folding and quantization.
 
+The fast float walk runs a graph with its batch norm folded into the layer
+before it (fold_batchnorm), so forward, return_all and quant.calibrate all
+see the folded graph and no caller has to fold first. The naive walk runs
+the graph as written, batchnorm layers included, and is the fold's oracle.
+
 LAYER_KINDS is the one place a layer kind is defined: the tensors a layer of
 that kind reads, its float op, its integer op, whether its integer output
 keeps its input's quantization scheme, its input count, how it resizes the
@@ -377,7 +382,11 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False
     """Float32 inference one layer at a time: yields ("input", x), then
     (layer name, output) for every layer in order. A tensor is dropped once
     its last consumer has run, so a caller that keeps only what it needs
-    holds one layer's working set at a time."""
+    holds one layer's working set at a time. The fast walk runs the graph
+    with its batch norm folded (see fold_batchnorm), so no batchnorm layer
+    runs or is yielded; the naive walk runs the graph as given."""
+    if not naive:
+        graph, weights = fold_batchnorm(graph, weights)
     kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
     last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
     tensors: dict[str, np.ndarray] = {"input": np.asarray(x, dtype=np.float32)}
@@ -430,7 +439,8 @@ def forward(
     return_all: bool = False,
 ):
     """Float32 inference. Dropout is identity; batch norm uses its stored
-    statistics. With return_all, gives every intermediate tensor by name,
+    statistics, folded into the layer before it unless naive (see walk).
+    With return_all, gives every intermediate tensor by name,
     from one whole-tensor walk. Otherwise a per-pixel graph runs in blocks
     of PIXEL_BLOCK pixels (see the module docstring) and any other graph on
     the whole input, keeping one layer's working set at a time."""
@@ -477,13 +487,18 @@ def run_input_prefix(graph: ModelGraph, x: np.ndarray, weights: dict):
 def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:
     """Fold every batch-norm into the convolution (or dense layer) that feeds it.
 
-    Returns a new graph without batchnorm layers and a matching weight dict;
-    outputs agree with the unfolded network up to float rounding.
+    Returns a new graph without batchnorm layers and a matching weight dict,
+    whose tensors are the given ones except each folded weight and bias;
+    outputs agree with the unfolded network up to float rounding. A graph
+    without batchnorm layers comes back as the same (graph, weights)
+    objects, so folding a folded graph costs a scan of its layers.
     """
+    if not any(l.kind == "batchnorm" for l in graph.layers):
+        return graph, weights
     by_name = {l.name: l for l in graph.layers}
     bn_tensors = {name for l in graph.layers if l.kind == "batchnorm"
                   for name, _, _ in layer_tensors(l)}
-    folded_weights = {k: v.copy() for k, v in weights.items() if k not in bn_tensors}
+    folded_weights = {k: v for k, v in weights.items() if k not in bn_tensors}
     renames: dict[str, str] = {}
     new_layers: list[LayerSpec] = []
     for layer in graph.layers:
@@ -496,12 +511,11 @@ def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:
             scale, offset, mean, var = (_weight(weights, name).astype(np.float64)
                                         for name, _, _ in layer_tensors(layer))
             inv = scale / np.sqrt(var + kernels.BN_EPS)
-            w = folded_weights[f"{src.name}.weight"].astype(np.float64)
-            b = folded_weights[f"{src.name}.bias"].astype(np.float64)
-            folded_weights[f"{src.name}.weight"] = (w * inv).astype(np.float32)
-            folded_weights[f"{src.name}.bias"] = ((b - mean) * inv + offset).astype(
-                np.float32
-            )
+            wkey, bkey = f"{src.name}.weight", f"{src.name}.bias"
+            w = _weight(folded_weights, wkey).astype(np.float64)
+            b = _weight(folded_weights, bkey).astype(np.float64)
+            folded_weights[wkey] = (w * inv).astype(np.float32)
+            folded_weights[bkey] = ((b - mean) * inv + offset).astype(np.float32)
             renames[layer.name] = renames.get(src.name, src.name)
             continue
         inputs = tuple(renames.get(i, i) for i in layer.inputs)
@@ -509,4 +523,3 @@ def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:
     meta = dict(graph.meta)
     meta["batchnorm_folded"] = True
     return ModelGraph(new_layers, meta=meta), folded_weights
-

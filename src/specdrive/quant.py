@@ -26,9 +26,8 @@ quantization of their output need no neighbours, so run_input_prefix runs
 them once over a whole cube; qforward takes an int8 input as already
 quantized in the scheme of "input".
 
-Batch norm must be folded into the convolutions before quantization;
-quantize_graph folds automatically when it sees batch-norm layers, and
-calibration then runs on the folded graph so recorded ranges line up.
+Batch norm is folded into the convolutions before quantization, as the
+float walk that calibrates the ranges folds it (see model.walk).
 """
 
 from __future__ import annotations
@@ -155,6 +154,11 @@ class QuantizedGraph:
     luts: dict[str, np.ndarray]
     norm_weights: dict[str, np.ndarray] = field(default_factory=dict)
 
+    @property
+    def meta(self) -> dict:
+        """The model description, as a float graph's meta."""
+        return self.graph.meta
+
 
 @dataclass(frozen=True)
 class SizeReport:
@@ -218,14 +222,9 @@ def _check_acc_bound(wq: np.ndarray, bias_q: np.ndarray) -> None:
 
 
 def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedGraph:
-    """Quantize a float graph given calibrated activation ranges.
-
-    If the graph still contains batch-norm layers they are folded first; in
-    that case the supplied ranges must have been calibrated on the folded
-    graph (see quantize_model for the one-call flow).
-    """
-    if any(l.kind == "batchnorm" for l in graph.layers):
-        graph, weights = fold_batchnorm(graph, weights)
+    """Quantize a float graph, its batch norm folded, given activation
+    ranges from calibrate, which sees the same folded graph."""
+    graph, weights = fold_batchnorm(graph, weights)
     schemes = _assign_schemes(graph, ranges)
     qg = QuantizedGraph(graph, schemes, {}, {})
     for layer in graph.layers:
@@ -265,11 +264,10 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
 def quantize_model(
     graph: ModelGraph, weights: dict, calib: list[np.ndarray]
 ) -> QuantizedGraph:
-    """Fold, calibrate and quantize in one step."""
-    if any(l.kind == "batchnorm" for l in graph.layers):
-        graph, weights = fold_batchnorm(graph, weights)
-    ranges = calibrate(graph, weights, calib)
-    return quantize_graph(graph, weights, ranges)
+    """Fold, calibrate and quantize in one step; the graph is folded once,
+    so neither calibrate's walks nor quantize_graph fold it again."""
+    graph, weights = fold_batchnorm(graph, weights)
+    return quantize_graph(graph, weights, calibrate(graph, weights, calib))
 
 
 def _relu_folds(qg: QuantizedGraph) -> set[str]:
@@ -427,15 +425,11 @@ def quant_report(
     float_bytes = 4 * count_params(graph).np_total
     size = SizeReport(float_bytes=float_bytes, quantized_bytes=payload_bytes(qg))
 
-    fgraph, fweights = graph, weights
-    if any(l.kind == "batchnorm" for l in graph.layers):
-        fgraph, fweights = fold_batchnorm(graph, weights)
-
     sums: dict[str, list[float]] = {}
     agree = 0
     total = 0
     for sample in probe:
-        ftens = forward(fgraph, sample, fweights, return_all=True)
+        ftens = forward(graph, sample, weights, return_all=True)
         qtens = qforward(qg, sample, return_all=True)
         for name in ftens:
             if name == "input" or name not in qtens:
@@ -445,8 +439,8 @@ def quant_report(
             entry[0] += float(err.sum())
             entry[1] = max(entry[1], float(err.max()))
             entry[2] += err.size
-        f_lab = np.argmax(ftens[fgraph.output_name], axis=-1)
-        q_lab = np.argmax(qtens[fgraph.output_name], axis=-1)
+        f_lab = np.argmax(ftens[graph.output_name], axis=-1)
+        q_lab = np.argmax(qtens[graph.output_name], axis=-1)
         agree += int((f_lab == q_lab).sum())
         total += f_lab.size
     per_layer = {n: (s / cnt, peak) for n, (s, peak, cnt) in sums.items()}

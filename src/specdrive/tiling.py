@@ -54,10 +54,12 @@ class PatchGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "PatchGrid":
+        """The grid to_json wrote. The patch size and every start must be a
+        JSON integer; a float, a string or a bool raises ValueError."""
         d = json.loads(text)
-        patch = int(d["patch"])
-        rows = tuple(int(v) for v in d["rows"])
-        cols = tuple(int(v) for v in d["cols"])
+        patch, rows, cols = d["patch"], tuple(d["rows"]), tuple(d["cols"])
+        if not all(type(v) is int for v in (patch, *rows, *cols)):
+            raise ValueError(f"grid entries must be integers, got {d!r}")
         grid = cls(patch, rows, cols, (rows[-1] + patch, cols[-1] + patch))
         if not all(map(_covers, (rows, cols), grid.image_size, (patch, patch))):
             raise InvalidGeometry("grid leaves pixels uncovered")

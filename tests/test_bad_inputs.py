@@ -194,6 +194,11 @@ def test_layout_entry_not_an_integer_exit_2(files, tmp_path, over):
     '{"patch": 4, "rows": [0, 8], "cols": [0, 8]}',  # leaves pixels uncovered
     '{"patch": 8, "rows": [], "cols": [0, 4]}',
     '{"patch": 8, "rows": [Infinity], "cols": [0, 4]}',
+    '{"patch": 10.7, "rows": [0, 2], "cols": [0, 2]}',   # not an integer
+    '{"patch": "8", "rows": [0, 4], "cols": [0, 4]}',
+    '{"patch": 8, "rows": [false, 4], "cols": [0, 4]}',
+    '{"patch": 8, "rows": [0, 4.0], "cols": [0, 4]}',
+    '{"patch": 8, "rows": [0, 4], "cols": [0, "4"]}',
 ])
 def test_malformed_grid_exit_2(files, tmp_path, text):
     bad = tmp_path / "grid.json"

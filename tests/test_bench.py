@@ -189,3 +189,20 @@ def test_inference_gate_tolerates_kernel_mode_rounding(unet_case, monkeypatch):
     report = bench_inference(cfg, g, cube, grid, weights=w)
     assert report.determinism == "bitwise across threads; <=1e-5 across kernel modes"
     assert len(report.results) == 4
+
+
+@pytest.mark.parametrize("threads, warmup, iterations",
+                         [((1,), 0, 3), ((1,), 2, 1), ((1, 2), 1, 2)])
+def test_engine_runs_as_often_as_asked(unet_case, monkeypatch, threads, warmup, iterations):
+    """Each configuration runs warmup + iterations times; only with more
+    than one configuration does each run once more, for the gate."""
+    from specdrive import cli
+
+    runs = []
+    real = cli.infer_cube
+    monkeypatch.setattr(cli, "infer_cube", lambda *a, **kw: runs.append(1) or real(*a, **kw))
+    g, w, cube, grid = unet_case
+    cfg = BenchConfig(iterations=iterations, warmup=warmup, threads=threads)
+    bench_inference(cfg, g, cube, grid, weights=w)
+    gate = len(threads) if len(threads) > 1 else 0
+    assert len(runs) == gate + len(threads) * (warmup + iterations)

@@ -9,7 +9,7 @@ from specdrive.cli import _grid_for, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
 from specdrive.model import UNetConfig, build_mlp, build_unet, forward
 from specdrive.mosaic import MosaicLayout, preprocess_pipeline
-from specdrive.quant import qforward
+from specdrive.quant import load_qgraph, payload_bytes, qforward
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
 from specdrive.tiling import extract_patches, reconstruct
 from specdrive.weights import generate_weights, save_weights
@@ -196,6 +196,22 @@ def test_model_info_unet(work, capsys):
     assert "18" in out
 
 
+def test_model_info_counts_the_network_as_defined(work, capsys):
+    """A U-Net's .sdq holds a graph with its batch norm folded; model-info
+    counts the network it was made from, as for the .sdw, and the quantized
+    ratio is over that network's float bytes, as in quantize --report."""
+    sdq = _quantized(work, "unet")
+    assert main(["model-info", str(work / "unet.sdw")]) == 0
+    params = [l for l in capsys.readouterr().out.splitlines() if l.startswith("params")]
+    assert main(["model-info", str(sdq)]) == 0
+    out = capsys.readouterr().out
+    assert params == ["params 31707 (320 non-trainable)"]
+    assert params[0] in out.splitlines()
+    assert "FLOPs per image (18 patches)" in out
+    ratio = payload_bytes(load_qgraph(sdq)) / (4 * 31707)
+    assert f"(ratio {ratio:.3f})" in out
+
+
 def test_model_info_mlp(work, capsys):
     assert main(["model-info", str(work / "mlp_rand.sdw")]) == 0
     out = capsys.readouterr().out
@@ -314,7 +330,7 @@ def _quantized(work, name):
 def _library_segment(cube, model_path):
     """The per-patch library path: the whole graph on each float patch."""
     kind, model, weights = cli._load_model(str(model_path))
-    grid = _grid_for(model.meta if kind == "float" else model.graph.meta, cube, None)
+    grid = _grid_for(model.meta, cube, None)
     probs = [qforward(model, p) if kind == "quantized" else forward(model, p, weights)
              for p in extract_patches(cube, grid)]
     return reconstruct(probs, grid)

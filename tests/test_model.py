@@ -145,14 +145,66 @@ def test_fold_identity_batchnorm_keeps_weights(rng):
 
 
 def test_fold_batchnorm_preserves_outputs(rng):
+    """The folded graph against the network as written, which only the
+    naive walk still runs (the fast walk folds it)."""
     g = build_unet(SMALL)
     w = generate_weights(g, 7)
     fg, fw = fold_batchnorm(g, w)
     assert not any(l.kind == "batchnorm" for l in fg.layers)
     x = rng.uniform(0, 1, (16, 16, 5)).astype(np.float32)
-    a = forward(g, x, w)
+    a = forward(g, x, w, naive=True)
     b = forward(fg, x, fw)
     assert np.abs(a - b).max() <= 1e-4
+
+
+def test_fast_forward_runs_the_folded_graph(rng):
+    """forward folds an unfolded graph itself: the same bits as forward on
+    fold_batchnorm's output, and no batchnorm tensor in return_all."""
+    g = build_unet(SMALL)
+    w = generate_weights(g, 7)
+    fg, fw = fold_batchnorm(g, w)
+    x = rng.uniform(0, 1, (16, 16, 5)).astype(np.float32)
+    assert np.array_equal(forward(g, x, w), forward(fg, x, fw))
+    full = forward(g, x, w, return_all=True)
+    assert full.keys() == forward(fg, x, fw, return_all=True).keys()
+
+
+def test_batchnorm_runs_only_on_the_naive_walk(monkeypatch, rng):
+    g = build_unet(SMALL)
+    w = generate_weights(g, 7)
+    calls = []
+    real = kernels.batchnorm_infer
+    monkeypatch.setattr(kernels, "batchnorm_infer",
+                        lambda *a: calls.append(1) or real(*a))
+    x = rng.uniform(0, 1, (16, 16, 5)).astype(np.float32)
+    forward(g, x, w)
+    forward(g, x, w, return_all=True)
+    assert calls == []
+    forward(g, x, w, naive=True)
+    assert len(calls) == sum(l.kind == "batchnorm" for l in g.layers) == 10
+
+
+def test_fold_of_a_folded_graph_is_the_same_objects():
+    g = build_unet(SMALL)
+    w = generate_weights(g, 7)
+    fg, fw = fold_batchnorm(g, w)
+    again = fold_batchnorm(fg, fw)
+    assert again[0] is fg and again[1] is fw
+    m = build_mlp(25, 3)
+    mw = generate_weights(m, 0)
+    assert all(a is b for a, b in zip(fold_batchnorm(m, mw), (m, mw)))
+    # tensors the fold leaves alone are shared, not copied
+    assert fw["head.conv.weight"] is w["head.conv.weight"]
+    assert fw["enc0.conv0.weight"] is not w["enc0.conv0.weight"]
+
+
+@pytest.mark.parametrize("tensor", ["enc1.conv1.weight", "dec0.conv0.bias"])
+def test_fold_missing_tensor_under_a_batchnorm(tensor):
+    g = build_unet(SMALL)
+    w = generate_weights(g, 7)
+    del w[tensor]
+    with pytest.raises(MissingWeights, match=tensor):
+        fold_batchnorm(g, w)
 
 
 def test_fold_batchnorm_param_bookkeeping():

@@ -191,6 +191,18 @@ def test_identity_impulse_conv_requantizes_input(rng):
     assert np.abs(y - x).max() <= s_in / 2 + s_out / 2 + 1e-6
 
 
+def test_quantize_graph_of_calibrate_on_unfolded_unet(tmp_path, rng):
+    """calibrate and quantize_graph fold an unfolded U-Net themselves, so
+    the two-call flow writes quantize_model's bytes: conv scales come from
+    post-batch-norm ranges."""
+    g = small_unet()
+    w = generate_weights(g, 24)
+    calib = [rng.uniform(0, 1, (16, 16, 5)).astype(np.float32) for _ in range(2)]
+    save_qgraph(tmp_path / "one.sdq", quantize_model(g, w, calib))
+    save_qgraph(tmp_path / "two.sdq", quantize_graph(g, w, calibrate(g, w, calib)))
+    assert (tmp_path / "one.sdq").read_bytes() == (tmp_path / "two.sdq").read_bytes()
+
+
 def test_payload_ratio_reference_unet(rng):
     g = build_unet(UNetConfig())
     w = generate_weights(g, 25)
