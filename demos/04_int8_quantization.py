@@ -19,8 +19,12 @@ weights = generate_weights(graph, seed=5)
 # calibration: representative patches drive the activation ranges
 calib = [rng.uniform(0, 1, (64, 64, 25)).astype(np.float32) for _ in range(8)]
 qg = quantize_model(graph, weights, calib)
-print(f"quantized tensors: {len(qg.qlayers)} kernel layers, "
-      f"{len(qg.schemes)} activation schemes")
+# qg.tensors holds each kernel layer's int8 "<layer>.weight" and int32
+# "<layer>.bias"; qg.schemes holds their schemes and every activation's
+kernel_layers = [n for n in qg.tensors if n.endswith(".weight")]
+activations = [n for n in qg.schemes if n not in qg.tensors]
+print(f"quantized tensors: {len(kernel_layers)} kernel layers, "
+      f"{len(activations)} activation schemes")
 
 probe = [rng.uniform(0, 1, (64, 64, 25)).astype(np.float32) for _ in range(4)]
 rep = quant_report(graph, weights, qg, probe)

@@ -81,14 +81,22 @@ def _load_model(path: str, want_quantized: bool | None = None):
 def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
     """The grid file if one is given, else the default 44/57-stride grid
     of the model's patch size (per-pixel models: patches of up to 128).
-    On a cube thinner than the patch, the patch shrinks to the cube and the
-    strides to the patch, so the patches still cover every pixel."""
+    On a cube thinner than the patch, the patch shrinks to the cube. Both
+    strides are capped at half the patch: the middle gap of a mirrored grid
+    is below twice the stride, so the patches cover every pixel."""
     if grid_path:
         return formats.load_grid(grid_path)
     h, w = cube.shape[:2]
     patch = meta["config"]["patch_size"] if meta["kind"] == "unet" else 128
     patch = min(patch, h, w)
-    return build_grid((h, w), patch, min(44, patch), min(57, patch))
+    cap = max(1, patch // 2)
+    return build_grid((h, w), patch, min(44, cap), min(57, cap))
+
+
+def _check_bands(meta: dict, cube: np.ndarray) -> None:
+    bands = int(meta["config"]["in_channels"])
+    if cube.shape[-1] != bands:
+        raise ShapeMismatch(f"cube has {cube.shape[-1]} bands, model expects {bands}")
 
 
 def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
@@ -99,9 +107,7 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     has its batch norm folded once here, in both kernel modes, so no patch
     folds it again. Returns the per-patch probabilities in grid order;
     naive selects reference kernels."""
-    bands = int(model.meta["config"]["in_channels"])
-    if cube.shape[-1] != bands:
-        raise ShapeMismatch(f"cube has {cube.shape[-1]} bands, model expects {bands}")
+    _check_bands(model.meta, cube)
     if isinstance(model, quant.QuantizedGraph):
         body, x = quant.run_input_prefix(model, cube, naive=naive)
         infer = partial(qforward, body, naive=naive)
@@ -228,6 +234,7 @@ def _cmd_quantize(args) -> int:
     samples = []
     for c in cubes:
         cube = formats.load_cube(c)
+        _check_bands(graph.meta, cube)
         if graph.meta["kind"] == "unet":
             samples.extend(extract_patches(cube, _grid_for(graph.meta, cube, args.grid)))
         else:

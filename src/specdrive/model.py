@@ -114,9 +114,10 @@ class Tensor(NamedTuple):
 class LayerKind:
     """What a layer kind is. float_op(layer, inputs, tensors, kernel table)
     gives the float output. int_op(layer, int8 inputs, input schemes, own
-    scheme, quantized record, naive) gives the int8 output, or the int32
-    accumulator for kinds with a weight; None means the kind runs in float
-    on either side of the quantization boundary."""
+    scheme, stored tensors, naive) gives the int8 output, or the int32
+    accumulator for kinds with a weight; the stored tensors are the ones
+    quant.stored_tensors names. None means the kind runs in float on either
+    side of the quantization boundary."""
 
     float_op: Callable
     int_op: Callable | None = None
@@ -152,20 +153,21 @@ def _weighted(kernel: str, shape, **kw) -> LayerKind:
     quantized weight and bias, giving the int32 accumulator. Both are
     looked up at call time."""
 
-    def int_op(layer, xs, ins, out, ql, naive):
+    def int_op(layer, xs, ins, out, ts, naive):
         fn = getattr(kernels, f"{kernel}_int_naive" if naive else f"{kernel}_int")
-        return fn(xs[0], ins[0].zero_point, ql.weight.data, ql.bias)
+        return fn(xs[0], ins[0].zero_point, *ts)
 
     return LayerKind(lambda l, xs, ts, k: k[kernel](xs[0], *ts), int_op,
                      (Tensor("weight", shape), Tensor("bias", _vec)), **kw)
 
 
-def table_lookup(layer, xs, ins, out, lut, naive):
+def table_lookup(layer, xs, ins, out, ts, naive):
     """Int op of an elementwise kind: its float op tabulated over all 256
     int8 inputs, from -128 up (see quant.quantize_graph). Rolled by 128, the
     table is indexed by the inputs' bytes read as uint8. The roll is a
     concatenation and the lookup np.take, which cost less per call than
     np.roll and fancy indexing."""
+    (lut,) = ts
     return np.take(np.concatenate((lut[128:], lut[:128])), xs[0].view(np.uint8))
 
 
@@ -484,42 +486,44 @@ def run_input_prefix(graph: ModelGraph, x: np.ndarray, weights: dict):
     return body, forward(prefix, x, weights)
 
 
+def fold_layers(graph: ModelGraph) -> list[LayerSpec]:
+    """The weight-free half of fold_batchnorm: graph's layers without its
+    batchnorm layers, each reader of one reading the layer it folds into.
+    A batchnorm must directly follow a layer with a weight."""
+    kinds = {l.name: LAYER_KINDS[l.kind] for l in graph.layers}
+    renames: dict[str, str] = {}
+    for layer in graph.layers:
+        if layer.kind == "batchnorm":
+            if all(t.suffix != "weight" for t in kinds[layer.inputs[0]].tensors):
+                raise StructureError(
+                    f"batchnorm {layer.name} does not directly follow a weighted layer")
+            renames[layer.name] = layer.inputs[0]
+    return [replace(l, inputs=tuple(renames.get(i, i) for i in l.inputs))
+            for l in graph.layers if l.kind != "batchnorm"]
+
+
 def fold_batchnorm(graph: ModelGraph, weights: dict) -> tuple[ModelGraph, dict]:
     """Fold every batch-norm into the convolution (or dense layer) that feeds it.
 
-    Returns a new graph without batchnorm layers and a matching weight dict,
-    whose tensors are the given ones except each folded weight and bias;
-    outputs agree with the unfolded network up to float rounding. A graph
-    without batchnorm layers comes back as the same (graph, weights)
-    objects, so folding a folded graph costs a scan of its layers.
+    Returns fold_layers' graph and a matching weight dict, whose tensors are
+    the given ones except each folded weight and bias; outputs agree with
+    the unfolded network up to float rounding. A graph without batchnorm
+    layers comes back as the same (graph, weights) objects, so folding a
+    folded graph costs a scan of its layers.
     """
-    if not any(l.kind == "batchnorm" for l in graph.layers):
+    bns = [l for l in graph.layers if l.kind == "batchnorm"]
+    if not bns:
         return graph, weights
-    by_name = {l.name: l for l in graph.layers}
-    bn_tensors = {name for l in graph.layers if l.kind == "batchnorm"
-                  for name, _, _ in layer_tensors(l)}
+    layers = fold_layers(graph)
+    bn_tensors = {name for l in bns for name, _, _ in layer_tensors(l)}
     folded_weights = {k: v for k, v in weights.items() if k not in bn_tensors}
-    renames: dict[str, str] = {}
-    new_layers: list[LayerSpec] = []
-    for layer in graph.layers:
-        if layer.kind == "batchnorm":
-            src = by_name[layer.inputs[0]]
-            if all(t.suffix != "weight" for t in LAYER_KINDS[src.kind].tensors):
-                raise StructureError(
-                    f"batchnorm {layer.name} does not directly follow a weighted layer"
-                )
-            scale, offset, mean, var = (_weight(weights, name).astype(np.float64)
-                                        for name, _, _ in layer_tensors(layer))
-            inv = scale / np.sqrt(var + kernels.BN_EPS)
-            wkey, bkey = f"{src.name}.weight", f"{src.name}.bias"
-            w = _weight(folded_weights, wkey).astype(np.float64)
-            b = _weight(folded_weights, bkey).astype(np.float64)
-            folded_weights[wkey] = (w * inv).astype(np.float32)
-            folded_weights[bkey] = ((b - mean) * inv + offset).astype(np.float32)
-            renames[layer.name] = renames.get(src.name, src.name)
-            continue
-        inputs = tuple(renames.get(i, i) for i in layer.inputs)
-        new_layers.append(replace(layer, inputs=inputs))
-    meta = dict(graph.meta)
-    meta["batchnorm_folded"] = True
-    return ModelGraph(new_layers, meta=meta), folded_weights
+    for layer in bns:
+        scale, offset, mean, var = (_weight(weights, name).astype(np.float64)
+                                    for name, _, _ in layer_tensors(layer))
+        inv = scale / np.sqrt(var + kernels.BN_EPS)
+        wkey, bkey = f"{layer.inputs[0]}.weight", f"{layer.inputs[0]}.bias"
+        w = _weight(folded_weights, wkey).astype(np.float64)
+        b = _weight(folded_weights, bkey).astype(np.float64)
+        folded_weights[wkey] = (w * inv).astype(np.float32)
+        folded_weights[bkey] = ((b - mean) * inv + offset).astype(np.float32)
+    return ModelGraph(layers, meta={**graph.meta, "batchnorm_folded": True}), folded_weights

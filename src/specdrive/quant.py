@@ -28,11 +28,19 @@ quantized in the scheme of "input".
 
 Batch norm is folded into the convolutions before quantization, as the
 float walk that calibrates the ranges folds it (see model.walk).
+
+A quantized graph is (graph, schemes, tensors), as a float model is
+(graph, weights). stored_tensors names each layer's tensors, keyed
+"<layer>.<suffix>", and their dtypes. schemes holds each activation's
+scheme by layer name and each int8 weight's and int32 bias's by tensor
+name; a bias's is (s_in * s_w, 0). A .sdq file holds the tensors in layer
+order; load_qgraph reads them by name, requires exactly the stored set, and
+checks the layers against the model description's folded graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,6 +59,7 @@ from .model import (
     _weight,
     build_from_meta,
     fold_batchnorm,
+    fold_layers,
     forward,
     layer_tensors,
     map_pixel_blocks,
@@ -61,7 +70,6 @@ from .model import (
 )
 
 MAGIC = b"SDQ1"
-INT_KINDS = tuple(k for k, v in LAYER_KINDS.items() if v.int_op is not None)
 # degenerate calibration ranges are widened to at least this half-span
 MIN_HALF_SPAN = 1e-3
 
@@ -134,25 +142,10 @@ class QuantScheme:
 
 
 @dataclass
-class QTensor:
-    data: np.ndarray  # int8
-    scheme: QuantScheme
-
-
-@dataclass
-class QLayer:
-    weight: QTensor
-    bias: np.ndarray  # int32
-    bias_scale: float
-
-
-@dataclass
 class QuantizedGraph:
     graph: ModelGraph  # folded, batchnorm-free
-    schemes: dict[str, QuantScheme]
-    qlayers: dict[str, QLayer]
-    luts: dict[str, np.ndarray]
-    norm_weights: dict[str, np.ndarray] = field(default_factory=dict)
+    schemes: dict[str, QuantScheme]  # activations by layer, weights and biases by tensor
+    tensors: dict[str, np.ndarray]  # stored_tensors of every layer
 
     @property
     def meta(self) -> dict:
@@ -188,6 +181,24 @@ def calibrate(graph: ModelGraph, weights: dict, calib: list[np.ndarray]) -> dict
                 else:
                     ranges[name] = (lo, hi)
     return ranges
+
+
+def _accumulates(kind) -> bool:
+    """Whether a kind's int op is a kernel with a weight and a bias, giving
+    an int32 accumulator."""
+    return kind.int_op is not None and bool(kind.tensors)
+
+
+def stored_tensors(layer: LayerSpec) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, dtype) of every tensor a quantized layer stores: a
+    float-domain layer's own tensors as float32, one int8 256-entry table
+    for a table-lookup kind, and an int8 weight and an int32 bias for a
+    weighted kind."""
+    kind = LAYER_KINDS[layer.kind]
+    if kind.int_op is table_lookup:
+        return [(f"{layer.name}.lut", (256,), "<i1")]
+    dtypes = ("<i1", "<i4") if _accumulates(kind) else ("<f4",) * len(kind.tensors)
+    return [(name, shape, d) for (name, shape, _), d in zip(layer_tensors(layer), dtypes)]
 
 
 def _assign_schemes(graph: ModelGraph, ranges: dict) -> dict[str, QuantScheme]:
@@ -226,39 +237,37 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
     ranges from calibrate, which sees the same folded graph."""
     graph, weights = fold_batchnorm(graph, weights)
     schemes = _assign_schemes(graph, ranges)
-    qg = QuantizedGraph(graph, schemes, {}, {})
+    tensors: dict[str, np.ndarray] = {}
     for layer in graph.layers:
         kind = LAYER_KINDS[layer.kind]
+        stored = stored_tensors(layer)
         if kind.int_op is None:  # float-domain kinds keep their tensors
-            for name, _, _ in layer_tensors(layer):
-                qg.norm_weights[name] = weights[name]
+            for name, _, dtype in stored:
+                tensors[name] = np.asarray(_weight(weights, name), dtype)
         elif kind.int_op is table_lookup:
             s_in = schemes[layer.inputs[0]]
             s_out = schemes[layer.name]
             q = np.arange(-128, 128, dtype=np.float64)
             y = kind.float_op(layer, [(q - s_in.zero_point) * s_in.scale], (),
                               kernels.FAST_KERNELS)
-            qg.luts[layer.name] = np.clip(
+            tensors[stored[0][0]] = np.clip(
                 round_half_away(y / s_out.scale) + s_out.zero_point, -128, 127
             ).astype(np.int8)
-        elif kind.tensors:  # weight and bias: int8 weight, int32 bias
-            w, b = (weights[name] for name, _, _ in layer_tensors(layer))
+        elif stored:  # int8 weight, int32 bias
+            (wname, _, _), (bname, _, _) = stored
+            w, b = _weight(weights, wname), _weight(weights, bname)
             wscheme = QuantScheme.symmetric_for(w)
             wq = np.clip(
                 round_half_away(w.astype(np.float64) / wscheme.scale), -127, 127
             ).astype(np.int8)
-            s_in = schemes[layer.inputs[0]].scale
-            bias_scale = s_in * wscheme.scale
-            bias_q = round_half_away(b.astype(np.float64) / bias_scale)
+            bscheme = QuantScheme(schemes[layer.inputs[0]].scale * wscheme.scale, 0)
+            bias_q = round_half_away(b.astype(np.float64) / bscheme.scale)
             if np.abs(bias_q).max(initial=0) >= 2**31:
                 raise ShapeMismatch(f"bias of {layer.name} overflows int32")
             _check_acc_bound(wq, bias_q.astype(np.int64))
-            qg.qlayers[layer.name] = QLayer(
-                weight=QTensor(wq, wscheme),
-                bias=bias_q.astype(np.int32),
-                bias_scale=bias_scale,
-            )
-    return qg
+            schemes[wname], schemes[bname] = wscheme, bscheme
+            tensors[wname], tensors[bname] = wq, bias_q.astype(np.int32)
+    return QuantizedGraph(graph, schemes, tensors)
 
 
 def quantize_model(
@@ -272,12 +281,12 @@ def quantize_model(
 
 def _relu_folds(qg: QuantizedGraph) -> set[str]:
     """Kernel layers whose only consumer is a relu."""
-    readers: dict[str, list[LayerSpec]] = {}
+    readers: dict[str, list[str]] = {}
     for layer in qg.graph.layers:
         for src in layer.inputs:
-            readers.setdefault(src, []).append(layer)
-    return {name for name, rs in readers.items()
-            if name in qg.qlayers and len(rs) == 1 and rs[0].kind == "relu"}
+            readers.setdefault(src, []).append(layer.kind)
+    return {l.name for l in qg.graph.layers
+            if _accumulates(LAYER_KINDS[l.kind]) and readers.get(l.name) == ["relu"]}
 
 
 def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool, folded: set[str]):
@@ -304,28 +313,26 @@ def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool, folded: set[str]):
 
     for layer in qg.graph.layers:
         name, kind = layer.name, LAYER_KINDS[layer.kind]
+        stored = stored_tensors(layer)
+        ts = [_weight(qg.tensors, t) for t, _, _ in stored]
         if kind.int_op is None:
             fvals[name] = kind.float_op(
-                layer,
-                [as_float(src) for src in layer.inputs],
-                [_weight(qg.norm_weights, t) for t, _, _ in layer_tensors(layer)],
-                kset,
-            )
+                layer, [as_float(src) for src in layer.inputs], ts, kset)
             continue
         if layer.inputs[0] in folded:  # the relu already ran in the requantization
             qvals[name] = qvals[layer.inputs[0]]
             continue
-        ql = qg.qlayers.get(name)
         q = kind.int_op(
             layer,
             [as_int(src) for src in layer.inputs],
             [schemes[src] for src in layer.inputs],
             schemes[name],
-            ql if ql is not None else qg.luts.get(name),
+            ts,
             naive,
         )
-        if ql is not None:  # int32 accumulator back to int8
-            v = np.multiply(q, ql.bias_scale / schemes[name].scale, dtype=np.float64)
+        if _accumulates(kind):  # int32 accumulator, at the bias's scale, back to int8
+            v = np.multiply(q, schemes[stored[1][0]].scale / schemes[name].scale,
+                            dtype=np.float64)
             q = schemes[name]._to_int8(v, relu=name in folded, naive=naive)
         qvals[name] = q
     return fvals, qvals
@@ -388,10 +395,10 @@ def run_input_prefix(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
         LAYER_KINDS[l.kind].int_op for l in body.layers if "input" in l.inputs)
 
     def block(b):
-        y = forward(prefix, b, qg.norm_weights)
+        y = forward(prefix, b, qg.tensors)
         return scheme.quant(y, naive) if to_int else y
 
-    body = QuantizedGraph(body, schemes, qg.qlayers, qg.luts, qg.norm_weights)
+    body = QuantizedGraph(body, schemes, qg.tensors)
     return body, map_pixel_blocks(block, prefix, np.asarray(x, np.float32))
 
 
@@ -403,14 +410,7 @@ class QuantReport:
 
 
 def payload_bytes(qg: QuantizedGraph) -> int:
-    total = 0
-    for ql in qg.qlayers.values():
-        total += ql.weight.data.size + 4 * ql.bias.size
-    for lut in qg.luts.values():
-        total += lut.size
-    for arr in qg.norm_weights.values():
-        total += 4 * arr.size
-    return total
+    return sum(arr.nbytes for arr in qg.tensors.values())
 
 
 def quant_report(
@@ -453,84 +453,70 @@ def quant_report(
 
 def save_qgraph(path, qg: QuantizedGraph) -> None:
     tensors = []
-
-    def put(name, arr, dtype, **scheme):
-        arr = np.ascontiguousarray(arr, dtype=dtype)
-        tensors.append(({"name": name, "shape": list(arr.shape), "dtype": dtype,
-                         **scheme}, arr))
-
-    for lname, ql in qg.qlayers.items():
-        put(f"{lname}.weight", ql.weight.data, "<i1", scale=float(ql.weight.scheme.scale),
-            zero_point=int(ql.weight.scheme.zero_point))
-        put(f"{lname}.bias", ql.bias, "<i4", scale=float(ql.bias_scale), zero_point=0)
-    for lname, lut in qg.luts.items():
-        put(f"{lname}.lut", lut, "<i1")
-    for tname, arr in qg.norm_weights.items():
-        put(tname, arr, "<f4")
-
+    for layer in qg.graph.layers:
+        for name, _, dtype in stored_tensors(layer):
+            arr = np.ascontiguousarray(qg.tensors[name], dtype=dtype)
+            entry = {"name": name, "shape": list(arr.shape), "dtype": dtype}
+            if name in qg.schemes:
+                entry.update(asdict(qg.schemes[name]))
+            tensors.append((entry, arr))
     header = {
         "format": "sdq",
         "version": 1,
         "model": qg.graph.meta,
         "layers": [asdict(l) for l in qg.graph.layers],
-        "activations": {
-            n: {"scale": s.scale, "zero_point": s.zero_point}
-            for n, s in qg.schemes.items()
-        },
+        "activations": {n: asdict(s) for n, s in qg.schemes.items() if n not in qg.tensors},
     }
     write_container(path, MAGIC, header, tensors)
 
 
 def _scheme(d: dict) -> QuantScheme:
-    scale, zp = float(d["scale"]), d["zero_point"]
-    if not (np.isfinite(scale) and scale > 0 and isinstance(zp, int) and -128 <= zp <= 127):
+    scale, zp = d["scale"], d["zero_point"]  # JSON numbers; bools are refused
+    if not (type(scale) in (int, float) and np.isfinite(scale) and scale > 0
+            and type(zp) is int and -128 <= zp <= 127):
         raise ValueError(f"bad quantization scheme {d!r}")
-    return QuantScheme(scale, zp)
+    return QuantScheme(float(scale), zp)
 
 
 def load_qgraph(path) -> QuantizedGraph:
-    """Read a quantized container back. The model description, the layers
-    and the schemes must be valid, and the file must hold every tensor
-    qforward reads, in the dtype and shape the layer-kind table gives, with
-    int8 weights in [-127, 127]."""
+    """Read a quantized container back. The model description and the
+    schemes must be valid, the layers must be the description's graph with
+    its batch norm folded, and the file must hold exactly the tensors
+    stored_tensors names, in any order, with int8 weights in [-127, 127]."""
 
     def parse(header, arrays):
-        if build_from_meta(header["model"]).meta["config"] != header["model"]["config"]:
+        model = build_from_meta(header["model"])
+        if model.meta["config"] != header["model"]["config"]:
             raise CorruptContainer(f"{path}: incomplete model description")
         graph = ModelGraph(
             [LayerSpec(**{**d, "inputs": tuple(d["inputs"])}) for d in header["layers"]],
             meta=header["model"],
         )
+        if graph.layers != fold_layers(model):
+            raise CorruptContainer(f"{path}: layers are not the model's folded graph")
         schemes = {n: _scheme(v) for n, v in header["activations"].items()}
-
-        def take(name, shape, dtype):
-            arr, entry = arrays.get(name, (None, {}))
-            if arr is None or arr.shape != shape or entry["dtype"] != dtype:
-                raise CorruptContainer(f"{path}: needs a {dtype} tensor {name!r} {shape}")
-            return arr, entry
-
-        qg = QuantizedGraph(graph, schemes, {}, {})
+        tensors: dict[str, np.ndarray] = {}
         for layer in graph.layers:
-            kind, specs = LAYER_KINDS[layer.kind], layer_tensors(layer)
-            if kind.int_op is None:
-                for name, shape, _ in specs:
-                    qg.norm_weights[name] = take(name, shape, "<f4")[0]
-                continue
-            if any(n not in schemes for n in (*layer.inputs, layer.name)):
+            kind = LAYER_KINDS[layer.kind]
+            if kind.int_op and any(n not in schemes for n in (*layer.inputs, layer.name)):
                 raise CorruptContainer(f"{path}: no scheme for layer {layer.name!r}")
-            if kind.int_op is table_lookup:
-                qg.luts[layer.name] = take(f"{layer.name}.lut", (256,), "<i1")[0]
-            elif specs:
-                (w, went), (b, bent) = (take(n, shape, dtype) for (n, shape, _), dtype
-                                        in zip(specs, ("<i1", "<i4")))
+            for name, shape, dtype in stored_tensors(layer):
+                arr, entry = arrays.get(name, (None, {}))
+                if arr is None or arr.shape != shape or entry["dtype"] != dtype:
+                    raise CorruptContainer(f"{path}: needs a {dtype} {name!r} {shape}")
+                tensors[name] = arr
+                if _accumulates(kind):
+                    schemes[name] = _scheme(entry)
+            if _accumulates(kind):
+                w, b = (tensors[name] for name, _, _ in stored_tensors(layer))
                 if w.min(initial=0) < -127:  # the kernels' exactness bound needs it
                     raise CorruptContainer(f"{path}: {layer.name} weight below -127")
                 try:
                     _check_acc_bound(w, b)
                 except ShapeMismatch as e:
                     raise CorruptContainer(f"{path}: {layer.name}: {e}") from None
-                qg.qlayers[layer.name] = QLayer(QTensor(w, _scheme(went)), b,
-                                                _scheme(bent).scale)
-        return qg
+        if len(header["tensors"]) != len(tensors):
+            raise CorruptContainer(f"{path}: tensors other than the model's stored set")
+        return QuantizedGraph(graph, schemes, tensors)
 
     return read_container(path, MAGIC, {t: t for t in ("<i1", "<i4", "<f4")}, parse)

@@ -144,6 +144,51 @@ def test_sdq_unknown_layer_kind_exit_2(files, tmp_path):
     assert segment(files, tmp_path, model=bad) == 2
 
 
+def _relabel_relu(h):
+    next(d for d in h["layers"] if d["name"] == "dec0.relu1")["kind"] = "dropout"
+
+
+def _drop_relu(h):
+    h["layers"] = [d for d in h["layers"] if d["name"] != "enc0.relu0"]
+    for d in h["layers"]:
+        d["inputs"] = ["enc0.conv0" if i == "enc0.relu0" else i for i in d["inputs"]]
+
+
+@pytest.mark.parametrize("edit", [_relabel_relu, _drop_relu])
+def test_sdq_layers_not_the_models_folded_graph_exit_2(files, tmp_path, edit):
+    """The layer list must be the model description's graph with its batch
+    norm folded; a relabelled or dropped relu used to load and segment with
+    a silently different answer."""
+    bad = tmp_path / "layers.sdq"
+    bad.write_bytes(reframe((files / "unet.sdq").read_bytes(), edit))
+    with pytest.raises(CorruptContainer, match="folded graph"):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
+def _bool_zero_point(h):
+    next(iter(h["activations"].values()))["zero_point"] = True
+
+
+def _bool_weight_zero_point(h):
+    next(t for t in h["tensors"] if t["name"] == "head.conv.weight")["zero_point"] = False
+
+
+def _bool_scale(h):
+    next(iter(h["activations"].values()))["scale"] = True
+
+
+@pytest.mark.parametrize("edit", [_bool_zero_point, _bool_weight_zero_point, _bool_scale])
+def test_sdq_bool_in_scheme_exit_2(files, tmp_path, edit):
+    """A scheme's scale and zero point are JSON numbers; true used to load
+    as 1 (zero point) or a scale of 1.0."""
+    bad = tmp_path / "zp.sdq"
+    bad.write_bytes(reframe((files / "unet.sdq").read_bytes(), edit))
+    with pytest.raises(CorruptContainer):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+
+
 def test_graph_rejects_unknown_kind():
     with pytest.raises(StructureError):
         ModelGraph([LayerSpec("a", "swish", ("input",), 1, 1)])
@@ -320,6 +365,20 @@ def test_bench_infer_band_mismatch_exit_2(files, tmp_path, capsys, mismatched):
     assert "cube has 3 bands, model expects 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["mlp", "unet"])
+def test_quantize_band_mismatch_exit_2(files, tmp_path, capsys, model):
+    """quantize checks each calibration cube's band count as segment does;
+    the MLP used to reach a numpy broadcast in zscore and exit 3."""
+    g = build_mlp(5, 3)
+    save_weights(tmp_path / "mlp.sdw", g, generate_weights(g, 5))
+    (tmp_path / "calib").mkdir()
+    formats.save_cube(tmp_path / "calib/wide.hsc", np.full((12, 12, 30), 0.5, np.float32))
+    path = tmp_path / "mlp.sdw" if model == "mlp" else files / "unet.sdw"
+    assert main(["quantize", "--model", str(path), "--calib", str(tmp_path / "calib"),
+                 "--out", str(tmp_path / "q.sdq")]) == 2
+    assert "cube has 30 bands, model expects 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("given, missing", [((), "raw, dark, white"),
                                             (("raw",), "dark, white")])
 def test_bench_preprocess_without_inputs_exit_2(files, tmp_path, capsys, given, missing):
@@ -354,7 +413,7 @@ def test_sdq_weight_of_minus_128_exit_2(files, tmp_path):
     """Symmetric int8 weights lie in [-127, 127]; the integer kernels' exact
     float32 accumulation is proved for that range only."""
     qg = load_qgraph(files / "unet.sdq")
-    qg.qlayers["head.conv"].weight.data[0, 0, 0, 0] = -128
+    qg.tensors["head.conv.weight"][0, 0, 0, 0] = -128
     bad = tmp_path / "w128.sdq"
     save_qgraph(bad, qg)
     with pytest.raises(CorruptContainer):
@@ -367,19 +426,19 @@ def test_sdq_accumulator_bound_checked_at_load_exit_2(files, tmp_path):
     corrupt container when it loads, as quantize_graph would have refused
     it: model-info exits 2, not only segment at its first patch."""
     qg = load_qgraph(files / "unet.sdq")
-    ql = qg.qlayers["enc0.conv0"]
-    worst = int(np.prod(ql.weight.data.shape[:-1])) * 255 * 127
-    ql.bias[0] = -(2**31 - worst - 1)  # one below the bound still loads
+    w, bias = qg.tensors["enc0.conv0.weight"], qg.tensors["enc0.conv0.bias"]
+    worst = int(np.prod(w.shape[:-1])) * 255 * 127
+    bias[0] = -(2**31 - worst - 1)  # one below the bound still loads
     save_qgraph(tmp_path / "edge.sdq", qg)
     assert main(["model-info", str(tmp_path / "edge.sdq")]) == 0
-    ql.bias[0] -= 1
+    bias[0] -= 1
     bad = tmp_path / "acc.sdq"
     save_qgraph(bad, qg)
     with pytest.raises(CorruptContainer, match="enc0.conv0"):
         load_qgraph(bad)
     assert main(["model-info", str(bad)]) == 2
     assert segment(files, tmp_path, model=bad) == 2
-    ql.bias[0] = -(2**31)  # its int32 absolute value wraps to itself
+    bias[0] = -(2**31)  # its int32 absolute value wraps to itself
     save_qgraph(bad, qg)
     assert main(["model-info", str(bad)]) == 2
 

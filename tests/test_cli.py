@@ -362,10 +362,16 @@ def test_segment_threads_do_not_change_output(work, tmp_path, monkeypatch):
             assert np.array_equal(formats.load_mask(tmp_path / f"t{threads}.pgm"), want_labels)
 
 
-@pytest.mark.parametrize("model, hw", [("mlp.sdw", (3, 700)), ("unet.sdw", (40, 300))])
+@pytest.mark.parametrize("model, hw", [
+    ("mlp.sdw", (3, 700)), ("unet.sdw", (40, 300)), ("unet.sdw", (40, 100)),
+    ("unet64.sdw", (150, 409)), ("unet32.sdw", (216, 409)), ("unet16.sdw", (40, 40))])
 def test_segment_thin_cube_default_grid(work, tmp_path, model, hw):
-    """A cube thinner than the patch segments with the default grid; the
-    44/57 strides used to leave gaps between its smaller patches (exit 2)."""
+    """A cube thinner than the patch, or a patch smaller than the strides,
+    segments with the default grid; strides over half the patch used to
+    leave gaps between patches (exit 2). unet<N>.sdw is a patch-N U-Net."""
+    if not (work / model).exists():
+        unet = build_unet(UNetConfig(patch_size=int(model[4:-4])))
+        save_weights(work / model, unet, generate_weights(unet, 0))
     cube = np.random.default_rng(5).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
     formats.save_cube(tmp_path / "thin.hsc", cube)
     assert main(["segment", "--cube", str(tmp_path / "thin.hsc"),

@@ -16,7 +16,7 @@ from specdrive.model import (
     run_input_prefix,
     split_input,
 )
-from specdrive.quant import QLayer, QTensor, QuantScheme
+from specdrive.quant import QuantScheme
 from specdrive.weights import generate_weights
 
 SMALL = UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
@@ -306,13 +306,12 @@ def test_per_pixel_kind_reads_only_its_pixel(rng, kind):
     ins = [QuantScheme(0.02, 3)]
     if kind == "dense":
         wq = rng.integers(-127, 128, (6, 6)).astype(np.int8)
-        extra = QLayer(QTensor(wq, QuantScheme(0.01, 0)),
-                       rng.integers(-100, 100, 6).astype(np.int32), 2e-4)
+        stored = [wq, rng.integers(-100, 100, 6).astype(np.int32)]
     else:  # a one-to-one table, so every changed input changes its entry
-        extra = (rng.permutation(256) - 128).astype(np.int8)
+        stored = [(rng.permutation(256) - 128).astype(np.int8)]
 
     def run_int(v):
-        return op.int_op(layer, [v], ins, QuantScheme(0.05, -7), extra, False)
+        return op.int_op(layer, [v], ins, QuantScheme(0.05, -7), stored, False)
 
     assert np.array_equal(_changed_pixels(run_int(xq), run_int(xq2)), only)
 

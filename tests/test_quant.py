@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from specdrive import kernels, quant
-from specdrive.errors import CorruptContainer, EmptyCalibration, RangeMissing
+from specdrive.errors import (CorruptContainer, EmptyCalibration, MissingWeights,
+                              RangeMissing)
+from specdrive.formats import read_container, write_container
 from specdrive import model
 from specdrive.model import (
     PIXEL_BLOCK,
@@ -164,10 +166,12 @@ def test_zero_input_yields_requantized_bias(rng):
     qg = quantize_model(g, w, calib)
     y = qforward(qg, np.zeros((4, 4, 2), np.float32))
     # all accumulators see (q - zp) = 0, so output = dequant(requant(bias))
-    ql = qg.qlayers["c"]
+    bias, bias_s = qg.tensors["c.bias"], qg.schemes["c.bias"]
     out_s = qg.schemes["c"]
+    assert bias.dtype == np.int32 and bias_s.zero_point == 0
+    assert bias_s.scale == qg.schemes["input"].scale * qg.schemes["c.weight"].scale
     expect_q = np.clip(
-        round_half_away(ql.bias * (ql.bias_scale / out_s.scale)) + out_s.zero_point,
+        round_half_away(bias * (bias_s.scale / out_s.scale)) + out_s.zero_point,
         -128, 127,
     )
     expect = (expect_q - out_s.zero_point) * out_s.scale
@@ -226,6 +230,82 @@ def test_container_roundtrip(tmp_path, rng):
     assert np.array_equal(qforward(qg, x), qforward(qg2, x))
 
 
+def test_quantize_graph_missing_tensor_raises_missing_weights(rng):
+    """A weight dict without a kernel layer's tensor is MissingWeights, not
+    a raw KeyError, also where no batch norm folds into the layer."""
+    g = small_unet()
+    w = generate_weights(g, 26)
+    ranges = calibrate(g, w, [rng.uniform(0, 1, (16, 16, 5)).astype(np.float32)])
+    del w["head.conv.bias"]
+    with pytest.raises(MissingWeights, match="head.conv.bias"):
+        quantize_graph(g, w, ranges)
+
+
+SDQ_DTYPES = {t: t for t in ("<i1", "<i4", "<f4")}
+
+
+def _reorder_sdq(src, dst, edit):
+    """Rewrite a .sdq with edit applied to its (manifest entry, array)
+    list, through the container codec."""
+    header, arrays = read_container(src, quant.MAGIC, SDQ_DTYPES, lambda h, a: (h, a))
+    tensors = [(e, arrays[e["name"]][0]) for e in header.pop("tensors")]
+    write_container(dst, quant.MAGIC, header, edit(tensors))
+
+
+@pytest.fixture(scope="module")
+def sdq_models(tmp_path_factory):
+    """.sdq files of a U-Net with float input tensors and of the MLP, and an
+    input for each."""
+    root = tmp_path_factory.mktemp("sdq")
+    rng = np.random.default_rng(30)
+    out = []
+    unet = build_unet(UNetConfig(patch_size=16, initial_filters=4, in_channels=5,
+                                 input_norm="band_sum+zscore"))
+    for name, g in (("unet", unet), ("mlp", build_mlp(5, 3))):
+        x = rng.uniform(0.05, 0.95, (16, 16, 5)).astype(np.float32)
+        save_qgraph(root / f"{name}.sdq", quantize_model(g, generate_weights(g, 30), [x]))
+        out.append((root / f"{name}.sdq", x))
+    return out
+
+
+def test_save_of_load_rewrites_the_file(tmp_path, sdq_models):
+    for path, _ in sdq_models:
+        save_qgraph(tmp_path / "again.sdq", load_qgraph(path))
+        assert (tmp_path / "again.sdq").read_bytes() == path.read_bytes()
+
+
+def test_sdq_tensors_load_by_name_in_any_order(tmp_path, sdq_models):
+    """Tensors are written in layer order; a file with the older order
+    (kernel layers, then tables, then float tensors) loads to the same
+    bits."""
+    def older(tensors):
+        return sorted(tensors, key=lambda t: 0 if "scale" in t[0] else
+                      1 if t[0]["name"].endswith(".lut") else 2)
+
+    for path, x in sdq_models:
+        _reorder_sdq(path, tmp_path / "old.sdq", older)
+        assert (tmp_path / "old.sdq").read_bytes() != path.read_bytes()
+        qg, old = load_qgraph(path), load_qgraph(tmp_path / "old.sdq")
+        assert list(old.tensors) == list(qg.tensors)
+        for naive in (False, True):
+            assert np.array_equal(qforward(old, x, naive=naive),
+                                  qforward(qg, x, naive=naive))
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing", "duplicate"])
+def test_sdq_must_hold_exactly_the_stored_tensors(tmp_path, sdq_models, edit):
+    def change(tensors):
+        if edit == "extra":
+            return tensors + [({"name": "spare", "shape": [2], "dtype": "<f4"},
+                               np.zeros(2, np.float32))]
+        return tensors[1:] if edit == "missing" else tensors + tensors[-1:]
+
+    for path, _ in sdq_models:
+        _reorder_sdq(path, tmp_path / "bad.sdq", change)
+        with pytest.raises(CorruptContainer):
+            load_qgraph(tmp_path / "bad.sdq")
+
+
 def test_truncated_qcontainer_rejected(tmp_path, rng):
     g = build_mlp(25, 3)
     w = generate_weights(g, 27)
@@ -243,7 +323,8 @@ def test_mlp_lut_path(rng):
     w = generate_weights(g, 28)
     calib = [rng.uniform(0.05, 0.95, (30, 25)).astype(np.float32) for _ in range(4)]
     qg = quantize_model(g, w, calib)
-    assert set(qg.luts) == {"act0", "act1", "act2"}
+    tables = {n for n in qg.tensors if n.endswith(".lut")}
+    assert tables == {"act0.lut", "act1.lut", "act2.lut"}
     x = calib[0]
     yq = qforward(qg, x)
     yf = forward(g, x, w)
@@ -267,7 +348,7 @@ def test_table_lookup_matches_int16_index(rng):
     lut = rng.integers(-128, 128, 256).astype(np.int8)
     x = np.arange(-128, 128, dtype=np.int8)
     for xs in (x, x.reshape(16, 16).T):  # contiguous and strided
-        got = table_lookup(None, [xs], None, None, lut, False)
+        got = table_lookup(None, [xs], None, None, [lut], False)
         assert np.array_equal(got, lut[xs.astype(np.int16) + 128])
 
 
