@@ -128,7 +128,7 @@ def load_raw(path) -> tuple[np.ndarray, dict]:
     with _header_errors(sidecar_path):
         meta = json.loads(sidecar_path.read_bytes().decode())
         h, w = _int_pair([meta["height"], meta["width"]])
-        bit_depth = meta.get("bit_depth", 16)
+        (bit_depth,) = _ints([meta.get("bit_depth", 16)], 1)
     if min(h, w) < 1 or bit_depth not in range(1, 17):
         raise CorruptContainer(f"{path}: bad size {w}x{h} or bit depth {bit_depth}")
     size = Path(path).stat().st_size
@@ -174,8 +174,8 @@ def load_cube(path) -> np.ndarray:
         raise CorruptContainer(f"{path}: missing cube header")
     with _header_errors(path):
         meta = json.loads(raw[:nl].decode())
-        h, w, b = (meta[k] for k in ("height", "width", "bands"))
-        if not all(isinstance(n, int) and n >= 1 for n in (h, w, b)):
+        h, w, b = _ints([meta[k] for k in ("height", "width", "bands")], 3)
+        if min(h, w, b) < 1:
             raise ValueError(f"bad cube size {(h, w, b)}")
     payload = memoryview(raw)[nl + 1 :]
     if len(payload) != h * w * b * 4:

@@ -17,10 +17,11 @@ band-major (bands, mosaic_rows, mosaic_cols) stack. That stack is the
 pipeline's result and the .hsc payload's layout, so writing a cube file
 moves no data between layouts; the (rows, cols, bands) cube is transposed
 from it only when a caller asks for it. Cropping returns a view, and
-reflectance runs in row blocks that stay in cache. Translation reads its
-neighbours as shifted slices of an edge-padded copy of the plane, not by
-index gathers; the slices hold the same values the gathers read, so the
-cube is bitwise what the gathers gave. Only translation is split across
+reflectance runs in row blocks that stay in cache. Translation is a column
+and a row pass over whole planes with one scalar weight per axis; the
+clamped column and row (weight 0) are rewritten after their pass, so each
+element meets the naive form's float32 operands in its order and the cube
+is bitwise the naive one's. Only translation is split across
 worker threads, one band per task through tiling.map_patches; a plane
 depends on nothing but its band, so the cube does not depend on the worker
 count.
@@ -284,16 +285,11 @@ def _axis_coeffs(n_mosaic: int, offset: int, center: int, pitch: int):
     return i0, i1, t
 
 
-def _axis_t(n_mosaic: int, offset: int, center: int, pitch: int) -> np.ndarray:
-    """_axis_coeffs' t alone, from the same float32 scalars: the clamped
-    query is the last one when the samples lie at or before the center
-    (i1 = i+1 runs off the end) and the first one when they lie past it
-    (i0 = i-1 runs off the start)."""
-    after = center >= offset
-    t = np.full(n_mosaic, np.float32(center - offset + (0 if after else pitch))
-                / np.float32(pitch), np.float32)
-    t[-1 if after else 0] = np.float32(0.0)
-    return t
+def _axis_t(offset: int, center: int, pitch: int) -> np.float32:
+    """_axis_coeffs' t at every unclamped query, as one float32 scalar from
+    the same float32 operands."""
+    shift = center - offset + (0 if center >= offset else pitch)
+    return np.float32(shift) / np.float32(pitch)
 
 
 def translate_to_center(refl: np.ndarray, layout: MosaicLayout) -> np.ndarray:
@@ -319,56 +315,57 @@ def _translate(lattice, layout, band_fn, threads):
     return planes
 
 
-# output rows per block in _translate_band: at full width its two scratch
-# blocks are ~50 KB, so each block's six passes stay in cache
-_BLOCK_ROWS = 32
-
-
 def _translate_band(s, layout, b, out):
     """Interpolate band b's lattice plane s at the mosaic centers into the
-    (hm, wm) plane out.
+    C-contiguous (hm, wm) plane out.
 
     Per axis, _axis_coeffs pairs each query with samples (i, i+1), the last
     i+1 clamped, when the band's samples lie at or before the center, and
-    with (i-1, i), the first i-1 clamped, when they lie past it; t is 0
-    where it clamps (_axis_t gives that t without the index arrays). An
-    edge-padded copy of the plane, its replicated row and column behind the
-    axis in the first case and in front of it in the second, holds those
-    pairs as shifted slices: pad[:hm] is rows i0 and pad[1:] rows i1,
-    likewise for columns. So the four corners are, element for element,
-    the values the index gathers used to read, and they meet in the same
-    float32 expression, (1-t_r)*((1-t_c)*a0 + t_c*a1) +
-    t_r*((1-t_c)*b0 + t_c*b1), operand for operand: the plane is bitwise
-    what the gathers gave. The column pass over padded row i is both the
-    top of output row i and the bottom of row i-1, so it runs once per
-    row, in blocks of _BLOCK_ROWS rows.
+    with (i-1, i), the first i-1 clamped, when they lie past it; t is one
+    scalar (_axis_t) except at the clamped query, where it is 0. So the
+    column pass runs over the flattened plane, pairing each element with
+    its flat neighbour, and then rewrites each row's one wrong pair, its
+    clamped column, at t = 0. The row pass does the same over whole rows,
+    in place in out, then rewrites the clamped row. Every element meets the
+    float32 expression (1-t_r)*((1-t_c)*a0 + t_c*a1) + t_r*((1-t_c)*b0 +
+    t_c*b1) operand for operand, so out is bitwise _translate_band_naive's.
     """
     p = layout.pitch
-    hm, wm = s.shape
     cr, cc = layout.center_offset
     dr, dc = layout.band_offsets[b]
     if (dr, dc) == (cr, cc):
         out[...] = s
         return
-    pr, pc = int(cr < dr), int(cc < dc)
-    pad = np.empty((hm + 1, wm + 1), dtype=np.float32)
-    pad[pr : pr + hm, pc : pc + wm] = s
-    pad[pr : pr + hm, 0 if pc else -1] = s[:, 0 if pc else -1]
-    pad[0 if pr else -1] = pad[1 if pr else -2]
-    one = np.float32(1.0)
-    tr, tc = _axis_t(hm, dr, cr, p)[:, None], _axis_t(wm, dc, cc, p)
-    uc, ur = one - tc, one - tr
-    h = np.empty((_BLOCK_ROWS + 1, wm), dtype=np.float32)
-    tmp = np.empty_like(h)
-    for r in range(0, hm, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, hm - r)
-        hb, tb, ob = h[: n + 1], tmp[: n + 1], out[r : r + n]
-        np.multiply(uc, pad[r : r + n + 1, :wm], out=hb)
-        np.multiply(tc, pad[r : r + n + 1, 1:], out=tb)
-        np.add(hb, tb, out=hb)
-        np.multiply(ur[r : r + n], hb[:n], out=ob)
-        np.multiply(tr[r : r + n], hb[1:], out=tb[:n])
-        np.add(ob, tb[:n], out=ob)
+    tmp = np.empty(s.shape, np.float32)
+    _pair_pass(s.reshape(-1), _axis_t(dc, cc, p), cc >= dc, out.reshape(-1),
+               tmp.reshape(-1))
+    col = -1 if cc >= dc else 0
+    _clamped(s[:, col], out[:, col])
+    _pair_pass(out, _axis_t(dr, cr, p), cr >= dr, out, tmp)
+    row = -1 if cr >= dr else 0
+    _clamped(out[row], out[row])
+
+
+def _pair_pass(a, t, after, out, tmp):
+    """out[i] = (1-t)*a[i] + t*a[i+1] along axis 0 when after, else
+    (1-t)*a[i-1] + t*a[i]; tmp is a's shape and takes the shifted term
+    first, so out may be a. The unpaired last (after) or first slice of out
+    is left as it was, for _clamped."""
+    u = np.float32(1.0) - t
+    if after:
+        np.multiply(t, a[1:], out=tmp[:-1])
+        np.multiply(u, a[:-1], out=out[:-1])
+        np.add(out[:-1], tmp[:-1], out=out[:-1])
+    else:
+        np.multiply(u, a[:-1], out=tmp[1:])
+        np.multiply(t, a[1:], out=out[1:])
+        np.add(tmp[1:], out[1:], out=out[1:])
+
+
+def _clamped(a, out):
+    """The pair expression at t = 0, where both samples are a; out may be a."""
+    zero = np.float32(0.0)
+    np.add(np.float32(1.0) * a, zero * a, out=out)
 
 
 def _translate_band_naive(s, layout, b, out):

@@ -292,6 +292,33 @@ def test_cube_with_inf_rejected(tmp_path):
         formats.load_cube(tmp_path / "inf.hsc")
 
 
+@pytest.mark.parametrize("key, value", [("height", True), ("height", 1.0),
+                                        ("bands", True)])
+def test_cube_dimension_not_an_integer_exit_2(tmp_path, key, value):
+    """A boolean or float dimension whose product still matches the payload
+    used to reach reshape and exit 3 with a TypeError."""
+    good = tmp_path / "good.hsc"
+    formats.save_cube(good, np.ones((1, 3, 1), np.float32))
+    header, payload = good.read_bytes().split(b"\n", 1)
+    meta = {**json.loads(header), key: value}
+    bad = tmp_path / "bad.hsc"
+    bad.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    with pytest.raises(CorruptContainer):
+        formats.load_cube(bad)
+    assert main(["spectral", "corr", "--cube", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("bit_depth", [True, 12.0, "12"])
+def test_sidecar_bit_depth_not_an_integer_exit_2(files, tmp_path, bit_depth):
+    raw = tmp_path / "raw.u16"
+    raw.write_bytes((files / "raw.u16").read_bytes())
+    meta = {**json.loads((files / "raw.u16.json").read_text()), "bit_depth": bit_depth}
+    (tmp_path / "raw.u16.json").write_text(json.dumps(meta))
+    with pytest.raises(CorruptContainer):
+        formats.load_raw(raw)
+    assert preprocess(files, tmp_path, raw=raw) == 2
+
+
 def test_sdw_with_nan_weight_exit_2(files, tmp_path):
     g, w = load_weights(files / "unet.sdw")
     w["head.conv.bias"][0] = np.nan

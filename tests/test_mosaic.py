@@ -208,7 +208,7 @@ def _translate_naive(refl, lay):
 def test_translate_oracle_across_geometry(size, center):
     """Vectorized translation against the naive one on 1-row, 1-column and
     rectangular mosaics, every side of the center, with a permuted tile;
-    67 mosaic rows span three row blocks, the last one partial."""
+    then with a third of the samples set to NaN, +-inf and +-0."""
     rng = np.random.default_rng(17)
     lay = MosaicLayout(tile=rng.permutation(25).reshape(5, 5), active_size=size,
                        center_offset=center)
@@ -326,9 +326,40 @@ def test_band_offsets_invert_the_tile():
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_axis_t_is_axis_coeffs_t(n):
+    """_axis_t's scalar is _axis_coeffs' t at every query but the one that
+    clamps: the last when the samples lie at or before the center, the
+    first when they lie past it."""
     for offset in range(5):
         for center in range(5):
             _, _, want = mosaic._axis_coeffs(n, offset, center, 5)
-            got = mosaic._axis_t(n, offset, center, 5)
-            assert got.dtype == np.float32
-            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            got = mosaic._axis_t(offset, center, 5)
+            assert type(got) is np.float32
+            clamped = -1 if center >= offset else 0
+            assert want[clamped] == 0.0
+            interior = np.delete(want, clamped % n)
+            assert np.array_equal(interior.view(np.uint32),
+                                  np.full(n - 1, got).view(np.uint32))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("wm", [1, 2, 3])
+def test_translate_clamped_column_does_not_leak_into_next_row(wm, threads):
+    """The column pass pairs each row's clamped column with its flat
+    neighbour in the next or previous row; a NaN or inf there must not
+    reach that row's output, on either side of the center."""
+    lay = MosaicLayout(tile=np.arange(25).reshape(5, 5), active_size=(20, 5 * wm))
+    rng = np.random.default_rng(wm)
+    lattice = rng.uniform(0, 1, (25, 4, wm)).astype(np.float32)
+    lattice[:, 0, -1] = np.nan  # the flat neighbour of row 1's first column
+    lattice[:, 3, 0] = np.inf   # the flat neighbour of row 2's last column
+    slow = mosaic._translate(lattice, lay, mosaic._translate_band_naive, 1)
+    fast = mosaic._translate(lattice, lay, mosaic._translate_band, threads)
+    assert np.array_equal(fast, slow, equal_nan=True)
+    finite = np.isfinite(slow)
+    assert np.array_equal(fast[finite].view(np.uint32), slow[finite].view(np.uint32))
+    # band 4 (samples right of the center) pairs columns (i-1, i) and rows
+    # (i, i+1), so its row 1 reads rows 1-2 alone; band 20 (below, left of
+    # the center) pairs columns (i, i+1) and rows (i-1, i), so its row 2
+    # reads rows 1-2 alone: a leaked neighbour would show in them
+    assert np.isfinite(slow[4, 1]).all() and np.isfinite(slow[20, 2]).all()
