@@ -105,11 +105,14 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     the quantization) once over the cube, then the body on every patch of
     its output on `threads` workers (see model.split_input). A float model
     has its batch norm folded once here, in both kernel modes, so no patch
-    folds it again. Returns the per-patch probabilities in grid order;
-    naive selects reference kernels."""
+    folds it again; a quantized body builds its requantization tables here,
+    before the workers share it. Returns the per-patch probabilities in grid
+    order; naive selects reference kernels."""
     _check_bands(model.meta, cube)
     if isinstance(model, quant.QuantizedGraph):
         body, x = quant.run_input_prefix(model, cube, naive=naive)
+        if not naive:
+            body.tables  # built once, here, for every worker to read
         infer = partial(qforward, body, naive=naive)
     elif weights is None:
         raise MissingWeights("float graph needs a weight dict")
@@ -205,7 +208,9 @@ def _cmd_preprocess(args) -> int:
 def _cmd_segment(args) -> int:
     manifest = {}
     if args.manifest:
-        manifest.update(json.loads(Path(args.manifest).read_text()))
+        manifest = json.loads(Path(args.manifest).read_text())
+        if not isinstance(manifest, dict):
+            raise InvalidSpec(f"manifest {args.manifest} must be a JSON object")
     for key in ("cube", "model", "grid", "out", "render", "gt", "metrics"):
         value = getattr(args, key.replace("-", "_"), None)
         if value:

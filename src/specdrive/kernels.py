@@ -227,6 +227,14 @@ def relu_int(xq: np.ndarray, zp: int) -> np.ndarray:
     return np.maximum(xq, np.int8(zp) if xq.dtype == np.int8 else zp)
 
 
+def lookup_int(xq: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """lut[xq + 128] for int8 xq and a 256-entry table from -128 up. Rolled
+    by 128, the table is indexed by xq's bytes read as uint8; the roll is a
+    concatenation and the lookup np.take, which cost less per call than
+    np.roll and fancy indexing."""
+    return np.take(np.concatenate((lut[128:], lut[:128])), xq.view(np.uint8))
+
+
 FAST_KERNELS = {
     "conv2d": conv2d,
     "upconv2": upconv2,

@@ -163,12 +163,9 @@ def _weighted(kernel: str, shape, **kw) -> LayerKind:
 
 def table_lookup(layer, xs, ins, out, ts, naive):
     """Int op of an elementwise kind: its float op tabulated over all 256
-    int8 inputs, from -128 up (see quant.quantize_graph). Rolled by 128, the
-    table is indexed by the inputs' bytes read as uint8. The roll is a
-    concatenation and the lookup np.take, which cost less per call than
-    np.roll and fancy indexing."""
-    (lut,) = ts
-    return np.take(np.concatenate((lut[128:], lut[:128])), xs[0].view(np.uint8))
+    int8 inputs, from -128 up (see quant.quantize_graph), looked up through
+    kernels.lookup_int at call time."""
+    return kernels.lookup_int(xs[0], *ts)
 
 
 _CONV = _weighted("conv2d", lambda l: (l.kernel, l.kernel, l.in_ch, l.out_ch))

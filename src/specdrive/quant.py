@@ -8,18 +8,29 @@ as a 256-entry int8 lookup table. Input normalization stays in float in
 front of the quantization boundary and the final softmax runs in float after
 dequantization.
 
-Requantization is one pass over a kernel layer's accumulator: it is
-multiplied straight into float64 in units of the output scale, clipped to
-[-128 - zp, 127 - zp], rounded, and added to the zero point zp directly
+The reference tail of a kernel layer (requantize) multiplies its int32
+accumulator into float64 in units of the output scale, rounds half away
+from zero, adds the zero point and clips to int8. It is monotone in the
+accumulator, so the fast walk requantizes through a table instead: one int8
+entry per accumulator from the last one the tail saturates at -128 to the
+first one it saturates at 127, with every accumulator clamped into that
+range before the lookup (see requant_table). A table is filled from the
+reference tail, so fast and naive keep the same bits. When a kernel layer's
+only reader is a relu or a tanh (COMPOSABLE), the reader's int op is
+applied to the table and the reader passes its input through. A layer
+whose table would pass MAX_TABLE entries runs the reference tail. The
+tables are built once per QuantizedGraph, on first use, and kept with it
+(cli.infer_cube builds them before its workers start). The naive walk runs
+the reference tail and every relu and tanh, as the oracle of the tables,
+and return_all walks without tables so every tensor is its own layer's
+output. concat's requantization is a 256-entry table of the reference form
+in the fast walk, built per call.
+
+Quantizing a float input (QuantScheme.quant) clips to [-128 - zp, 127 - zp]
+in units of the scale before rounding and adding the zero point straight
 into the int8 output. Clipping first is exact: round-half-away is monotone
 and maps integers to themselves, so clip-then-round gives the integers of
-round-then-clip. When a kernel layer's only consumer is a relu, the floor
-rises to 0 (the zero point in int8) and the relu passes its input through;
-max(clip(r + zp), zp) is clip(r, 0, 127 - zp) + zp for any zp in int8, and
-on values >= 0 round-half-away is trunc(v + 0.5). The naive walk keeps the
-reference tail (round, add the zero point, clip, then a separate relu) as
-the oracle of the fused one, and return_all walks unfused so every tensor
-is its own layer's output.
+round-then-clip.
 
 A graph's leading per-pixel float layers (input normalization) and the
 quantization of their output need no neighbours, so run_input_prefix runs
@@ -41,6 +52,8 @@ checks the layers against the model description's folded graph.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +85,16 @@ from .model import (
 MAGIC = b"SDQ1"
 # degenerate calibration ranges are widened to at least this half-span
 MIN_HALF_SPAN = 1e-3
+# the longest requantization table built, in one-byte entries: it bounds a
+# table's memory at 4 MiB, where the widest layer of the benchmark's seeded
+# U-Net spans 0.31M accumulators. A layer whose unsaturated accumulator
+# range is wider runs the reference tail.
+MAX_TABLE = 2**22
+# kinds whose int op maps each int8 value on its own, so a requantization
+# table can absorb one that is its kernel layer's only reader
+COMPOSABLE = ("relu", "tanh")
+# every int8 value, from -128 up: the index range of a 256-entry table
+_INT8 = np.arange(-128, 128, dtype=np.int8)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -88,25 +111,19 @@ class QuantScheme:
     scale: float
     zero_point: int
 
-    def _to_int8(self, v: np.ndarray, *, relu: bool = False,
-                 naive: bool = False) -> np.ndarray:
+    def _to_int8(self, v: np.ndarray, naive: bool = False) -> np.ndarray:
         """int8 of round(v) + zero point, saturating, for an owned float64
-        buffer v in units of this scale; with relu, floored at the zero point
-        (real zero). The naive form is the reference: round, add the zero
-        point, clip, cast. The fast form clips v first, to [-128 - zp,
-        127 - zp] (or [0, 127 - zp]), then rounds and adds the zero point
+        buffer v in units of this scale. The naive form is the reference:
+        round, add the zero point, clip, cast. The fast form clips v first,
+        to [-128 - zp, 127 - zp], then rounds and adds the zero point
         straight into the int8 output (see the module docstring)."""
         zp = self.zero_point
         if naive:
             v = round_half_away(v)
             v += zp
             return np.clip(v, -128, 127, out=v).astype(np.int8)
-        np.clip(v, 0 if relu else -128 - zp, 127 - zp, out=v)
-        if relu:  # v >= 0: round half away is trunc(v + 0.5)
-            v += 0.5
-            np.trunc(v, out=v)
-        else:
-            v = round_half_away(v)
+        np.clip(v, -128 - zp, 127 - zp, out=v)
+        v = round_half_away(v)
         return np.add(v, zp, out=np.empty(v.shape, np.int8), casting="unsafe")
 
     def quant(self, x: np.ndarray, naive: bool = False) -> np.ndarray:
@@ -116,12 +133,16 @@ class QuantScheme:
         return ((q.astype(np.float64) - self.zero_point) * self.scale).astype(np.float32)
 
     def requant(self, q: np.ndarray, src: "QuantScheme", naive: bool = False) -> np.ndarray:
-        """Re-express int8 values held in scheme src in this scheme."""
+        """Re-express int8 values held in scheme src in this scheme. The
+        fast form looks q up in the naive form's outputs for all 256 int8
+        values."""
         if src == self:
             return q
+        if not naive:
+            return kernels.lookup_int(q, self.requant(_INT8, src, naive=True))
         v = np.subtract(q, src.zero_point, dtype=np.float64)
         v *= src.scale / self.scale
-        return self._to_int8(v, naive=naive)
+        return self._to_int8(v, naive=True)
 
     @classmethod
     def symmetric_for(cls, tensor: np.ndarray) -> "QuantScheme":
@@ -151,6 +172,13 @@ class QuantizedGraph:
     def meta(self) -> dict:
         """The model description, as a float graph's meta."""
         return self.graph.meta
+
+    @cached_property
+    def tables(self) -> dict[str, "RequantTable"]:
+        """The fast walk's requantization tables (see requant_tables),
+        built on first use and kept with this graph, whose schemes and
+        tensors are not changed after."""
+        return requant_tables(self)
 
 
 @dataclass(frozen=True)
@@ -279,22 +307,97 @@ def quantize_model(
     return quantize_graph(graph, weights, calibrate(graph, weights, calib))
 
 
-def _relu_folds(qg: QuantizedGraph) -> set[str]:
-    """Kernel layers whose only consumer is a relu."""
-    readers: dict[str, list[str]] = {}
+class RequantTable(NamedTuple):
+    """A kernel layer's requantization as a lookup: table[a - lo] is the
+    int8 output of accumulator a for a in [lo, lo + len(table)), and
+    accumulators beyond either end give the end's entry."""
+    lo: int
+    table: np.ndarray
+    composes: bool  # the layer's one reader (a COMPOSABLE kind) is in the table
+
+
+def _ratio(qg: QuantizedGraph, layer: LayerSpec) -> float:
+    """A kernel layer's accumulator scale (its bias's) over its output scale."""
+    bias = stored_tensors(layer)[1][0]
+    return qg.schemes[bias].scale / qg.schemes[layer.name].scale
+
+
+def requantize(acc: np.ndarray, ratio: float, scheme: QuantScheme) -> np.ndarray:
+    """The reference tail: an accumulator at ratio times scheme's scale,
+    multiplied into float64 in units of scheme's scale, rounded, offset by
+    the zero point and clipped to int8."""
+    return scheme._to_int8(np.multiply(acc, ratio, dtype=np.float64), naive=True)
+
+
+def requant_table(ratio: float, scheme: QuantScheme, after=None):
+    """(lo, table) of requantize(acc, ratio, scheme), then the int8 op
+    after if given, as RequantTable describes; None past MAX_TABLE entries.
+
+    The tail is monotone in the accumulator and takes at most 256 values,
+    so the table is a run of each. Run k starts at the first accumulator the
+    reference tail takes to k or above, found among the five integers around
+    its estimate (k - zp - 0.5) / ratio. lo is the last accumulator that
+    saturates at -128 and the table ends at the first one that saturates at
+    127, so clamping any accumulator into the table is exact."""
+    k = np.arange(-127, 128)
+    est = np.ceil((k - scheme.zero_point - 0.5) / ratio)
+    if not est[-1] - est[0] + 2 <= MAX_TABLE:  # NaN when both ends overflow
+        return None
+    near = est.astype(np.int64)[:, None] + np.arange(-2, 3)
+    reached = requantize(near, ratio, scheme) >= k[:, None]
+    assert not reached[:, 0].any() and reached[:, -1].all(), "boundary estimate off"
+    starts = near[np.arange(len(k)), reached.argmax(axis=1)]
+    lo, hi = int(starts[0]) - 1, int(starts[-1])
+    runs = np.diff(np.concatenate(([lo], starts, [hi + 1])))
+    return lo, np.repeat(_INT8 if after is None else after(_INT8), runs)
+
+
+def requant_tables(qg: QuantizedGraph) -> dict[str, RequantTable]:
+    """A RequantTable for every kernel layer of qg within MAX_TABLE. When
+    the layer's only reader is a relu or a tanh, the table holds that
+    reader's int op applied to the requantized value, and the fast walk
+    passes the reader its input."""
+    readers: dict[str, list[LayerSpec]] = {}
     for layer in qg.graph.layers:
         for src in layer.inputs:
-            readers.setdefault(src, []).append(layer.kind)
-    return {l.name for l in qg.graph.layers
-            if _accumulates(LAYER_KINDS[l.kind]) and readers.get(l.name) == ["relu"]}
+            readers.setdefault(src, []).append(layer)
+    tables = {}
+    for layer in qg.graph.layers:
+        if not _accumulates(LAYER_KINDS[layer.kind]):
+            continue
+        reader = readers.get(layer.name, [])
+        composes = len(reader) == 1 and reader[0].kind in COMPOSABLE
+        built = requant_table(_ratio(qg, layer), qg.schemes[layer.name],
+                              _unary_int_op(qg, reader[0]) if composes else None)
+        if built is not None:
+            tables[layer.name] = RequantTable(*built, composes)
+    return tables
 
 
-def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool, folded: set[str]):
+def _unary_int_op(qg: QuantizedGraph, layer: LayerSpec):
+    """A one-input layer's int op, as a function of its int8 input."""
+    kind = LAYER_KINDS[layer.kind]
+    ins, out = [qg.schemes[layer.inputs[0]]], qg.schemes[layer.name]
+    ts = [_weight(qg.tensors, t) for t, _, _ in stored_tensors(layer)]
+    return lambda q: kind.int_op(layer, [q], ins, out, ts, False)
+
+
+def _lookup(acc: np.ndarray, t: RequantTable) -> np.ndarray:
+    """t's entry for each accumulator: clamp into the table, in acc's
+    buffer, subtract its low end, take."""
+    np.clip(acc, t.lo, t.lo + len(t.table) - 1, out=acc)
+    acc -= t.lo
+    return t.table.take(acc)
+
+
+def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool,
+           tables: dict[str, RequantTable]):
     """One walk of the quantized graph over x (float, or int8 already in the
     scheme of "input"): (float tensors, int8 tensors) by name. Int tensors
     are made from float ones, and back, where a layer of the other domain
-    needs them. A kernel layer in folded requantizes with the floor of the
-    relu that consumes it, and that relu passes it through."""
+    needs them. A kernel layer with a table in tables requantizes through
+    it, and a reader composed into the table passes its input through; any
+    other kernel layer runs the reference tail."""
     kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
     fvals: dict[str, np.ndarray] = {}
     qvals: dict[str, np.ndarray] = {}
@@ -313,13 +416,13 @@ def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool, folded: set[str]):
 
     for layer in qg.graph.layers:
         name, kind = layer.name, LAYER_KINDS[layer.kind]
-        stored = stored_tensors(layer)
-        ts = [_weight(qg.tensors, t) for t, _, _ in stored]
+        ts = [_weight(qg.tensors, t) for t, _, _ in stored_tensors(layer)]
         if kind.int_op is None:
             fvals[name] = kind.float_op(
                 layer, [as_float(src) for src in layer.inputs], ts, kset)
             continue
-        if layer.inputs[0] in folded:  # the relu already ran in the requantization
+        producer = tables.get(layer.inputs[0])
+        if producer is not None and producer.composes:  # ran in that table
             qvals[name] = qvals[layer.inputs[0]]
             continue
         q = kind.int_op(
@@ -331,9 +434,9 @@ def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool, folded: set[str]):
             naive,
         )
         if _accumulates(kind):  # int32 accumulator, at the bias's scale, back to int8
-            v = np.multiply(q, schemes[stored[1][0]].scale / schemes[name].scale,
-                            dtype=np.float64)
-            q = schemes[name]._to_int8(v, relu=name in folded, naive=naive)
+            table = tables.get(name)
+            q = (_lookup(q, table) if table is not None
+                 else requantize(q, _ratio(qg, layer), schemes[name]))
         qvals[name] = q
     return fvals, qvals
 
@@ -365,15 +468,15 @@ def qforward(
         raise RangeMissing('an int8 input needs a scheme for "input"')
     schemes = qg.schemes
     if return_all:
-        fvals, qvals = _qwalk(qg, x, naive, set())
+        fvals, qvals = _qwalk(qg, x, naive, {})
         return {n: (fvals[n] if n in fvals else schemes[n].dequant(qvals[n]))
                 for n in {**qvals, **fvals}}
 
     out_name = qg.graph.output_name
-    folded = set() if naive else _relu_folds(qg)
+    tables = {} if naive else qg.tables
 
     def output(block):
-        fvals, qvals = _qwalk(qg, block, naive, folded)
+        fvals, qvals = _qwalk(qg, block, naive, tables)
         return fvals[out_name] if out_name in fvals else schemes[out_name].dequant(
             qvals[out_name])
 

@@ -50,8 +50,9 @@ class SceneSpec:
             raise InvalidSpec(f"unknown scene kind {self.kind!r}")
         if self.layout_kind not in ("vstripes", "hstripes", "rects"):
             raise InvalidSpec(f"unknown region layout {self.layout_kind!r}")
-        if self.kind == "classes" and self.num_classes < 1:
-            raise InvalidSpec("need at least one class")
+        # class maps and masks are uint8, and IGNORE_LABEL takes the last value
+        if self.kind == "classes" and not 1 <= self.num_classes <= IGNORE_LABEL:
+            raise InvalidSpec(f"need 1 to {IGNORE_LABEL} classes, got {self.num_classes}")
         if self.layout_kind == "rects" and not self.rects:
             raise InvalidSpec("rects layout needs at least one rectangle")
         if not 0 <= self.dark_level < self.white_level <= 65535:

@@ -21,6 +21,7 @@ from specdrive.model import LayerSpec, ModelGraph, UNetConfig, build_mlp, build_
 from specdrive.mosaic import default_layout
 from specdrive.quant import load_qgraph, quantize_model, save_qgraph
 from specdrive.spectral import class_stats
+from specdrive.synth import SceneSpec
 from specdrive.weights import generate_weights, load_weights, save_weights
 
 SMALL = UNetConfig(patch_size=8, encoder_depth=1, initial_filters=2, in_channels=5)
@@ -369,6 +370,27 @@ def test_segment_threads_precedence(files, tmp_path, monkeypatch):
     monkeypatch.delenv("SPECDRIVE_THREADS")
     assert segment(files, tmp_path) == 0
     assert seen == [4, 2, 3, 1]
+
+
+def test_segment_manifest_not_an_object_exit_2(files, tmp_path, capsys):
+    """A manifest holding a JSON list used to reach dict.update and exit 3."""
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([str(files / "cube.hsc")]))
+    assert segment(files, tmp_path, manifest=path) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes", [0, 256, 300])
+def test_synth_class_count_out_of_range_exit_2(tmp_path, capsys, classes):
+    """Masks are uint8 with 255 as the ignore label, so a scene has 1 to 255
+    classes; 300 used to exit 0, class 255 becoming the ignore label and the
+    classes from 256 up wrapping to 0."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_classes": classes}))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 2
+    assert "need 1 to 255 classes" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    assert SceneSpec(num_classes=255).num_classes == 255
 
 
 @pytest.mark.parametrize("mismatched", ["model", "quantized_model"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specdrive import kernels, quant
+from specdrive import cli, kernels, quant
 from specdrive.errors import (CorruptContainer, EmptyCalibration, MissingWeights,
                               RangeMissing)
 from specdrive.formats import read_container, write_container
@@ -18,6 +18,7 @@ from specdrive.model import (
     walk,
 )
 from specdrive.quant import (
+    QuantizedGraph,
     QuantScheme,
     calibrate,
     load_qgraph,
@@ -30,6 +31,7 @@ from specdrive.quant import (
     run_input_prefix,
     save_qgraph,
 )
+from specdrive.tiling import build_grid
 from specdrive.weights import generate_weights
 
 
@@ -458,35 +460,70 @@ def _epilogue_values() -> np.ndarray:
                            [below_half, -below_half, 0.0, -0.0, 3e9, -3e9]])
 
 
-@pytest.mark.parametrize("relu", [False, True], ids=["plain", "relu"])
-def test_requantization_epilogue_matches_reference(relu):
+def test_requantization_epilogue_matches_reference():
     """The clip-first epilogue gives the bits of round, add the zero point,
-    clip (then relu_int with the relu floor), for every zero point."""
+    clip, for every zero point."""
     v = _epilogue_values()
     rounded = round_half_away(v)
     for zp in range(-128, 128):
         scheme = QuantScheme(1.0, zp)
         want = np.clip(rounded + zp, -128, 127).astype(np.int8)
-        if relu:
-            want = kernels.relu_int(want, zp)
-        else:
-            assert np.array_equal(scheme._to_int8(v.copy(), naive=True), want), zp
-        got = scheme._to_int8(v.copy(), relu=relu)
+        assert np.array_equal(scheme._to_int8(v.copy(), naive=True), want), zp
+        got = scheme._to_int8(v.copy())
         assert got.dtype == np.int8 and np.array_equal(got, want), zp
 
 
-def test_relu_folds_into_requantization(monkeypatch, rng):
-    """qforward without naive or return_all floors a kernel layer that only
-    feeds a relu in its requantization and never calls relu_int; the naive
-    and return_all walks run every relu and give the same output bits."""
+# dyadic ratios put acc * ratio exactly on the ties k + 0.5; the others step
+# over several output levels at once, or take many accumulators per level
+TABLE_RATIOS = [0.5, 0.25, 0.125, 1.5, 2.5, 1 / 3, 0.1, 0.007, 3.0, 300.0]
+INT32_ENDS = [-2**31, -2**31 + 1, 2**31 - 2, 2**31 - 1]
+
+
+@pytest.mark.parametrize("after", ["plain", "relu", "tanh"])
+def test_requant_table_matches_reference_tail(after):
+    """A requantization table, looked up with the accumulator clamped into
+    it, gives the reference tail's bits (then relu_int, or a tanh table) for
+    every zero point, on accumulators past both of its ends and at the int32
+    extremes. Its ends are the last accumulator saturated at -128 and the
+    first saturated at 127."""
+    lut = np.random.default_rng(5).integers(-128, 128, 256).astype(np.int8)
+    for ratio in TABLE_RATIOS:
+        for zp in range(-128, 128):
+            scheme = QuantScheme(1.0, zp)
+            op = {"plain": None, "relu": lambda q: kernels.relu_int(q, zp),
+                  "tanh": lambda q: kernels.lookup_int(q, lut)}[after]
+            lo, table = quant.requant_table(ratio, scheme, op)
+            hi = lo + len(table) - 1
+            acc = np.array([*range(lo - 40, hi + 41), *INT32_ENDS], np.int32)
+            want = quant.requantize(acc, ratio, scheme)
+            assert want[40] == -128 and want[41] > -128, (ratio, zp)
+            assert want[-45] == 127 and want[-46] < 127, (ratio, zp)
+            if op is not None:
+                want = op(want)
+            got = quant._lookup(acc.copy(), quant.RequantTable(lo, table, False))
+            assert got.dtype == np.int8 and np.array_equal(got, want), (ratio, zp)
+
+
+def _spy_calls(monkeypatch, owner, name):
+    """Count the calls to owner.name, which still runs."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+def test_relu_folds_into_requantization(monkeypatch, rng, mlp_models):
+    """qforward without naive or return_all composes the relu or tanh that
+    is a kernel layer's only reader into its requantization table, and never
+    calls relu_int or the tanh's lookup_int; the naive and return_all walks
+    run every relu and tanh and give the same output bits."""
     g = small_unet()
     w = generate_weights(g, 25)
     calib = [rng.uniform(0, 1, (16, 16, 5)).astype(np.float32) for _ in range(2)]
     qg = quantize_model(g, w, calib)
     relus = sum(l.kind == "relu" for l in qg.graph.layers)
-    calls = []
-    relu_int = kernels.relu_int
-    monkeypatch.setattr(kernels, "relu_int", lambda *a: calls.append(1) or relu_int(*a))
+    assert len(qg.tables) == relus + 3  # built (with relu_int) before the spy
+    calls = _spy_calls(monkeypatch, kernels, "relu_int")
     x = calib[1]
     fast = qforward(qg, x)
     assert calls == []
@@ -494,6 +531,83 @@ def test_relu_folds_into_requantization(monkeypatch, rng):
     full = qforward(qg, x, return_all=True)
     assert np.array_equal(full[qg.graph.output_name], fast) and len(calls) == 2 * relus
     assert full["enc0.conv0"].min() < full["enc0.relu0"].min()  # the relu ran after
+
+    _, _, qg = mlp_models
+    x = np.random.default_rng(6).uniform(0.05, 0.95, (PIXEL_BLOCK + 7, 25)).astype(np.float32)
+    assert {n: t.composes for n, t in qg.tables.items()} == {
+        "fc0": True, "fc1": True, "fc2": True, "fc3": False}
+    calls = _spy_calls(monkeypatch, kernels, "lookup_int")
+    fast = qforward(qg, x)
+    assert calls == []
+    assert np.array_equal(qforward(qg, x, naive=True), fast) and len(calls) == 2 * 3
+    assert np.array_equal(qforward(qg, x, return_all=True)[qg.graph.output_name], fast)
+
+
+def _big_bias_mlp(rng):
+    """A quantized dense/tanh/dense graph whose first layer has tiny weights
+    under a large bias: its accumulator scale is ~1e-6 of its output scale,
+    so its table would be far past MAX_TABLE."""
+    layers = [LayerSpec("fc0", "dense", ("input",), 4, 6),
+              LayerSpec("act0", "tanh", ("fc0",), 6, 6),
+              LayerSpec("fc1", "dense", ("act0",), 6, 3),
+              LayerSpec("out", "softmax", ("fc1",), 3, 3)]
+    g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
+    w = generate_weights(g, 9)
+    w["fc0.weight"] = w["fc0.weight"] * 1e-5
+    w["fc0.bias"] = np.linspace(-2, 2, 6).astype(np.float32)
+    x = rng.uniform(0, 1, (64, 4)).astype(np.float32)
+    return quantize_model(g, w, [x]), x
+
+
+def test_over_cap_layer_runs_the_reference_tail(monkeypatch, rng):
+    """A kernel layer past MAX_TABLE gets no table; it runs the naive walk's
+    reference tail, its tanh runs its own lookup, and the output keeps the
+    naive walk's bits. With the cap at 0 no layer has a table, bitwise too."""
+    qg, x = _big_bias_mlp(rng)
+    assert set(qg.tables) == {"fc1"} and not qg.tables["fc1"].composes
+    want = qforward(qg, x, naive=True)
+    calls = _spy_calls(monkeypatch, kernels, "lookup_int")
+    assert np.array_equal(qforward(qg, x), want) and len(calls) == 1
+    monkeypatch.setattr(quant, "MAX_TABLE", 0)
+    uncapped = QuantizedGraph(qg.graph, qg.schemes, qg.tensors)
+    assert uncapped.tables == {} and np.array_equal(qforward(uncapped, x), want)
+
+
+def test_kernel_layer_with_two_readers_keeps_its_own_values(rng):
+    """A tanh is composed only into a layer it alone reads: here a concat
+    also reads the dense layer, so the table requantizes plainly and the
+    fast walk keeps the naive walk's bits."""
+    layers = [LayerSpec("fc0", "dense", ("input",), 4, 5),
+              LayerSpec("act0", "tanh", ("fc0",), 5, 5),
+              LayerSpec("cat", "concat", ("act0", "fc0"), 10, 10),
+              LayerSpec("out", "softmax", ("cat",), 10, 10)]
+    g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
+    x = rng.uniform(0, 1, (300, 4)).astype(np.float32)
+    qg = quantize_model(g, generate_weights(g, 10), [x])
+    assert set(qg.tables) == {"fc0"} and not qg.tables["fc0"].composes
+    assert np.array_equal(qforward(qg, x), qforward(qg, x, naive=True))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_tables_built_once_per_infer_cube(monkeypatch, rng, threads):
+    """infer_cube builds the body's tables once, before its workers start,
+    whatever the thread count, and gives the naive walk's bits."""
+    g = small_unet()
+    w = generate_weights(g, 27)
+    cube = rng.uniform(0.05, 0.95, (40, 30, 5)).astype(np.float32)
+    qg = quantize_model(g, w, [cube[:16, :16]])
+    grid = build_grid((40, 30), 16, 8, 7)
+    calls = _spy_calls(monkeypatch, quant, "requant_tables")
+    built_before_map = []
+    map_patches = cli.map_patches
+    monkeypatch.setattr(cli, "map_patches", lambda *a: built_before_map.append(
+        len(calls)) or map_patches(*a))
+    got = cli.infer_cube(qg, cube, grid, threads=threads)
+    assert built_before_map == [1] and len(calls) == 1
+    assert len(got) == grid.n_patches > threads
+    want = cli.infer_cube(qg, cube, grid, naive=True)
+    assert len(calls) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("norm", ["band_sum", "zscore", "band_sum+zscore", "none"])
