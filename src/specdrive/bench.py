@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -25,11 +24,12 @@ from functools import partial
 import numpy as np
 
 from . import cli
-from .errors import InvalidOption, NonDeterministicOutput, int_option
+from .errors import (Field, InvalidOption, NonDeterministicOutput, fields, json_field,
+                     json_spec, value)
 from .mosaic import STAGE_NAMES, STAGE_TOTAL, MosaicLayout, preprocess_pipeline
 from .model import ModelGraph
 from .quant import QuantizedGraph
-from .tiling import PatchGrid, reconstruct
+from .tiling import THREADS, PatchGrid, reconstruct
 
 STAGE_INFER = "Inference"
 STAGE_REBUILD = "Reconstruction"
@@ -37,43 +37,32 @@ STAGE_REBUILD = "Reconstruction"
 
 @dataclass(frozen=True)
 class BenchConfig:
-    iterations: int = 1000
-    warmup: int = 10
-    threads: tuple[int, ...] = (1,)
-    vectorized: tuple[bool, ...] = (True,)
-    watts: float | None = None
+    iterations: int = json_field(1000, int, 1, 10**6)
+    warmup: int = json_field(10, int, 0, 10**6)
+    threads: tuple[int, ...] = json_field((1,), [int], THREADS.lo, THREADS.hi)
+    vectorized: tuple[bool, ...] = json_field((True,), [bool])
+    watts: float | None = json_field(None, float, 0)
 
     def __post_init__(self):
-        int_option("iterations", self.iterations)
-        int_option("warmup", self.warmup, least=0)
-        for t in self.threads:
-            int_option("threads", t)
+        fields(vars(self), json_spec(BenchConfig), "bench config")
         if not self.threads or not self.vectorized:
             raise InvalidOption("need at least one thread count and one kernel mode")
-        if not all(isinstance(v, bool) for v in self.vectorized):
-            raise InvalidOption(f"vectorized must be booleans, got {self.vectorized!r}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BenchConfig":
-        if not isinstance(d, dict):
-            raise InvalidOption(f"bench config must be a JSON object, got {d!r}")
-        kw = {key: d[key] for key in ("iterations", "warmup") if key in d}
-        for key in ("threads", "vectorized"):
-            if key in d:
-                v = d[key]
-                kw[key] = tuple(v) if isinstance(v, (list, tuple)) else (v,)
-        if d.get("watts") is not None:
-            kw["watts"] = float(_finite_nonneg("watts", d["watts"]))
-        return cls(**kw)
+    def from_dict(cls, d, name: str = "bench config") -> "BenchConfig":
+        return read_config(d, name)[0]
 
 
-def _finite_nonneg(name: str, value):
-    """value if it is an int or float (not a bool), finite and >= 0;
-    anything else raises InvalidOption."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 <= value < math.inf):
-        raise InvalidOption(f"{name} must be a finite number >= 0, got {value!r}")
-    return value
+def read_config(d, name: str, inputs: dict[str, Field] | None = None):
+    """(BenchConfig, the inputs' fields) read from the JSON object d, whose
+    keys are BenchConfig's and inputs' (a target's input files and numbers);
+    threads and vectorized may each be one value or a list of them."""
+    if isinstance(d, dict):
+        d = {k: [v] if k in ("threads", "vectorized") and not isinstance(v, list) else v
+             for k, v in d.items()}
+    config = json_spec(BenchConfig)
+    got = fields(d, {**config, **(inputs or {})}, name)
+    return BenchConfig(**{k: got.pop(k) for k in config}), got
 
 
 @dataclass
@@ -199,8 +188,7 @@ def bench_inference(
     (the input prefix once, then the model body on every patch of the grid)
     as Inference, plus probability-map reconstruction. With preprocess_ms,
     also reports the two-stage pipeline throughput 1 / max(stage means)."""
-    if preprocess_ms is not None:
-        _finite_nonneg("preprocess_ms", preprocess_ms)
+    value(preprocess_ms, Field(float, 0, default=None), "preprocess_ms")
 
     def run(v, t):
         t0 = time.perf_counter()

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -21,8 +22,8 @@ import numpy as np
 from . import bench as bench_mod
 from . import formats, quant
 from .complexity import count_flops
-from .errors import (InvalidOption, InvalidSpec, MissingWeights, ShapeMismatch,
-                     SpecdriveError, int_option)
+from .errors import (Field, InvalidOption, InvalidSpec, MissingWeights, ShapeMismatch,
+                     SpecdriveError, decode, fields, json_spec, value)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
 from .model import build_from_meta, fold_batchnorm, forward, run_input_prefix
 from .mosaic import default_layout, preprocess_pipeline
@@ -42,7 +43,7 @@ from .spectral import (
     separability,
 )
 from .synth import SceneSpec, synth_scene
-from .tiling import build_grid, extract_patches, map_patches, reconstruct
+from .tiling import THREADS, build_grid, extract_patches, map_patches, reconstruct
 from .weights import load_weights
 
 THREADS_ENV = "SPECDRIVE_THREADS"
@@ -62,13 +63,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_model(path: str, want_quantized: bool | None = None):
-    """Return ('float', graph, weights) or ('quantized', qgraph, None)."""
+def _load_model(path: str, want_quantized: bool = False):
+    """Return ('float', graph, weights) or ('quantized', qgraph, None); a
+    float file where a quantized one is wanted raises InvalidSpec."""
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic == quant.MAGIC:
-        if want_quantized is False:
-            raise InvalidSpec(f"{path} is a quantized container")
         return "quantized", load_qgraph(path), None
     if want_quantized:
         raise InvalidSpec(
@@ -123,38 +123,39 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     return map_patches(infer, extract_patches(x, grid), threads)
 
 
-def run_segment(manifest: dict) -> dict:
+_PATH = Field(str, default=None)
+# a segment manifest: the paths of its inputs and outputs, and its options
+MANIFEST = {"cube": Field(str), "model": Field(str), "out": Field(str),
+            "quantized": Field(bool, default=False), "grid": _PATH, "render": _PATH,
+            "gt": _PATH, "metrics": _PATH, "threads": THREADS._replace(default=1)}
+
+
+def run_segment(manifest: dict, name: str = "manifest") -> dict:
     """Full image path: cube -> infer_cube -> reconstruction -> outputs.
 
-    Manifest keys: cube, model, out (required); quantized, grid, render,
-    gt, metrics, threads (optional; an integer >= 1, default 1). Flags from
-    the CLI override manifest entries. Returns the per-output paths plus the
-    label mask.
+    The manifest holds MANIFEST's keys; name says where it came from. Flags
+    from the CLI override manifest entries. Returns the per-output paths
+    plus the label mask.
     """
-    for key in ("cube", "model", "out"):
-        if not manifest.get(key):
-            raise InvalidSpec(f"manifest is missing {key!r}")
+    manifest = fields(manifest, MANIFEST, name)
     cube = formats.load_cube(manifest["cube"])
-    _, model, weights = _load_model(
-        manifest["model"], manifest.get("quantized") or None
-    )
-    grid = _grid_for(model.meta, cube, manifest.get("grid"))
-    threads = int_option("threads", manifest.get("threads", 1))
+    _, model, weights = _load_model(manifest["model"], manifest["quantized"])
+    grid = _grid_for(model.meta, cube, manifest["grid"])
     prob_map, labels = reconstruct(
-        infer_cube(model, cube, grid, weights=weights, threads=threads), grid)
+        infer_cube(model, cube, grid, weights=weights, threads=manifest["threads"]), grid)
 
     out = {"mask": manifest["out"], "labels": labels}
     formats.save_mask(manifest["out"], labels)
-    if manifest.get("render"):
+    if manifest["render"]:
         formats.save_render(manifest["render"], labels)
         out["render"] = manifest["render"]
-    if manifest.get("gt"):
+    if manifest["gt"]:
         gt = formats.load_mask(manifest["gt"])
         classes = prob_map.shape[-1]
         cm = accumulate(gt, labels, classes, IGNORE_LABEL)
         report = compute_metrics(cm)
         out["report"] = report
-        if manifest.get("metrics"):
+        if manifest["metrics"]:
             Path(manifest["metrics"]).write_text(report_csv(report))
             out["metrics"] = manifest["metrics"]
     return out
@@ -165,10 +166,11 @@ def run_segment(manifest: dict) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    spec_dict = json.loads(Path(args.spec).read_text())
+    spec_dict = decode(Path(args.spec).read_bytes(), args.spec, InvalidSpec)
+    spec = SceneSpec.from_dict(spec_dict, args.spec)
     if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
         spec_dict["seed"] = args.seed
-    spec = SceneSpec.from_dict(spec_dict)
     scene = synth_scene(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,21 +208,13 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    manifest = {}
-    if args.manifest:
-        manifest = json.loads(Path(args.manifest).read_text())
-        if not isinstance(manifest, dict):
-            raise InvalidSpec(f"manifest {args.manifest} must be a JSON object")
-    for key in ("cube", "model", "grid", "out", "render", "gt", "metrics"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value:
-            manifest[key] = value
-    if args.quantized:
-        manifest["quantized"] = True
-    if args.threads is not None:
-        manifest["threads"] = args.threads
-    manifest.setdefault("threads", default_threads())
-    result = run_segment(manifest)
+    manifest = (decode(Path(args.manifest).read_bytes(), args.manifest)
+                if args.manifest else {})
+    if isinstance(manifest, dict):  # run_segment refuses anything else
+        flags = {k: v for k, v in vars(args).items()
+                 if k in MANIFEST and v is not None and v is not False}
+        manifest = {"threads": default_threads(), **manifest, **flags}
+    result = run_segment(manifest, args.manifest or "segment")
     print(f"mask written to {result['mask']}")
     if "report" in result:
         rep = result["report"]
@@ -263,48 +257,53 @@ def _cmd_quantize(args) -> int:
     return 0
 
 
+_SCENE = Field(json_spec(SceneSpec), default=None)
+# a bench config's input keys, by target, besides BenchConfig's
+BENCH_INPUTS = {
+    "preprocess": {"scene": _SCENE, "raw": _PATH, "dark": _PATH, "white": _PATH,
+                   "layout": _PATH},
+    "infer": {"model": Field(str), "quantized_model": _PATH, "cube": _PATH,
+              "scene": _SCENE, "grid": _PATH,
+              "preprocess_ms": Field(float, 0, default=None)},
+}
+
+
 def _scene_or_files(cfg: dict):
-    if "scene" in cfg:
-        scene = synth_scene(SceneSpec.from_dict(cfg["scene"]))
+    if cfg["scene"] is not None:
+        scene = synth_scene(SceneSpec(**cfg["scene"]))
         return scene.raw, scene.dark, scene.white, scene.layout
-    missing = [k for k in ("raw", "dark", "white") if k not in cfg]
+    missing = [k for k in ("raw", "dark", "white") if cfg[k] is None]
     if missing:
         raise InvalidSpec("bench preprocess config has no 'scene' and lacks "
                           + ", ".join(missing))
     frame, _ = formats.load_raw(cfg["raw"])
     dark, _ = formats.load_raw(cfg["dark"])
     white, _ = formats.load_raw(cfg["white"])
-    layout = formats.load_layout(cfg["layout"]) if cfg.get("layout") else default_layout()
+    layout = formats.load_layout(cfg["layout"]) if cfg["layout"] else default_layout()
     return frame, dark, white, layout
 
 
 def _cmd_bench(args) -> int:
-    cfg_dict = json.loads(Path(args.config).read_text())
-    bcfg = bench_mod.BenchConfig.from_dict(cfg_dict)
+    bcfg, cfg = bench_mod.read_config(decode(Path(args.config).read_bytes(), args.config),
+                                      args.config, BENCH_INPUTS[args.target])
     if args.target == "preprocess":
-        frame, dark, white, layout = _scene_or_files(cfg_dict)
+        frame, dark, white, layout = _scene_or_files(cfg)
         report = bench_mod.bench_preprocess(bcfg, frame, dark, white, layout)
     else:
-        if "model" not in cfg_dict:
-            raise InvalidSpec("bench infer config needs a 'model' path")
-        _, model, weights = _load_model(cfg_dict["model"])
-        if "cube" in cfg_dict:
-            cube = formats.load_cube(cfg_dict["cube"])
+        _, model, weights = _load_model(cfg["model"])
+        if cfg["cube"]:
+            cube = formats.load_cube(cfg["cube"])
         else:
-            scene = synth_scene(SceneSpec.from_dict(cfg_dict.get("scene", {})))
+            scene = synth_scene(SceneSpec(**(cfg["scene"] or {})))
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
-        grid = _grid_for(model.meta, cube, cfg_dict.get("grid"))
+        grid = _grid_for(model.meta, cube, cfg["grid"])
         report = bench_mod.bench_inference(
-            bcfg, model, cube, grid, weights=weights,
-            preprocess_ms=cfg_dict.get("preprocess_ms"),
-        )
-        if cfg_dict.get("quantized_model"):
-            _, qmodel, _ = _load_model(cfg_dict["quantized_model"], True)
+            bcfg, model, cube, grid, weights=weights, preprocess_ms=cfg["preprocess_ms"])
+        if cfg["quantized_model"]:
+            _, qmodel, _ = _load_model(cfg["quantized_model"], True)
             qreport = bench_mod.bench_inference(
-                bcfg, qmodel, cube, grid,
-                preprocess_ms=cfg_dict.get("preprocess_ms"),
-            )
+                bcfg, qmodel, cube, grid, preprocess_ms=cfg["preprocess_ms"])
             f_ms = report.best().total_mean_ms
             q_ms = qreport.best().total_mean_ms
             print(bench_mod.report_table(qreport))
@@ -321,14 +320,7 @@ def _cmd_bench(args) -> int:
 
 
 # label masks are 8-bit graymaps, so at most 256 classes
-MAX_CLASSES = 256
-
-
-def _class_count(n) -> int:
-    n = int_option("classes", n)
-    if n > MAX_CLASSES:
-        raise InvalidOption(f"classes must be <= {MAX_CLASSES}, got {n}")
-    return n
+CLASSES = Field(int, 1, 256)
 
 
 def _frequencies(text: str) -> np.ndarray:
@@ -348,7 +340,7 @@ def _labels_for(cube: np.ndarray, path) -> np.ndarray:
 
 
 def _cmd_metrics(args) -> int:
-    classes = _class_count(args.classes)
+    classes = value(args.classes, CLASSES, "--classes")
     gt = formats.load_mask(args.gt)
     pred = formats.load_mask(args.pred)
     cm = accumulate(gt, pred, classes, args.ignore)
@@ -370,7 +362,7 @@ def _cmd_spectral(args) -> int:
     elif args.what == "jm":
         if not args.gt:
             raise InvalidSpec("jm needs --gt labels")
-        classes = _class_count(args.classes)
+        classes = value(args.classes, CLASSES, "--classes")
         stats = class_stats(cube, _labels_for(cube, args.gt), classes, args.ignore)
         rep = separability(stats)
         names = [f"class{i}" for i in range(classes)]
@@ -497,8 +489,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:  # argparse usage errors routed to exit 1
         return int(e.code or 0)
-    except (SpecdriveError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError) as e:
+    except (SpecdriveError, FileNotFoundError, IsADirectoryError) as e:
         print(f"specdrive: error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

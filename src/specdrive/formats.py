@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
 from math import prod
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptContainer, DimensionMismatch
+from .errors import CorruptContainer, DimensionMismatch, Field, decode, fields, read_json
 from .metrics import IGNORE_LABEL
 from .mosaic import MosaicLayout
 
@@ -40,26 +39,18 @@ PALETTE = (
 )
 
 
-@contextmanager
-def _header_errors(path):
-    """Report what parsing a malformed header raises (a missing key or
-    item, a value of the wrong type or out of range, bad JSON or text) as
-    CorruptContainer."""
-    try:
-        yield
-    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
-        raise CorruptContainer(f"{path}: bad header ({type(e).__name__}: {e})") from None
-
-
-def _ints(v, n: int) -> list[int]:
-    """v as a list of n JSON integers; bools, floats and strings are refused."""
-    if not (isinstance(v, list) and len(v) == n and all(type(i) is int for i in v)):
-        raise ValueError(f"expected {n} integers, got {v!r}")
-    return v
-
-
-def _int_pair(v) -> tuple[int, int]:
-    return tuple(_ints(v, 2))
+_SIZE = Field(int, 1)
+# the one-line JSON header of a cube, and a raw frame's sidecar
+CUBE_HEADER = {"height": _SIZE, "width": _SIZE, "bands": _SIZE,
+               "dtype": Field(frozenset({"f32le"})),
+               "order": Field(frozenset({"band-major"}))}
+SIDECAR = {"width": _SIZE, "height": _SIZE, "bit_depth": Field(int, 1, 16, default=16),
+           "layout_id": Field(str, default="default-5x5")}
+# tile entries are bounded so they fit int64; MosaicLayout checks they are
+# the band indices
+LAYOUT = {"tile": Field([[int]], 0, 2**31), "active_origin": Field([int] * 2, 0),
+          "active_size": Field([int] * 2, 1), "center_offset": Field([int] * 2, 0),
+          "id": Field(str, default="custom")}
 
 
 def write_container(path, magic: bytes, header: dict, tensors) -> None:
@@ -76,36 +67,37 @@ def write_container(path, magic: bytes, header: dict, tensors) -> None:
             f.write(arr.tobytes())
 
 
-def read_container(path, magic: bytes, dtypes: dict[str, str], parse):
+def read_container(path, magic: bytes, dtypes: dict[str, str], parse,
+                   header: dict[str, Field], entry: dict[str, Field] | None = None):
     """Read a framed container and return parse(header, {name: (array,
-    manifest entry)}). dtypes maps the manifest's dtype labels to numpy
-    dtypes. The payload must end exactly after the last tensor and float
-    tensors must be finite; header-schema errors raised in parse count as a
-    corrupt container too."""
+    manifest entry)}), both as errors.fields reads them. The header holds
+    header's keys and "tensors", whose entries hold a name, shape, dtype (a
+    key of dtypes, which maps it to a numpy dtype) and entry's keys. The
+    payload must end exactly after the last tensor and float tensors must
+    be finite."""
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != magic:
         raise CorruptContainer(f"{path}: not a {magic.decode()} container")
     offset = 8 + int.from_bytes(raw[4:8], "little")
-    with _header_errors(path):  # a truncated header is cut-off JSON
-        header = json.loads(raw[8:offset].decode())
-        arrays: dict[str, tuple[np.ndarray, dict]] = {}
-        for entry in header["tensors"]:
-            name, shape = entry["name"], entry["shape"]
-            dtype = np.dtype(dtypes[entry["dtype"]])
-            if not isinstance(name, str) or not all(
-                    isinstance(d, int) and d >= 0 for d in shape):
-                raise ValueError(f"bad manifest entry {entry!r}")
-            nbytes = prod(shape) * dtype.itemsize
-            if len(raw) < offset + nbytes:
-                raise CorruptContainer(f"{path}: truncated payload at {name}")
-            arr = np.frombuffer(raw, dtype, prod(shape), offset).reshape(shape).copy()
-            if dtype.kind == "f" and not np.isfinite(arr).all():
-                raise CorruptContainer(f"{path}: non-finite values in {name}")
-            arrays[name] = (arr, entry)
-            offset += nbytes
-        if offset != len(raw):
-            raise CorruptContainer(f"{path}: {len(raw) - offset} trailing bytes")
-        return parse(header, arrays)
+    entry = {"name": Field(str), "shape": Field([int], 0),
+             "dtype": Field(frozenset(dtypes)), **(entry or {})}
+    # a truncated header is cut-off JSON
+    header = fields(decode(raw[8:offset], str(path), CorruptContainer),
+                    {**header, "tensors": Field([entry])}, str(path), CorruptContainer)
+    arrays: dict[str, tuple[np.ndarray, dict]] = {}
+    for e in header["tensors"]:
+        name, shape, dtype = e["name"], e["shape"], np.dtype(dtypes[e["dtype"]])
+        nbytes = prod(shape) * dtype.itemsize
+        if len(raw) < offset + nbytes:
+            raise CorruptContainer(f"{path}: truncated payload at {name}")
+        arr = np.frombuffer(raw, dtype, prod(shape), offset).reshape(shape).copy()
+        if dtype.kind == "f" and not np.isfinite(arr).all():
+            raise CorruptContainer(f"{path}: non-finite values in {name}")
+        arrays[name] = (arr, e)
+        offset += nbytes
+    if offset != len(raw):
+        raise CorruptContainer(f"{path}: {len(raw) - offset} trailing bytes")
+    return parse(header, arrays)
 
 
 def save_raw(path, frame: np.ndarray, layout_id: str = "default-5x5",
@@ -125,12 +117,8 @@ def load_raw(path) -> tuple[np.ndarray, dict]:
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise CorruptContainer(f"{path}: missing sidecar {sidecar_path}")
-    with _header_errors(sidecar_path):
-        meta = json.loads(sidecar_path.read_bytes().decode())
-        h, w = _int_pair([meta["height"], meta["width"]])
-        (bit_depth,) = _ints([meta.get("bit_depth", 16)], 1)
-    if min(h, w) < 1 or bit_depth not in range(1, 17):
-        raise CorruptContainer(f"{path}: bad size {w}x{h} or bit depth {bit_depth}")
+    meta = read_json(sidecar_path, SIDECAR, CorruptContainer)
+    h, w = meta["height"], meta["width"]
     size = Path(path).stat().st_size
     if size != w * h * 2:
         raise CorruptContainer(
@@ -172,11 +160,9 @@ def load_cube(path) -> np.ndarray:
     nl = raw.find(b"\n")
     if nl < 0:
         raise CorruptContainer(f"{path}: missing cube header")
-    with _header_errors(path):
-        meta = json.loads(raw[:nl].decode())
-        h, w, b = _ints([meta[k] for k in ("height", "width", "bands")], 3)
-        if min(h, w, b) < 1:
-            raise ValueError(f"bad cube size {(h, w, b)}")
+    meta = fields(decode(raw[:nl], str(path), CorruptContainer), CUBE_HEADER, str(path),
+                  CorruptContainer)
+    h, w, b = meta["height"], meta["width"], meta["bands"]
     payload = memoryview(raw)[nl + 1 :]
     if len(payload) != h * w * b * 4:
         raise CorruptContainer(f"{path}: cube payload truncated")
@@ -201,16 +187,12 @@ def save_layout(path, layout: MosaicLayout) -> None:
 
 
 def load_layout(path) -> MosaicLayout:
-    with _header_errors(path):
-        d = json.loads(Path(path).read_bytes().decode())
-        rows = d["tile"]
-        return MosaicLayout(
-            tile=np.array([_ints(row, len(rows[0])) for row in rows], dtype=np.int64),
-            active_origin=_int_pair(d["active_origin"]),
-            active_size=_int_pair(d["active_size"]),
-            center_offset=_int_pair(d["center_offset"]),
-            layout_id=str(d.get("id", "custom")),
-        )
+    d = read_json(path, LAYOUT, CorruptContainer)
+    if len({len(row) for row in d["tile"]}) > 1:
+        raise CorruptContainer(f"{path}: 'tile' rows differ in length")
+    return MosaicLayout(
+        tile=np.array(d["tile"], np.int64), active_origin=d["active_origin"],
+        active_size=d["active_size"], center_offset=d["center_offset"], layout_id=d["id"])
 
 
 def save_mask(path, mask: np.ndarray) -> None:
@@ -229,18 +211,18 @@ def load_mask(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
         raise CorruptContainer(f"{path}: not a binary graymap")
-    fields: list[int] = []
+    header: list[int] = []
     pos = 2
-    while len(fields) < 3:
+    while len(header) < 3:
         m = _PNM_FIELD.match(raw, pos)
         if m is None:
             raise CorruptContainer(f"{path}: bad graymap header")
-        fields.append(int(m.group(1)))
+        header.append(int(m.group(1)))
         pos = m.end()
     if not raw[pos : pos + 1].isspace():
         raise CorruptContainer(f"{path}: bad graymap header")
     pos += 1  # single whitespace after maxval
-    w, h, maxval = fields
+    w, h, maxval = header
     if maxval != 255:
         raise CorruptContainer(f"{path}: unsupported maxval {maxval}")
     data = raw[pos : pos + w * h]
@@ -274,5 +256,4 @@ def save_grid(path, grid) -> None:
 def load_grid(path):
     from .tiling import PatchGrid
 
-    with _header_errors(path):
-        return PatchGrid.from_json(Path(path).read_bytes().decode())
+    return PatchGrid.from_json(Path(path).read_bytes(), str(path))

@@ -41,13 +41,14 @@ bridge, decoder blocks dec1, dec0, ... and the classifier is head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import InvalidConfig, MissingWeights, ShapeMismatch, StructureError
+from .errors import (REQUIRED, Field, InvalidConfig, MissingWeights, ShapeMismatch,
+                     StructureError, fields, json_field, json_spec)
 
 
 @dataclass(frozen=True)
@@ -219,35 +220,34 @@ def layer_tensors(layer: LayerSpec) -> list[tuple[str, tuple[int, ...], str]]:
             for t in LAYER_KINDS[layer.kind].tensors]
 
 
+# a model description, and an MLP's config; label masks are uint8 with 255
+# the ignore label, so a model has at most 255 classes
+MODEL = {"kind": Field(frozenset({"unet", "mlp"})), "config": Field(dict),
+         "batchnorm_folded": Field(bool, default=False)}
+MLP_CONFIG = {"in_channels": Field(int, 1), "classes": Field(int, 2, 255)}
+
+
 @dataclass(frozen=True)
 class UNetConfig:
-    patch_size: int = 128
-    encoder_depth: int = 2
-    initial_filters: int = 8
-    conv_kernel: int = 3
-    upconv_kernel: int = 2
-    in_channels: int = 25
-    classes: int = 3
-    dropout_rate: float = 0.5
-    input_norm: str = "band_sum"  # band_sum | zscore | band_sum+zscore | none
+    patch_size: int = json_field(128, int, 1)
+    encoder_depth: int = json_field(2, int, 1, 16)
+    initial_filters: int = json_field(8, int, 1)
+    conv_kernel: int = json_field(3, int, 1)
+    upconv_kernel: int = json_field(2, int, 2, 2)  # stride-2 doubling
+    in_channels: int = json_field(25, int, 1)
+    classes: int = json_field(3, int, 2, 255)
+    dropout_rate: float = json_field(0.5, float, 0, 1)
+    input_norm: str = json_field(
+        "band_sum", frozenset({"band_sum", "zscore", "band_sum+zscore", "none"}))
 
     def __post_init__(self):
-        if self.encoder_depth < 1:
-            raise InvalidConfig("encoder depth must be >= 1")
-        if min(self.patch_size, self.initial_filters, self.in_channels) < 1:
-            raise InvalidConfig("patch size, filters and channels must be >= 1")
-        if self.classes < 2:
-            raise InvalidConfig("need at least 2 classes")
+        fields(vars(self), json_spec(UNetConfig), "U-Net config", InvalidConfig)
         if self.patch_size % (2**self.encoder_depth):
             raise InvalidConfig(
                 f"patch size {self.patch_size} not divisible by 2^{self.encoder_depth}"
             )
         if self.conv_kernel % 2 != 1:
             raise InvalidConfig("conv kernel must be odd for same padding")
-        if self.upconv_kernel != 2:
-            raise InvalidConfig("up-convolution kernel is fixed at 2 (stride-2 doubling)")
-        if self.input_norm not in ("band_sum", "zscore", "band_sum+zscore", "none"):
-            raise InvalidConfig(f"unknown input normalization {self.input_norm!r}")
 
 
 def _conv_kind(kernel: int) -> str:
@@ -308,32 +308,15 @@ def build_unet(cfg: UNetConfig) -> ModelGraph:
     add("head.conv", "conv1", (prev,), in_ch=ch, out_ch=cfg.classes, kernel=1)
     add("head.softmax", "softmax", (prev,), in_ch=cfg.classes, out_ch=cfg.classes)
 
-    return ModelGraph(
-        layers,
-        meta={
-            "kind": "unet",
-            "config": {
-                "patch_size": cfg.patch_size,
-                "encoder_depth": cfg.encoder_depth,
-                "initial_filters": cfg.initial_filters,
-                "conv_kernel": cfg.conv_kernel,
-                "upconv_kernel": cfg.upconv_kernel,
-                "in_channels": cfg.in_channels,
-                "classes": cfg.classes,
-                "dropout_rate": cfg.dropout_rate,
-                "input_norm": cfg.input_norm,
-            },
-        },
-    )
+    # the description's config is the UNetConfig, key for field
+    return ModelGraph(layers, meta={"kind": "unet", "config": asdict(cfg)})
 
 
 def build_mlp(in_channels: int = 25, classes: int = 3) -> ModelGraph:
     """Per-pixel spectral classifier: band-sum and z-score normalization,
     then dense 25/100/100 hidden stack with tanh and a softmax head."""
-    if in_channels < 1:
-        raise InvalidConfig("need at least one input channel")
-    if classes < 2:
-        raise InvalidConfig("need at least 2 classes")
+    fields({"in_channels": in_channels, "classes": classes}, MLP_CONFIG, "MLP config",
+           InvalidConfig)
     widths = [25, 100, 100, classes]
     layers = [
         LayerSpec("norm.bands", "band_norm", ("input",), in_channels, in_channels),
@@ -353,13 +336,16 @@ def build_mlp(in_channels: int = 25, classes: int = 3) -> ModelGraph:
     )
 
 
-def build_from_meta(meta: dict) -> ModelGraph:
-    cfg = meta["config"]
-    if meta["kind"] == "unet":
-        return build_unet(UNetConfig(**cfg))
+def build_from_meta(meta: dict, name: str = "model description") -> ModelGraph:
+    """The graph of a model description (MODEL, with the config its kind
+    reads); name says where it came from. Anything else raises InvalidConfig."""
+    meta = fields(meta, MODEL, name, InvalidConfig)
+    name = f"{name}: 'config'"
     if meta["kind"] == "mlp":
-        return build_mlp(cfg["in_channels"], cfg["classes"])
-    raise InvalidConfig(f"unknown model kind {meta.get('kind')!r}")
+        return build_mlp(**fields(meta["config"], MLP_CONFIG, name, InvalidConfig))
+    # every key: a .sdq's graph keeps the description as its meta
+    spec = {k: f._replace(default=REQUIRED) for k, f in json_spec(UNetConfig).items()}
+    return build_unet(UNetConfig(**fields(meta["config"], spec, name, InvalidConfig)))
 
 
 # pixels per block of a per-pixel graph, chosen by measurement (numpy 2.4,

@@ -39,8 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, int_option
-from .tiling import map_patches
+from .errors import DimensionMismatch, Field, value
+from .tiling import THREADS, map_patches
 
 STAGE_CROP = "Image cropping"
 STAGE_REFLECTANCE = "Reflectance correction"
@@ -76,15 +76,14 @@ class MosaicLayout:
         k = tile.shape[0]
         if sorted(tile.ravel().tolist()) != list(range(k * k)):
             raise DimensionMismatch("tile must be a bijection onto band indices")
-        if min(self.active_origin) < 0 or min(self.active_size) < 1:
-            raise DimensionMismatch(
-                f"bad active window {self.active_size} at {self.active_origin}")
+        value(self.active_origin, Field([int] * 2, 0), "active_origin", DimensionMismatch)
+        value(self.active_size, Field([int] * 2, 1), "active_size", DimensionMismatch)
         if self.active_size[0] % k or self.active_size[1] % k:
             raise DimensionMismatch(
                 f"active size {self.active_size} not divisible by mosaic pitch {k}"
             )
-        if not (0 <= self.center_offset[0] < k and 0 <= self.center_offset[1] < k):
-            raise DimensionMismatch("center offset outside the mosaic tile")
+        value(self.center_offset, Field([int] * 2, 0, k - 1), "center_offset",
+              DimensionMismatch)
 
     @property
     def pitch(self) -> int:
@@ -419,7 +418,7 @@ def preprocess_pipeline(
     """
     if layout is None:
         layout = default_layout()
-    int_option("threads", threads)
+    value(threads, THREADS, "threads")
     if vectorized:
         refl_fn, extract_fn, band_fn = _reflectance, _extract, _translate_band
     else:

@@ -51,6 +51,7 @@ checks the layers against the model description's folded graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -61,8 +62,10 @@ from . import kernels
 from .errors import (
     CorruptContainer,
     EmptyCalibration,
+    Field,
     RangeMissing,
     ShapeMismatch,
+    fields,
 )
 from .formats import read_container, write_container
 from .model import (
@@ -573,12 +576,15 @@ def save_qgraph(path, qg: QuantizedGraph) -> None:
     write_container(path, MAGIC, header, tensors)
 
 
-def _scheme(d: dict) -> QuantScheme:
-    scale, zp = d["scale"], d["zero_point"]  # JSON numbers; bools are refused
-    if not (type(scale) in (int, float) and np.isfinite(scale) and scale > 0
-            and type(zp) is int and -128 <= zp <= 127):
-        raise ValueError(f"bad quantization scheme {d!r}")
-    return QuantScheme(float(scale), zp)
+# a scheme's keys: an activation's object holds them, and so does the
+# manifest entry of an int8 weight or int32 bias (ENTRY: null elsewhere)
+SCHEME = {"scale": Field(float, math.ulp(0.0)), "zero_point": Field(int, -128, 127)}
+ENTRY = {k: f._replace(default=None) for k, f in SCHEME.items()}
+LAYER = {"name": Field(str), "kind": Field(str), "inputs": Field([str]),
+         "in_ch": Field(int), "out_ch": Field(int), "kernel": Field(int),
+         "rate": Field(float)}
+HEADER = {"format": Field(frozenset({"sdq"})), "version": Field(int, 1, 1),
+          "model": Field(dict), "layers": Field([LAYER]), "activations": Field(dict)}
 
 
 def load_qgraph(path) -> QuantizedGraph:
@@ -588,16 +594,13 @@ def load_qgraph(path) -> QuantizedGraph:
     stored_tensors names, in any order, with int8 weights in [-127, 127]."""
 
     def parse(header, arrays):
-        model = build_from_meta(header["model"])
-        if model.meta["config"] != header["model"]["config"]:
-            raise CorruptContainer(f"{path}: incomplete model description")
-        graph = ModelGraph(
-            [LayerSpec(**{**d, "inputs": tuple(d["inputs"])}) for d in header["layers"]],
-            meta=header["model"],
-        )
+        model = build_from_meta(header["model"], f"{path}: 'model'")
+        graph = ModelGraph([LayerSpec(**d) for d in header["layers"]], meta=header["model"])
         if graph.layers != fold_layers(model):
             raise CorruptContainer(f"{path}: layers are not the model's folded graph")
-        schemes = {n: _scheme(v) for n, v in header["activations"].items()}
+        schemes = {n: QuantScheme(**fields(v, SCHEME, f"{path}: activation {n!r}",
+                                           CorruptContainer))
+                   for n, v in header["activations"].items()}
         tensors: dict[str, np.ndarray] = {}
         for layer in graph.layers:
             kind = LAYER_KINDS[layer.kind]
@@ -609,7 +612,9 @@ def load_qgraph(path) -> QuantizedGraph:
                     raise CorruptContainer(f"{path}: needs a {dtype} {name!r} {shape}")
                 tensors[name] = arr
                 if _accumulates(kind):
-                    schemes[name] = _scheme(entry)
+                    if None in (entry["scale"], entry["zero_point"]):
+                        raise CorruptContainer(f"{path}: no scheme for {name!r}")
+                    schemes[name] = QuantScheme(entry["scale"], entry["zero_point"])
             if _accumulates(kind):
                 w, b = (tensors[name] for name, _, _ in stored_tensors(layer))
                 if w.min(initial=0) < -127:  # the kernels' exactness bound needs it
@@ -622,4 +627,5 @@ def load_qgraph(path) -> QuantizedGraph:
             raise CorruptContainer(f"{path}: tensors other than the model's stored set")
         return QuantizedGraph(graph, schemes, tensors)
 
-    return read_container(path, MAGIC, {t: t for t in ("<i1", "<i4", "<f4")}, parse)
+    return read_container(path, MAGIC, {t: t for t in ("<i1", "<i4", "<f4")}, parse,
+                          HEADER, ENTRY)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, fields, json_field, json_spec
 from .metrics import IGNORE_LABEL
 from .model import ModelGraph, build_mlp
 from .mosaic import MosaicLayout, default_layout
@@ -35,37 +35,28 @@ from .mosaic import MosaicLayout, default_layout
 
 @dataclass(frozen=True)
 class SceneSpec:
-    kind: str = "classes"  # classes | gradient
-    num_classes: int = 3
-    layout_kind: str = "vstripes"  # vstripes | hstripes | rects
-    rects: tuple = ()  # (r0, c0, r1, c1, class_id) half-open, mosaic grid
-    noise: float = 0.0
-    seed: int = 0
-    erode: int = 1
-    dark_level: int = 512
-    white_level: int = 62000
+    kind: str = json_field("classes", frozenset({"classes", "gradient"}))
+    # class maps and masks are uint8, and IGNORE_LABEL takes the last value
+    num_classes: int = json_field(3, int, 1, IGNORE_LABEL)
+    layout_kind: str = json_field("vstripes", frozenset({"vstripes", "hstripes", "rects"}))
+    rects: tuple = json_field((), [[int] * 5], 0)  # (r0, c0, r1, c1, class_id), mosaic grid
+    noise: float = json_field(0.0, float, 0, 1)  # a share of the dark-to-white span
+    seed: int = json_field(0, int, 0)
+    erode: int = json_field(1, int, 0, 32)  # weak_labels makes (2 * erode + 1)^2 shifts
+    dark_level: int = json_field(512, int, 0, 65535)
+    white_level: int = json_field(62000, int, 0, 65535)
 
     def __post_init__(self):
-        if self.kind not in ("classes", "gradient"):
-            raise InvalidSpec(f"unknown scene kind {self.kind!r}")
-        if self.layout_kind not in ("vstripes", "hstripes", "rects"):
-            raise InvalidSpec(f"unknown region layout {self.layout_kind!r}")
-        # class maps and masks are uint8, and IGNORE_LABEL takes the last value
-        if self.kind == "classes" and not 1 <= self.num_classes <= IGNORE_LABEL:
-            raise InvalidSpec(f"need 1 to {IGNORE_LABEL} classes, got {self.num_classes}")
+        fields(vars(self), json_spec(SceneSpec), "scene spec", InvalidSpec)
         if self.layout_kind == "rects" and not self.rects:
             raise InvalidSpec("rects layout needs at least one rectangle")
-        if not 0 <= self.dark_level < self.white_level <= 65535:
-            raise InvalidSpec("need 0 <= dark < white <= 65535")
-        if self.noise < 0 or self.erode < 0:
-            raise InvalidSpec("noise and erode must be non-negative")
+        if self.dark_level >= self.white_level:
+            raise InvalidSpec("need dark_level < white_level")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SceneSpec":
-        rects = tuple(tuple(r) for r in d.get("rects", ()))
-        keys = ("kind", "num_classes", "layout_kind", "noise", "seed",
-                "erode", "dark_level", "white_level")
-        return cls(rects=rects, **{k: d[k] for k in keys if k in d})
+    def from_dict(cls, d, name: str = "scene spec") -> "SceneSpec":
+        """The spec in the JSON object d; name says where it came from."""
+        return cls(**fields(d, json_spec(cls), name, InvalidSpec))
 
 
 @dataclass

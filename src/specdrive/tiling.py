@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometry, ShapeMismatch
+from .errors import (CorruptContainer, Field, InvalidGeometry, ShapeMismatch, decode,
+                     fields, value)
+
+# a worker count map_patches takes
+THREADS = Field(int, 1, 256)
+# a grid file: the patch size and the patches' row and column starts
+GRID = {"patch": Field(int, 1), "rows": Field([int], 0), "cols": Field([int], 0)}
 
 
 @dataclass(frozen=True)
@@ -27,13 +33,9 @@ class PatchGrid:
     image_size: tuple[int, int]
 
     def __post_init__(self):
-        h, w = self.image_size
-        for s in self.row_starts:
-            if not 0 <= s <= h - self.patch_size:
-                raise InvalidGeometry(f"row start {s} out of range for height {h}")
-        for s in self.col_starts:
-            if not 0 <= s <= w - self.patch_size:
-                raise InvalidGeometry(f"col start {s} out of range for width {w}")
+        last_row, last_col = (n - self.patch_size for n in self.image_size)
+        value(self.row_starts, Field([int], 0, last_row), "row starts", InvalidGeometry)
+        value(self.col_starts, Field([int], 0, last_col), "col starts", InvalidGeometry)
 
     @property
     def n_patches(self) -> int:
@@ -53,14 +55,13 @@ class PatchGrid:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "PatchGrid":
-        """The grid to_json wrote. The patch size and every start must be a
-        JSON integer; a float, a string or a bool raises ValueError."""
-        d = json.loads(text)
-        patch, rows, cols = d["patch"], tuple(d["rows"]), tuple(d["cols"])
-        if not all(type(v) is int for v in (patch, *rows, *cols)):
-            raise ValueError(f"grid entries must be integers, got {d!r}")
-        grid = cls(patch, rows, cols, (rows[-1] + patch, cols[-1] + patch))
+    def from_json(cls, text, name: str = "grid") -> "PatchGrid":
+        """The grid to_json wrote (name says where the text came from). A
+        grid that is not GRID's keys raises CorruptContainer."""
+        d = fields(decode(text, name, CorruptContainer), GRID, name, CorruptContainer)
+        patch, rows, cols = d["patch"], d["rows"], d["cols"]
+        size = (max(rows, default=0) + patch, max(cols, default=0) + patch)
+        grid = cls(patch, rows, cols, size)
         if not all(map(_covers, (rows, cols), grid.image_size, (patch, patch))):
             raise InvalidGeometry("grid leaves pixels uncovered")
         return grid

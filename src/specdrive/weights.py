@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CorruptContainer
+from .errors import CorruptContainer, Field
 from .formats import read_container, write_container
 from .model import ModelGraph, build_from_meta, layer_tensors
 
 MAGIC = b"SDW1"
+# the header's keys besides its tensor manifest
+HEADER = {"format": Field(frozenset({"sdw"})), "version": Field(int, 1, 1),
+          "model": Field(dict)}
 
 
 def tensor_specs(graph: ModelGraph) -> list[tuple[str, tuple[int, ...]]]:
@@ -72,9 +75,9 @@ def load_weights(path) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     be exactly the ones the model's graph reads, in order and shape."""
 
     def parse(header, arrays):
-        graph = build_from_meta(header["model"])
+        graph = build_from_meta(header["model"], f"{path}: 'model'")
         if [(n, a.shape) for n, (a, _) in arrays.items()] != tensor_specs(graph):
             raise CorruptContainer(f"{path}: tensors do not match the model")
         return graph, {n: a for n, (a, _) in arrays.items()}
 
-    return read_container(path, MAGIC, {"f32le": "<f4"}, parse)
+    return read_container(path, MAGIC, {"f32le": "<f4"}, parse, HEADER)

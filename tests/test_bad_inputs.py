@@ -47,6 +47,8 @@ def files(tmp_path_factory):
     w = generate_weights(g, 1)
     save_weights(root / "unet.sdw", g, w)
     save_qgraph(root / "unet.sdq", quantize_model(g, w, [cube[:8, :8]]))
+    mlp = build_mlp(5, 3)
+    save_weights(root / "mlp.sdw", mlp, generate_weights(mlp, 2))
     frame = rng.integers(0, 4096, (1088, 2048)).astype(np.uint16)
     for name in ("raw", "dark", "white"):
         formats.save_raw(root / f"{name}.u16", frame)
@@ -56,10 +58,14 @@ def files(tmp_path_factory):
     return root
 
 
-def segment(files, tmp_path, **over):
+def segment_argv(files, tmp_path, **over):
     args = {"cube": files / "cube.hsc", "model": files / "unet.sdw",
             "out": tmp_path / "mask.pgm", **over}
-    return main(["segment"] + [a for k, v in args.items() for a in (f"--{k}", str(v))])
+    return ["segment"] + [a for k, v in args.items() for a in (f"--{k}", str(v))]
+
+
+def segment(files, tmp_path, **over):
+    return main(segment_argv(files, tmp_path, **over))
 
 
 def preprocess(files, tmp_path, **over):
@@ -179,10 +185,16 @@ def _bool_scale(h):
     next(iter(h["activations"].values()))["scale"] = True
 
 
-@pytest.mark.parametrize("edit", [_bool_zero_point, _bool_weight_zero_point, _bool_scale])
+def _weight_without_scale(h):
+    next(t for t in h["tensors"] if t["name"] == "head.conv.weight").pop("scale")
+
+
+@pytest.mark.parametrize("edit", [_bool_zero_point, _bool_weight_zero_point, _bool_scale,
+                                  _weight_without_scale])
 def test_sdq_bool_in_scheme_exit_2(files, tmp_path, edit):
-    """A scheme's scale and zero point are JSON numbers; true used to load
-    as 1 (zero point) or a scale of 1.0."""
+    """A scheme's scale and zero point are JSON numbers, and an int8
+    weight's manifest entry holds both; true used to load as 1 (zero point)
+    or a scale of 1.0."""
     bad = tmp_path / "zp.sdq"
     bad.write_bytes(reframe((files / "unet.sdq").read_bytes(), edit))
     with pytest.raises(CorruptContainer):
@@ -224,6 +236,7 @@ def test_empty_layout_exit_2(files, tmp_path):
     {"tile": [[True, False], [2, 3]]},
     {"tile": [["0", "1"], ["2", "3"]]},
     {"center_offset": [True, False]},
+    {"tile": [[0, 1], [2]]},
 ], ids=lambda v: json.dumps(v))
 def test_layout_entry_not_an_integer_exit_2(files, tmp_path, over):
     # a window that pitches 2 and 5 both divide, so only the entries are wrong
@@ -388,9 +401,95 @@ def test_synth_class_count_out_of_range_exit_2(tmp_path, capsys, classes):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"num_classes": classes}))
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "s")]) == 2
-    assert "need 1 to 255 classes" in capsys.readouterr().err
+    assert "'num_classes' must be int in [1, 255]" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
     assert SceneSpec(num_classes=255).num_classes == 255
+
+
+def _spec_file(files, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return path, ["synth", "--spec", path, "--out", tmp_path / "s"]
+
+
+def _bench_file(target):
+    """A bench config; infer's times the U-Net on the cube, or on a scene
+    when cfg names one."""
+    def write(files, tmp_path, cfg):
+        inputs = {"model": str(files / "unet.sdw")}
+        if "scene" not in cfg:
+            inputs["cube"] = str(files / "cube.hsc")
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({**(inputs if target == "infer" else {}),
+                                    "warmup": 0, **cfg}))
+        return path, ["bench", target, "--config", path]
+    return write
+
+
+def _manifest_file(files, tmp_path, entries):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(entries))
+    return path, segment_argv(files, tmp_path, manifest=path)
+
+
+def _cube_file(files, tmp_path, over):
+    header, payload = (files / "cube.hsc").read_bytes().split(b"\n", 1)
+    path = tmp_path / "edited.hsc"
+    path.write_bytes(json.dumps({**json.loads(header), **over}).encode() + b"\n" + payload)
+    return path, ["spectral", "corr", "--cube", path]
+
+
+def _model_file(name):
+    def write(files, tmp_path, config):
+        path = tmp_path / name
+        path.write_bytes(reframe((files / name).read_bytes(),
+                                 lambda h: h["model"]["config"].update(config)))
+        return path, segment_argv(files, tmp_path, model=path)
+    return write
+
+
+JSON_FILES = {"synth": _spec_file, "bench infer": _bench_file("infer"),
+              "bench preprocess": _bench_file("preprocess"), "manifest": _manifest_file,
+              "cube": _cube_file, "unet.sdw": _model_file("unet.sdw"),
+              "mlp.sdw": _model_file("mlp.sdw")}
+
+
+@pytest.mark.parametrize("target, value, key", [
+    # these exited 3
+    ("synth", [1], "must be a JSON object"),
+    ("synth", {"num_classes": "3"}, "'num_classes'"),
+    ("synth", {"num_classes": 2.5}, "'num_classes'"),
+    ("synth", {"noise": "x"}, "'noise'"),
+    ("synth", {"layout_kind": "rects", "rects": [[1, 2]]}, "'rects'"),
+    ("synth", {"erode": True}, "'erode'"),
+    ("synth", {"erode": 1e9}, "'erode'"),
+    ("synth", {"seed": -1}, "'seed'"),
+    ("synth", {"seed": 1.5}, "'seed'"),
+    ("bench infer", {"scene": [1]}, "'scene'"),
+    ("bench preprocess", {"scene": {"seed": "x"}}, "'scene': 'seed'"),
+    ("unet.sdw", {"patch_size": 8.0}, "'patch_size'"),
+    # these exited 0, with a default or a value that was never meant
+    ("synth", {"num_class": 5}, "unknown key 'num_class'"),
+    ("synth", {"height": -5}, "unknown key 'height'"),
+    ("synth", {"noise": float("nan")}, "'noise'"),
+    ("synth", {"dark_level": 1.5}, "'dark_level'"),
+    ("bench infer", {"iterations": True}, "'iterations'"),
+    ("bench infer", {"iteration": 1}, "unknown key 'iteration'"),
+    ("manifest", {"threads": True}, "'threads'"),
+    ("manifest", {"thread": 2}, "unknown key 'thread'"),
+    ("cube", {"dtype": "f64le"}, "'dtype'"),
+    ("unet.sdw", {"dropout_rate": "x"}, "'dropout_rate'"),
+    ("mlp.sdw", {"classes": 3.0}, "'classes'"),
+    ("mlp.sdw", {"bias": True}, "unknown key 'bias'"),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_json_input_refused_naming_file_and_key(files, tmp_path, capsys, target, value, key):
+    """Every JSON input goes through one typed-field reader: a value of the
+    wrong type or out of range, a non-finite number, an unknown key or a
+    non-object exits 2 with a message naming the file and the key."""
+    path, argv = JSON_FILES[target](files, tmp_path, value)
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
 
 
 @pytest.mark.parametrize("mismatched", ["model", "quantized_model"])

@@ -269,6 +269,31 @@ def test_bench_preprocess_command(work, tmp_path, capsys):
     assert len(parsed["results"]) == 2
 
 
+@pytest.mark.parametrize("target", ["preprocess", "infer"])
+def test_bench_on_a_scene_spec(work, tmp_path, capsys, target):
+    """A bench config may describe its frame as a scene spec instead of
+    files; bench infer preprocesses that scene's frame for its cube."""
+    cfg = {"iterations": 1, "warmup": 0, "scene": {"layout_kind": "hstripes", "seed": 3}}
+    if target == "infer":
+        cfg["model"] = str(work / "mlp.sdw")
+    (tmp_path / "b.json").write_text(json.dumps(cfg))
+    assert main(["bench", target, "--config", str(tmp_path / "b.json")]) == 0
+    assert "determinism gate" in capsys.readouterr().out
+
+
+def test_synth_seed_flag_overrides_the_spec(work, tmp_path):
+    spec = {"kind": "classes", "num_classes": 3, "layout_kind": "vstripes", "seed": 42}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "s"),
+                 "--seed", "9"]) == 0
+    meta = json.loads((tmp_path / "s/scene_meta.json").read_text())
+    assert meta["spec"] == {**spec, "seed": 9}
+    want = synth_scene(SceneSpec(seed=9))
+    assert np.array_equal(formats.load_raw(tmp_path / "s/raw.u16")[0], want.raw)
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "t"),
+                 "--seed=-1"]) == 2
+
+
 def test_bench_infer_command(work, tmp_path, capsys):
     cfg = {
         "iterations": 1, "warmup": 0,

@@ -1,5 +1,6 @@
-"""Fuzzed loaders: every on-disk format, truncated, bit-flipped or with a
-header key dropped, either loads or raises a SpecdriveError, and the CLI
+"""Fuzzed loaders: every on-disk format and JSON input, truncated,
+bit-flipped, with a header key dropped or with one JSON value swapped for a
+value of another type, either loads or raises a SpecdriveError, and the CLI
 command that reads it exits 0 or 2, never 3. The analysis commands' own
 arguments are fuzzed the same way.
 
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specdrive import formats
+from specdrive import bench, cli, formats
 from specdrive.cli import main
-from specdrive.errors import SpecdriveError
+from specdrive.errors import SpecdriveError, decode, fields
 from specdrive.model import UNetConfig, build_mlp, build_unet
 from specdrive.mosaic import MosaicLayout
 from specdrive.quant import load_qgraph, quantize_model, save_qgraph
+from specdrive.synth import SceneSpec
 from specdrive.tiling import build_grid
 from specdrive.weights import generate_weights, load_weights, save_weights
 
@@ -46,6 +48,25 @@ def ws(tmp_path_factory):
     formats.save_mask(root / "mask.pgm", rng.integers(0, 3, (6, 7)).astype(np.uint8))
     formats.save_mask(root / "labels.pgm", rng.integers(0, 3, (12, 12)).astype(np.uint8))
     (root / "out").mkdir()
+    paths = {k: str(root / f) for k, f in (
+        ("cube", "cube.hsc"), ("model", "unet.sdw"), ("grid", "grid.json"),
+        ("raw", "raw.u16"), ("dark", "dark.u16"), ("white", "white.u16"),
+        ("layout", "layout.json"))}
+    json_files = {
+        "spec.json": {"kind": "classes", "num_classes": 3, "layout_kind": "rects",
+                      "rects": [[0, 0, 10, 10, 1]], "noise": 0.01, "seed": 7, "erode": 1,
+                      "dark_level": 512, "white_level": 62000},
+        "run.json": {**{k: paths[k] for k in ("cube", "model", "grid")}, "threads": 1,
+                     "out": str(root / "out" / "mask.pgm"), "quantized": False},
+        "bench_preprocess.json": {"iterations": 1, "warmup": 0, "threads": [1],
+                                  "vectorized": [True],
+                                  **{k: paths[k] for k in ("raw", "dark", "white", "layout")}},
+        "bench_infer.json": {"iterations": 1, "warmup": 0, "threads": 1, "vectorized": True,
+                             **{k: paths[k] for k in ("cube", "model", "grid")},
+                             "quantized_model": str(root / "unet.sdq"), "preprocess_ms": 5.0},
+    }
+    for name, value in json_files.items():
+        (root / name).write_text(json.dumps(value))
     return root
 
 
@@ -63,7 +84,25 @@ def _key_paths(obj, prefix=()):
             yield from _key_paths(v, prefix + (i,))
 
 
-def _json_dropper(split=lambda b: (b"", b, b""), join=lambda h, t, r: h + t + r):
+def _value_paths(obj, prefix=()):
+    """Every path to a value inside a JSON value, the whole value first."""
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _value_paths(v, prefix + (k,))
+
+
+def _parent(obj, path):
+    for step in path[:-1]:
+        obj = obj[step]
+    return obj
+
+
+def _whole(data):
+    return b"", data, b""
+
+
+def _json_dropper(split=_whole, join=lambda h, t, r: h + t + r):
     """Drop one key anywhere in a JSON header; split/join cut the header out
     of the file and put it back."""
 
@@ -71,13 +110,34 @@ def _json_dropper(split=lambda b: (b"", b, b""), join=lambda h, t, r: h + t + r)
         head, text, tail = split(data)
         header = json.loads(text)
         path = draw(st.sampled_from(list(_key_paths(header))))
-        obj = header
-        for step in path[:-1]:
-            obj = obj[step]
-        del obj[path[-1]]
+        del _parent(header, path)[path[-1]]
         return join(head, json.dumps(header).encode(), tail)
 
     return drop
+
+
+# what a value swap puts in: every JSON type, a float that is not an
+# integer, a non-finite number and an integer past 64 bits. The string is
+# empty so that no swapped path names a file the command could write.
+SWAPS = [True, False, 0.5, "", [], [0], None, float("nan"), 2**70]
+
+
+def _json_swapper(split=_whole, join=lambda h, t, r: h + t + r):
+    """Replace one value anywhere in a JSON header, the header itself
+    included, with one of SWAPS."""
+
+    def swap(draw, data):
+        head, text, tail = split(data)
+        header = json.loads(text)
+        path = draw(st.sampled_from(list(_value_paths(header))))
+        new = draw(st.sampled_from(SWAPS))
+        if path:
+            _parent(header, path)[path[-1]] = new
+        else:
+            header = new
+        return join(head, json.dumps(header).encode(), tail)
+
+    return swap
 
 
 def _split_container(data):
@@ -101,17 +161,21 @@ def _drop_pnm_field(draw, data):
     return b"P5\n" + b" ".join(fields[1:-1]) + b"\n" + fields[-1]
 
 
-CONTAINER = _json_dropper(_split_container, _join_container)
+JSON = (_json_dropper(), _json_swapper())
+CONTAINER = (_json_dropper(_split_container, _join_container),
+             _json_swapper(_split_container, _join_container))
+CUBE = (_json_dropper(_split_cube), _json_swapper(_split_cube))
 
 
-def mutate(draw, data: bytes, drop) -> bytes:
-    """A truncated copy, a copy with a few bits flipped, or a copy whose
-    header lost one key (formats without a header have drop None)."""
-    how = draw(st.sampled_from(["truncate", "flip"] + (["drop"] if drop else [])))
+def mutate(draw, data: bytes, edits) -> bytes:
+    """A truncated copy, a copy with a few bits flipped, or a copy with one
+    of the format's header edits applied (a format without a header has
+    none)."""
+    how = draw(st.sampled_from(["truncate", "flip", *edits]))
     if how == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
-    if how == "drop":
-        return drop(draw, data)
+    if how != "flip":
+        return how(draw, data)
     out = bytearray(data)
     # half the flips land in the first 512 bytes, where the headers are
     hot = min(len(data), 512)
@@ -121,11 +185,11 @@ def mutate(draw, data: bytes, drop) -> bytes:
     return bytes(out)
 
 
-def check(ws, d, seed, drop, load, argv, name=None):
+def check(ws, d, seed, edits, load, argv, name=None):
     """Write a mutated copy of seed to out/, load it and run argv on it
     (with "@" standing for its path)."""
     path = ws / "out" / (name or seed)
-    path.write_bytes(mutate(d.draw, (ws / seed).read_bytes(), drop))
+    path.write_bytes(mutate(d.draw, (ws / seed).read_bytes(), edits))
     try:
         load(path)
     except SpecdriveError:
@@ -162,39 +226,63 @@ def test_fuzz_sdq(ws, seed, d):
 
 @given(d=st.data())
 def test_fuzz_cube(ws, d):
-    check(ws, d, "cube.hsc", _json_dropper(_split_cube), formats.load_cube,
+    check(ws, d, "cube.hsc", CUBE, formats.load_cube,
           segment(ws, cube="@"))
 
 
 @given(d=st.data())
 def test_fuzz_raw_payload(ws, d):
     (ws / "out" / "raw.u16.json").write_bytes((ws / "raw.u16.json").read_bytes())
-    check(ws, d, "raw.u16", None, formats.load_raw, preprocess(ws, raw="@"))
+    check(ws, d, "raw.u16", (), formats.load_raw, preprocess(ws, raw="@"))
 
 
 @given(d=st.data())
 def test_fuzz_raw_sidecar(ws, d):
     raw = ws / "out" / "side.u16"
     raw.write_bytes((ws / "raw.u16").read_bytes())
-    check(ws, d, "raw.u16.json", _json_dropper(), lambda p: formats.load_raw(raw),
+    check(ws, d, "raw.u16.json", JSON, lambda p: formats.load_raw(raw),
           preprocess(ws, raw=raw), name="side.u16.json")
 
 
 @given(d=st.data())
 def test_fuzz_layout(ws, d):
-    check(ws, d, "layout.json", _json_dropper(), formats.load_layout,
+    check(ws, d, "layout.json", JSON, formats.load_layout,
           preprocess(ws, layout="@"))
 
 
 @given(d=st.data())
 def test_fuzz_grid(ws, d):
-    check(ws, d, "grid.json", _json_dropper(), formats.load_grid, segment(ws, grid="@"))
+    check(ws, d, "grid.json", JSON, formats.load_grid, segment(ws, grid="@"))
 
 
 @given(d=st.data())
 def test_fuzz_mask(ws, d):
-    check(ws, d, "mask.pgm", _drop_pnm_field, formats.load_mask,
+    check(ws, d, "mask.pgm", (_drop_pnm_field,), formats.load_mask,
           ["metrics", "--gt", "@", "--pred", ws / "mask.pgm", "--classes", "3"])
+
+
+def _decoded(path):
+    return decode(path.read_bytes(), str(path))
+
+
+@given(d=st.data())
+def test_fuzz_scene_spec(ws, d):
+    check(ws, d, "spec.json", JSON, lambda p: SceneSpec.from_dict(_decoded(p), str(p)),
+          ["synth", "--spec", "@", "--out", ws / "out" / "scene"])
+
+
+@given(d=st.data())
+def test_fuzz_segment_manifest(ws, d):
+    check(ws, d, "run.json", JSON, lambda p: fields(_decoded(p), cli.MANIFEST, str(p)),
+          ["segment", "--manifest", "@"])
+
+
+@pytest.mark.parametrize("target", ["preprocess", "infer"])
+@given(d=st.data())
+def test_fuzz_bench_config(ws, target, d):
+    check(ws, d, f"bench_{target}.json", JSON,
+          lambda p: bench.read_config(_decoded(p), str(p), cli.BENCH_INPUTS[target]),
+          ["bench", target, "--config", "@"])
 
 
 _NUMBER = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from(["", "x"])).map(str)

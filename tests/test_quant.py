@@ -248,9 +248,12 @@ SDQ_DTYPES = {t: t for t in ("<i1", "<i4", "<f4")}
 
 def _reorder_sdq(src, dst, edit):
     """Rewrite a .sdq with edit applied to its (manifest entry, array)
-    list, through the container codec."""
-    header, arrays = read_container(src, quant.MAGIC, SDQ_DTYPES, lambda h, a: (h, a))
-    tensors = [(e, arrays[e["name"]][0]) for e in header.pop("tensors")]
+    list, through the container codec. The codec reads an entry without a
+    scheme as holding null ones; they are left out again."""
+    header, arrays = read_container(src, quant.MAGIC, SDQ_DTYPES, lambda h, a: (h, a),
+                                    quant.HEADER, quant.ENTRY)
+    del header["tensors"]
+    tensors = [({k: v for k, v in e.items() if v is not None}, a) for a, e in arrays.values()]
     write_container(dst, quant.MAGIC, header, edit(tensors))
 
 
