@@ -110,7 +110,7 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     order; naive selects reference kernels."""
     _check_bands(model.meta, cube)
     if isinstance(model, quant.QuantizedGraph):
-        body, x = quant.run_input_prefix(model, cube, naive=naive)
+        body, x = quant.run_input_prefix(model, cube)
         if not naive:
             body.tables  # built once, here, for every worker to read
         infer = partial(qforward, body, naive=naive)

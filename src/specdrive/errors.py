@@ -93,10 +93,10 @@ REQUIRED = object()  # the default of a key that must be present
 class Field(NamedTuple):
     """A JSON value's type, the range [lo, hi] of every number in it, and
     its default as an object's key (REQUIRED: none; None: null is allowed
-    too). The type is int (never a bool), float (finite), bool, str, dict
-    (any object), a frozenset of the strings allowed, [t] (a list of t),
-    [t] * n with n > 1 (n of them) or a dict of Fields (an object of those
-    keys)."""
+    too). The type is int (never a bool), float (finite), bool, str (no
+    NUL, which no file path may hold), dict (any object), a frozenset of
+    the strings allowed, [t] (a list of t), [t] * n with n > 1 (n of them)
+    or a dict of Fields (an object of those keys)."""
 
     type: object
     lo: float = -math.inf
@@ -158,6 +158,8 @@ def value(v, f: Field, name: str, error=InvalidOption):
         ok = isinstance(v, str) and v in t
     else:
         ok = isinstance(t, type) and isinstance(v, t)
+        if ok and t is str and "\0" in v:
+            raise error(f"{name} must be str without NUL, got {reprlib.repr(v)}")
     if not ok:
         raise error(f"{name} must be {_describe(f)}, got {reprlib.repr(v)}")
     return t(v) if t in (int, float) else v

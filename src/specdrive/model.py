@@ -6,6 +6,10 @@ live outside the graph in a flat dict keyed "<layer>.<tensor>", which keeps
 the same graph usable for float inference, complexity counting, batch-norm
 folding and quantization.
 
+run is the one layer loop: it hands each layer its input tensors through
+an op, yields every output and drops a tensor after its last reader. walk
+runs it with the float ops, and quant's int8 walk with an op of its own.
+
 The fast float walk runs a graph with its batch norm folded into the layer
 before it (fold_batchnorm), so forward, return_all and quant.calibrate all
 see the folded graph and no caller has to fold first. The naive walk runs
@@ -95,12 +99,6 @@ class ModelGraph:
         """Whether every layer is per-pixel, so the graph may run on any
         grouping of its input's pixels."""
         return all(LAYER_KINDS[l.kind].per_pixel for l in self.layers)
-
-    def layer(self, name: str) -> LayerSpec:
-        for l in self.layers:
-            if l.name == name:
-                return l
-        raise KeyError(name)
 
 
 class Tensor(NamedTuple):
@@ -363,31 +361,37 @@ def _weight(weights: dict, key: str) -> np.ndarray:
         raise MissingWeights(f"missing tensor {key!r}") from None
 
 
-def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False):
-    """Float32 inference one layer at a time: yields ("input", x), then
-    (layer name, output) for every layer in order. A tensor is dropped once
-    its last consumer has run, so a caller that keeps only what it needs
-    holds one layer's working set at a time. The fast walk runs the graph
-    with its batch norm folded (see fold_batchnorm), so no batchnorm layer
-    runs or is yielded; the naive walk runs the graph as given."""
-    if not naive:
-        graph, weights = fold_batchnorm(graph, weights)
-    kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
+def run(graph: ModelGraph, x, op):
+    """The one layer loop: yields ("input", x), then (layer name,
+    op(layer, its input tensors)) for every layer in order. A tensor is
+    dropped once its last reader has run, so a caller that keeps only what
+    it needs holds one layer's working set at a time."""
     last_use = {src: i for i, layer in enumerate(graph.layers) for src in layer.inputs}
-    tensors: dict[str, np.ndarray] = {"input": np.asarray(x, dtype=np.float32)}
-    yield "input", tensors["input"]
+    tensors = {"input": x}
+    yield "input", x
     for i, layer in enumerate(graph.layers):
-        out = LAYER_KINDS[layer.kind].float_op(
-            layer,
-            [tensors[src] for src in layer.inputs],
-            [_weight(weights, name) for name, _, _ in layer_tensors(layer)],
-            kset,
-        )
-        tensors[layer.name] = out = out.astype(np.float32, copy=False)
+        tensors[layer.name] = out = op(layer, [tensors[src] for src in layer.inputs])
         for src in layer.inputs:
             if last_use[src] == i:
                 tensors.pop(src, None)
         yield layer.name, out
+
+
+def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False):
+    """Float32 inference one layer at a time: run with each kind's float op.
+    The fast walk runs the graph with its batch norm folded (see
+    fold_batchnorm), so no batchnorm layer runs or is yielded; the naive
+    walk runs the graph as given."""
+    if not naive:
+        graph, weights = fold_batchnorm(graph, weights)
+    kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
+
+    def op(layer, xs):
+        ts = [_weight(weights, name) for name, _, _ in layer_tensors(layer)]
+        return LAYER_KINDS[layer.kind].float_op(layer, xs, ts, kset).astype(
+            np.float32, copy=False)
+
+    yield from run(graph, np.asarray(x, dtype=np.float32), op)
 
 
 def pixel_blocks(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:

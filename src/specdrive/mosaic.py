@@ -52,6 +52,14 @@ STAGE_NAMES = (STAGE_CROP, STAGE_REFLECTANCE, STAGE_EXTRACT, STAGE_TRANSLATE)
 FULL_SCALE = 65535.0
 # white-dark spans at or below this many counts are treated as degenerate
 DEFAULT_EPS = 1e-6 * FULL_SCALE
+# eps runs as a float32, which must be positive and finite
+_F32 = np.finfo(np.float32)
+EPS = Field(float, float(_F32.smallest_subnormal), float(_F32.max))
+
+
+def _eps32(eps) -> np.float32:
+    """eps checked against EPS, as the float32 the reflectance stage uses."""
+    return np.float32(value(eps, EPS, "eps"))
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,7 @@ def reflectance_correct(
         raise DimensionMismatch(
             f"frame shapes disagree: {img.shape} / {dark.shape} / {white.shape}"
         )
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return _reflectance(img, dark, white, np.float32(eps))
+    return _reflectance(img, dark, white, _eps32(eps))
 
 
 # frame rows per reflectance block: at full width a block's uint16 inputs,
@@ -419,6 +425,7 @@ def preprocess_pipeline(
     if layout is None:
         layout = default_layout()
     value(threads, THREADS, "threads")
+    eps32 = _eps32(eps)
     if vectorized:
         refl_fn, extract_fn, band_fn = _reflectance, _extract, _translate_band
     else:
@@ -437,7 +444,7 @@ def preprocess_pipeline(
     dark_a = crop_clip(dark, layout) if dark.shape != active.shape else dark
     white_a = crop_clip(white, layout) if white.shape != active.shape else white
     refl, n_bad = timed(
-        STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a, np.float32(eps))
+        STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a, eps32)
     lattice = timed(STAGE_EXTRACT, extract_fn, refl, layout)
     planes = timed(STAGE_TRANSLATE, _translate, lattice, layout, band_fn, threads)
 

@@ -26,11 +26,10 @@ and return_all walks without tables so every tensor is its own layer's
 output. concat's requantization is a 256-entry table of the reference form
 in the fast walk, built per call.
 
-Quantizing a float input (QuantScheme.quant) clips to [-128 - zp, 127 - zp]
-in units of the scale before rounding and adding the zero point straight
-into the int8 output. Clipping first is exact: round-half-away is monotone
-and maps integers to themselves, so clip-then-round gives the integers of
-round-then-clip.
+Every int8 value the package makes (a quantized input or tanh table, a
+kernel layer's or a concat's reference requantization) ends in one tail,
+QuantScheme._to_int8: round half away, add the zero point, clip, cast. The
+int8 walk runs on model.run, the float walk's layer loop (see _qwalk).
 
 A graph's leading per-pixel float layers (input normalization) and the
 quantization of their output need no neighbours, so run_input_prefix runs
@@ -80,6 +79,7 @@ from .model import (
     layer_tensors,
     map_pixel_blocks,
     pixel_blocks,
+    run,
     split_input,
     table_lookup,
     walk,
@@ -114,38 +114,30 @@ class QuantScheme:
     scale: float
     zero_point: int
 
-    def _to_int8(self, v: np.ndarray, naive: bool = False) -> np.ndarray:
+    def _to_int8(self, v: np.ndarray) -> np.ndarray:
         """int8 of round(v) + zero point, saturating, for an owned float64
-        buffer v in units of this scale. The naive form is the reference:
-        round, add the zero point, clip, cast. The fast form clips v first,
-        to [-128 - zp, 127 - zp], then rounds and adds the zero point
-        straight into the int8 output (see the module docstring)."""
-        zp = self.zero_point
-        if naive:
-            v = round_half_away(v)
-            v += zp
-            return np.clip(v, -128, 127, out=v).astype(np.int8)
-        np.clip(v, -128 - zp, 127 - zp, out=v)
+        buffer v in units of this scale: round half away, add the zero
+        point, clip, cast."""
         v = round_half_away(v)
-        return np.add(v, zp, out=np.empty(v.shape, np.int8), casting="unsafe")
+        v += self.zero_point
+        return np.clip(v, -128, 127, out=v).astype(np.int8)
 
-    def quant(self, x: np.ndarray, naive: bool = False) -> np.ndarray:
-        return self._to_int8(np.divide(x, self.scale, dtype=np.float64), naive=naive)
+    def quant(self, x: np.ndarray) -> np.ndarray:
+        return self._to_int8(np.divide(x, self.scale, dtype=np.float64))
 
     def dequant(self, q: np.ndarray) -> np.ndarray:
         return ((q.astype(np.float64) - self.zero_point) * self.scale).astype(np.float32)
 
     def requant(self, q: np.ndarray, src: "QuantScheme", naive: bool = False) -> np.ndarray:
         """Re-express int8 values held in scheme src in this scheme. The
-        fast form looks q up in the naive form's outputs for all 256 int8
-        values."""
+        naive form is requantize of q - zp_src at the ratio of the scales;
+        the fast form looks q up in its outputs for all 256 int8 values."""
         if src == self:
             return q
         if not naive:
             return kernels.lookup_int(q, self.requant(_INT8, src, naive=True))
-        v = np.subtract(q, src.zero_point, dtype=np.float64)
-        v *= src.scale / self.scale
-        return self._to_int8(v, naive=True)
+        return requantize(np.subtract(q, src.zero_point, dtype=np.int32),
+                          src.scale / self.scale, self)
 
     @classmethod
     def symmetric_for(cls, tensor: np.ndarray) -> "QuantScheme":
@@ -281,9 +273,7 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
             q = np.arange(-128, 128, dtype=np.float64)
             y = kind.float_op(layer, [(q - s_in.zero_point) * s_in.scale], (),
                               kernels.FAST_KERNELS)
-            tensors[stored[0][0]] = np.clip(
-                round_half_away(y / s_out.scale) + s_out.zero_point, -128, 127
-            ).astype(np.int8)
+            tensors[stored[0][0]] = s_out.quant(y)
         elif stored:  # int8 weight, int32 bias
             (wname, _, _), (bname, _, _) = stored
             w, b = _weight(weights, wname), _weight(weights, bname)
@@ -329,7 +319,7 @@ def requantize(acc: np.ndarray, ratio: float, scheme: QuantScheme) -> np.ndarray
     """The reference tail: an accumulator at ratio times scheme's scale,
     multiplied into float64 in units of scheme's scale, rounded, offset by
     the zero point and clipped to int8."""
-    return scheme._to_int8(np.multiply(acc, ratio, dtype=np.float64), naive=True)
+    return scheme._to_int8(np.multiply(acc, ratio, dtype=np.float64))
 
 
 def requant_table(ratio: float, scheme: QuantScheme, after=None):
@@ -381,8 +371,12 @@ def _unary_int_op(qg: QuantizedGraph, layer: LayerSpec):
     """A one-input layer's int op, as a function of its int8 input."""
     kind = LAYER_KINDS[layer.kind]
     ins, out = [qg.schemes[layer.inputs[0]]], qg.schemes[layer.name]
-    ts = [_weight(qg.tensors, t) for t, _, _ in stored_tensors(layer)]
-    return lambda q: kind.int_op(layer, [q], ins, out, ts, False)
+    return lambda q: kind.int_op(layer, [q], ins, out, _stored(qg, layer), False)
+
+
+def _stored(qg: QuantizedGraph, layer: LayerSpec) -> list[np.ndarray]:
+    """The tensors qg stores for layer, in stored_tensors order."""
+    return [_weight(qg.tensors, t) for t, _, _ in stored_tensors(layer)]
 
 
 def _lookup(acc: np.ndarray, t: RequantTable) -> np.ndarray:
@@ -396,52 +390,41 @@ def _lookup(acc: np.ndarray, t: RequantTable) -> np.ndarray:
 def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool,
            tables: dict[str, RequantTable]):
     """One walk of the quantized graph over x (float, or int8 already in the
-    scheme of "input"): (float tensors, int8 tensors) by name. Int tensors
-    are made from float ones, and back, where a layer of the other domain
-    needs them. A kernel layer with a table in tables requantizes through
-    it, and a reader composed into the table passes its input through; any
-    other kernel layer runs the reference tail."""
+    scheme of "input"), on model.run: an int8 tensor is quantized, any other
+    is float. A layer of the other domain reads a tensor quantized or
+    dequantized through the tensor's scheme. A kernel layer with a table in
+    tables requantizes through it, and a reader composed into the table
+    passes its input through; any other kernel layer runs the reference
+    tail."""
     kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
-    fvals: dict[str, np.ndarray] = {}
-    qvals: dict[str, np.ndarray] = {}
-    (qvals if x.dtype == np.int8 else fvals)["input"] = x
     schemes = qg.schemes
 
-    def as_int(name: str) -> np.ndarray:
-        if name not in qvals:
-            qvals[name] = schemes[name].quant(fvals[name], naive)
-        return qvals[name]
-
-    def as_float(name: str) -> np.ndarray:
-        if name not in fvals:
-            fvals[name] = schemes[name].dequant(qvals[name])
-        return fvals[name]
-
-    for layer in qg.graph.layers:
-        name, kind = layer.name, LAYER_KINDS[layer.kind]
-        ts = [_weight(qg.tensors, t) for t, _, _ in stored_tensors(layer)]
+    def op(layer, xs):
+        kind = LAYER_KINDS[layer.kind]
         if kind.int_op is None:
-            fvals[name] = kind.float_op(
-                layer, [as_float(src) for src in layer.inputs], ts, kset)
-            continue
+            xs = [schemes[src].dequant(v) if v.dtype == np.int8 else v
+                  for src, v in zip(layer.inputs, xs)]
+            return kind.float_op(layer, xs, _stored(qg, layer), kset)
         producer = tables.get(layer.inputs[0])
         if producer is not None and producer.composes:  # ran in that table
-            qvals[name] = qvals[layer.inputs[0]]
-            continue
-        q = kind.int_op(
-            layer,
-            [as_int(src) for src in layer.inputs],
-            [schemes[src] for src in layer.inputs],
-            schemes[name],
-            ts,
-            naive,
-        )
-        if _accumulates(kind):  # int32 accumulator, at the bias's scale, back to int8
-            table = tables.get(name)
-            q = (_lookup(q, table) if table is not None
-                 else requantize(q, _ratio(qg, layer), schemes[name]))
-        qvals[name] = q
-    return fvals, qvals
+            return xs[0]
+        ins = [schemes[src] for src in layer.inputs]
+        xs = [v if v.dtype == np.int8 else s.quant(v) for v, s in zip(xs, ins)]
+        q = kind.int_op(layer, xs, ins, schemes[layer.name], _stored(qg, layer), naive)
+        if not _accumulates(kind):
+            return q
+        # int32 accumulator, at the bias's scale, back to int8
+        table = tables.get(layer.name)
+        return (_lookup(q, table) if table is not None
+                else requantize(q, _ratio(qg, layer), schemes[layer.name]))
+
+    return run(qg.graph, x, op)
+
+
+def _dequant(qg: QuantizedGraph, name: str, v: np.ndarray) -> np.ndarray:
+    """The walk's tensor name, v, in float: an int8 v dequantized through
+    the tensor's scheme."""
+    return qg.schemes[name].dequant(v) if v.dtype == np.int8 else v
 
 
 def qforward(
@@ -469,31 +452,26 @@ def qforward(
         x = x.astype(np.float32, copy=False)
     elif "input" not in qg.schemes:
         raise RangeMissing('an int8 input needs a scheme for "input"')
-    schemes = qg.schemes
     if return_all:
-        fvals, qvals = _qwalk(qg, x, naive, {})
-        return {n: (fvals[n] if n in fvals else schemes[n].dequant(qvals[n]))
-                for n in {**qvals, **fvals}}
+        return {n: _dequant(qg, n, v) for n, v in _qwalk(qg, x, naive, {})}
 
-    out_name = qg.graph.output_name
     tables = {} if naive else qg.tables
 
     def output(block):
-        fvals, qvals = _qwalk(qg, block, naive, tables)
-        return fvals[out_name] if out_name in fvals else schemes[out_name].dequant(
-            qvals[out_name])
+        for name, out in _qwalk(qg, block, naive, tables):
+            pass
+        return _dequant(qg, name, out)
 
     return map_pixel_blocks(output, qg.graph, x)
 
 
-def run_input_prefix(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
+def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
     """(body, prefix output) for a quantized graph: model.split_input's
     float prefix run once over x in blocks of model.PIXEL_BLOCK pixels, each
     block's output quantized in the scheme the body's layers read it in, so
     qforward(body, patch of the output) is the same bits as qforward(qg,
     patch of x). When a float layer of the body reads the prefix's output,
-    it stays float. naive quantizes with the reference requantization, as
-    qforward(qg, x, naive=True) does."""
+    it stays float."""
     prefix, body = split_input(qg.graph)
     scheme = qg.schemes.get(prefix.output_name)
     schemes = qg.schemes if scheme is None else {**qg.schemes, "input": scheme}
@@ -502,7 +480,7 @@ def run_input_prefix(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
 
     def block(b):
         y = forward(prefix, b, qg.tensors)
-        return scheme.quant(y, naive) if to_int else y
+        return scheme.quant(y) if to_int else y
 
     body = QuantizedGraph(body, schemes, qg.tensors)
     return body, map_pixel_blocks(block, prefix, np.asarray(x, np.float32))

@@ -50,13 +50,19 @@ class SceneSpec:
         fields(vars(self), json_spec(SceneSpec), "scene spec", InvalidSpec)
         if self.layout_kind == "rects" and not self.rects:
             raise InvalidSpec("rects layout needs at least one rectangle")
+        if self.rects and self.layout_kind != "rects":
+            raise InvalidSpec(f"'rects' need layout_kind 'rects', not {self.layout_kind!r}")
         if self.dark_level >= self.white_level:
             raise InvalidSpec("need dark_level < white_level")
 
     @classmethod
     def from_dict(cls, d, name: str = "scene spec") -> "SceneSpec":
         """The spec in the JSON object d; name says where it came from."""
-        return cls(**fields(d, json_spec(cls), name, InvalidSpec))
+        checked = fields(d, json_spec(cls), name, InvalidSpec)
+        try:
+            return cls(**checked)
+        except InvalidSpec as e:  # a check across keys
+            raise InvalidSpec(f"{name}: {e}") from None
 
 
 @dataclass

@@ -473,6 +473,8 @@ JSON_FILES = {"synth": _spec_file, "bench infer": _bench_file("infer"),
     ("synth", {"height": -5}, "unknown key 'height'"),
     ("synth", {"noise": float("nan")}, "'noise'"),
     ("synth", {"dark_level": 1.5}, "'dark_level'"),
+    ("synth", {"rects": [[0, 0, 10, 10, 1]]}, "'rects'"),
+    ("manifest", {"render": "a\u0000b"}, "'render'"),
     ("bench infer", {"iterations": True}, "'iterations'"),
     ("bench infer", {"iteration": 1}, "unknown key 'iteration'"),
     ("manifest", {"threads": True}, "'threads'"),

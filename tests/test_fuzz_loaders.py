@@ -117,9 +117,10 @@ def _json_dropper(split=_whole, join=lambda h, t, r: h + t + r):
 
 
 # what a value swap puts in: every JSON type, a float that is not an
-# integer, a non-finite number and an integer past 64 bits. The string is
-# empty so that no swapped path names a file the command could write.
-SWAPS = [True, False, 0.5, "", [], [0], None, float("nan"), 2**70]
+# integer, a non-finite number and an integer past 64 bits. The strings are
+# empty or a NUL, so that no swapped path names a file the command could
+# write.
+SWAPS = [True, False, 0.5, "", "\u0000", [], [0], None, float("nan"), 2**70]
 
 
 def _json_swapper(split=_whole, join=lambda h, t, r: h + t + r):

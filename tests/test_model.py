@@ -30,6 +30,10 @@ def kinds(graph):
     return out
 
 
+def _layer(graph, name):
+    return next(l for l in graph.layers if l.name == name)
+
+
 def test_unet_layer_census():
     g = build_unet(UNetConfig())
     k = kinds(g)
@@ -57,7 +61,7 @@ def test_unet_rejects_indivisible_patch():
 
 def test_unet_five_class_head():
     g = build_unet(UNetConfig(classes=5))
-    assert g.layer("head.conv").out_ch == 5
+    assert _layer(g, "head.conv").out_ch == 5
 
 
 def test_unet_shape_law():
@@ -244,7 +248,7 @@ def test_mlp_structure():
     assert g.layers[0].kind == "band_norm"
     assert g.layers[1].kind == "zscore"
     assert g.layers[-1].kind == "softmax"
-    assert build_mlp(25, 5).layer("fc3").out_ch == 5
+    assert _layer(build_mlp(25, 5), "fc3").out_ch == 5
     with pytest.raises(InvalidConfig):
         build_mlp(25, 1)
 
@@ -389,7 +393,7 @@ def test_split_input_keeps_what_the_body_reads(rng):
     g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
     head, body = split_input(g)
     assert _names(head) == ["a"]
-    assert body.layer("b").inputs == ("input",) and body.layer("d").inputs == ("c", "input")
+    assert _layer(body, "b").inputs == ("input",) and _layer(body, "d").inputs == ("c", "input")
     w = generate_weights(g, 3)
     x = rng.uniform(0.1, 0.9, (6, 7, 4)).astype(np.float32)
     body, y = run_input_prefix(g, x, w)

@@ -463,17 +463,44 @@ def _epilogue_values() -> np.ndarray:
                            [below_half, -below_half, 0.0, -0.0, 3e9, -3e9]])
 
 
+def _reference_int8(v, zp):
+    """Round half away, add the zero point, clip, cast."""
+    return np.clip(round_half_away(v) + zp, -128, 127).astype(np.int8)
+
+
 def test_requantization_epilogue_matches_reference():
-    """The clip-first epilogue gives the bits of round, add the zero point,
-    clip, for every zero point."""
+    """The one int8 tail gives the bits of round half away, add the zero
+    point, clip, cast, for every zero point."""
     v = _epilogue_values()
-    rounded = round_half_away(v)
     for zp in range(-128, 128):
-        scheme = QuantScheme(1.0, zp)
-        want = np.clip(rounded + zp, -128, 127).astype(np.int8)
-        assert np.array_equal(scheme._to_int8(v.copy(), naive=True), want), zp
-        got = scheme._to_int8(v.copy())
-        assert got.dtype == np.int8 and np.array_equal(got, want), zp
+        got = QuantScheme(1.0, zp)._to_int8(v.copy())
+        assert got.dtype == np.int8 and np.array_equal(got, _reference_int8(v, zp)), zp
+
+
+def test_tanh_table_is_the_reference_tail(mlp_models):
+    """A quantized MLP's tanh tables hold tanh of every int8 input, read in
+    the input's scheme, through the reference tail in the output's scheme."""
+    _, _, qg = mlp_models
+    tanhs = [l for l in qg.graph.layers if l.kind == "tanh"]
+    assert len(tanhs) == 3
+    for layer in tanhs:
+        s_in, s_out = qg.schemes[layer.inputs[0]], qg.schemes[layer.name]
+        y = np.tanh((np.arange(-128.0, 128.0) - s_in.zero_point) * s_in.scale)
+        want = _reference_int8(y / s_out.scale, s_out.zero_point)
+        got = qg.tensors[f"{layer.name}.lut"]
+        assert got.dtype == np.int8 and got.tobytes() == want.tobytes(), layer.name
+
+
+def test_concat_reference_requant_is_requantize():
+    """The naive walk re-expresses a concat's input through requantize of
+    q - zp_src at the ratio of the two scales, and the fast walk's table
+    gives the same bits, for zero points at both ends and between."""
+    q = np.arange(-128, 128, dtype=np.int8)
+    for zp_src, zp in [(-128, 127), (127, -128), (3, -5), (0, 0)]:
+        src, dst = QuantScheme(0.02, zp_src), QuantScheme(0.013, zp)
+        want = quant.requantize(q.astype(np.int64) - zp_src, 0.02 / 0.013, dst)
+        assert np.array_equal(dst.requant(q, src, naive=True), want)
+        assert np.array_equal(dst.requant(q, src), want)
 
 
 # dyadic ratios put acc * ratio exactly on the ties k + 0.5; the others step

@@ -3,6 +3,7 @@ fields and decode), and the check that nothing else in the package decodes
 JSON."""
 
 import ast
+import builtins
 import math
 import re
 from pathlib import Path
@@ -21,7 +22,7 @@ from specdrive.errors import CorruptContainer, Field, InvalidOption, decode, fie
     ("b", Field(frozenset({"a"}))), (["a"], Field(frozenset({"a"}))),
     ([1, 2, 3], Field([int] * 2)), (1, Field([int])), ([1, True], Field([int])),
     ([[1], [2, 3]], Field([[int] * 2])), ([1], Field(dict)), ("{}", Field({})),
-    (None, Field(str, default="x")),
+    (None, Field(str, default="x")), ("a\0b", Field(str)), (["a", "\0"], Field([str])),
 ], ids=repr)
 def test_value_refuses(v, f):
     with pytest.raises(InvalidOption, match="^opt"):
@@ -83,3 +84,20 @@ def test_json_is_decoded_in_one_place():
                 inner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 found.append((path.name, inner[-1] if inner else None))
     assert found == [("errors.py", "decode")]
+
+
+def test_no_raise_names_a_builtin_exception():
+    """Every error the package raises is a SpecdriveError (InvalidOption is
+    also a ValueError): no raise names a builtin exception class, so bad
+    input never surfaces as a bare KeyError or ValueError. SystemExit, the
+    usage exit, is not an Exception."""
+    found = []
+    for path in sorted(Path(specdrive.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+            if isinstance(cls, type) and issubclass(cls, Exception):
+                found.append((path.name, node.lineno, exc.id))
+    assert found == []
