@@ -43,7 +43,8 @@ from .spectral import (
     separability,
 )
 from .synth import SceneSpec, synth_scene
-from .tiling import THREADS, build_grid, extract_patches, map_patches, reconstruct
+from .tiling import (THREADS, abutting_grid, build_grid, extract_patches, map_patches,
+                     reconstruct)
 from .weights import load_weights
 
 THREADS_ENV = "SPECDRIVE_THREADS"
@@ -79,16 +80,22 @@ def _load_model(path: str, want_quantized: bool = False):
 
 
 def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
-    """The grid file if one is given, else the default 44/57-stride grid
-    of the model's patch size (per-pixel models: patches of up to 128).
-    On a cube thinner than the patch, the patch shrinks to the cube. Both
+    """The grid file if one is given, for any model. Else a U-Net gets the
+    paper's 44/57-stride grid of its patch size, whose overlap gives each
+    convolution context at the patch borders. A per-pixel model (the MLP,
+    whose graph is ModelGraph.per_pixel) reads no neighbours, so overlap
+    would only evaluate pixels again and average equal copies: it gets the
+    fewest 128-pixel patches that cover the cube (tiling.abutting_grid),
+    not one cube-sized patch, so a square cube still feeds two workers. On
+    a cube thinner than the patch, the patch shrinks to the cube. The U-Net's
     strides are capped at half the patch: the middle gap of a mirrored grid
     is below twice the stride, so the patches cover every pixel."""
     if grid_path:
         return formats.load_grid(grid_path)
     h, w = cube.shape[:2]
-    patch = meta["config"]["patch_size"] if meta["kind"] == "unet" else 128
-    patch = min(patch, h, w)
+    if meta["kind"] != "unet":
+        return abutting_grid((h, w), min(128, h, w))
+    patch = min(meta["config"]["patch_size"], h, w)
     cap = max(1, patch // 2)
     return build_grid((h, w), patch, min(44, cap), min(57, cap))
 
@@ -268,9 +275,9 @@ BENCH_INPUTS = {
 }
 
 
-def _scene_or_files(cfg: dict):
+def _scene_or_files(cfg: dict, name: str):
     if cfg["scene"] is not None:
-        scene = synth_scene(SceneSpec(**cfg["scene"]))
+        scene = synth_scene(SceneSpec.from_dict(cfg["scene"], f"{name}: 'scene'"))
         return scene.raw, scene.dark, scene.white, scene.layout
     missing = [k for k in ("raw", "dark", "white") if cfg[k] is None]
     if missing:
@@ -287,14 +294,15 @@ def _cmd_bench(args) -> int:
     bcfg, cfg = bench_mod.read_config(decode(Path(args.config).read_bytes(), args.config),
                                       args.config, BENCH_INPUTS[args.target])
     if args.target == "preprocess":
-        frame, dark, white, layout = _scene_or_files(cfg)
+        frame, dark, white, layout = _scene_or_files(cfg, args.config)
         report = bench_mod.bench_preprocess(bcfg, frame, dark, white, layout)
     else:
         _, model, weights = _load_model(cfg["model"])
         if cfg["cube"]:
             cube = formats.load_cube(cfg["cube"])
         else:
-            scene = synth_scene(SceneSpec(**(cfg["scene"] or {})))
+            spec = SceneSpec.from_dict(cfg["scene"] or {}, f"{args.config}: 'scene'")
+            scene = synth_scene(spec)
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
         grid = _grid_for(model.meta, cube, cfg["grid"])

@@ -87,7 +87,16 @@ class InvalidOption(SpecdriveError, ValueError):
     """A command-line flag, manifest entry or config value is out of range."""
 
 
-REQUIRED = object()  # the default of a key that must be present
+class _Required:
+    """The type of REQUIRED. Its repr is a bare object()'s with the name in
+    place of the address, so a Field's repr (a test id, say) is the same
+    in every run."""
+
+    def __repr__(self):
+        return "<object object at REQUIRED>"
+
+
+REQUIRED = _Required()  # the default of a key that must be present
 
 
 class Field(NamedTuple):

@@ -483,6 +483,12 @@ JSON_FILES = {"synth": _spec_file, "bench infer": _bench_file("infer"),
     ("unet.sdw", {"dropout_rate": "x"}, "'dropout_rate'"),
     ("mlp.sdw", {"classes": 3.0}, "'classes'"),
     ("mlp.sdw", {"bias": True}, "unknown key 'bias'"),
+    # these exited 2 without naming the file
+    ("bench preprocess", {"scene": {"rects": [[0, 0, 10, 10, 1]]}}, "'scene': 'rects' need"),
+    ("bench preprocess", {"scene": {"dark_level": 9, "white_level": 9}},
+     "'scene': need dark_level < white_level"),
+    ("bench infer", {"scene": {"dark_level": 9, "white_level": 9}},
+     "'scene': need dark_level < white_level"),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_json_input_refused_naming_file_and_key(files, tmp_path, capsys, target, value, key):
     """Every JSON input goes through one typed-field reader: a value of the

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from specdrive import cli, formats, kernels
-from specdrive.cli import _grid_for, main, run_segment
+from specdrive.cli import _grid_for, infer_cube, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
 from specdrive.model import UNetConfig, build_mlp, build_unet, forward
 from specdrive.mosaic import MosaicLayout, preprocess_pipeline
 from specdrive.quant import load_qgraph, payload_bytes, qforward
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
-from specdrive.tiling import extract_patches, reconstruct
+from specdrive.tiling import build_grid, extract_patches, reconstruct
 from specdrive.weights import generate_weights, save_weights
 
 
@@ -407,10 +407,56 @@ def test_segment_thin_cube_default_grid(work, tmp_path, model, hw):
 @pytest.mark.parametrize("meta", [{"kind": "unet", "config": {"patch_size": 128}},
                                   {"kind": "mlp", "config": {}}])
 def test_default_grid_of_full_size_cube(meta):
+    """The U-Net gets the paper's 44/57-stride grid; the per-pixel MLP the
+    fewest 128-pixel patches that cover the cube."""
     grid = _grid_for(meta, np.empty((216, 409, 1), np.float32), None)
     assert grid.patch_size == 128
-    assert grid.origins() == [(r, c) for r in (0, 44, 88)
-                              for c in (0, 57, 114, 167, 224, 281)]
+    if meta["kind"] == "unet":
+        assert grid.origins() == [(r, c) for r in (0, 44, 88)
+                                  for c in (0, 57, 114, 167, 224, 281)]
+    else:
+        assert grid.origins() == [(r, c) for r in (0, 88) for c in (0, 128, 256, 281)]
+
+
+def test_per_pixel_default_grid_of_thin_cube():
+    """A cube thinner than 128 gets square patches of its thin side, back
+    to back along the long one, the last flush with the far edge."""
+    grid = _grid_for({"kind": "mlp", "config": {}}, np.empty((3, 700, 1), np.float32), None)
+    assert grid.patch_size == 3 and grid.row_starts == (0,)
+    assert grid.col_starts == tuple(range(0, 699, 3)) + (697,)
+
+
+def test_grid_file_overrides_per_pixel_default(work, tmp_path):
+    """--grid gives a per-pixel model the grid in the file, not its default."""
+    cube = formats.load_cube(work / "crop.hsc")
+    paper = build_grid(cube.shape[:2], 32, 16, 16)
+    (tmp_path / "g.json").write_text(paper.to_json())
+    assert _grid_for({"kind": "mlp", "config": {}}, cube, str(tmp_path / "g.json")) == paper
+
+
+@pytest.mark.parametrize("hw", [(216, 409), (140, 77), (3, 700), (129, 1000), (128, 128),
+                                (300, 300)])
+def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
+    """On the MLP, float and int8, the default grid gives the probability map
+    and labels of the paper's 44/57-stride grid bit for bit, at 1, 2 and 4
+    threads, from fewer evaluations: the model reads no neighbours, and the
+    float64 average of equal float32 copies is that value."""
+    _quantized(work, "mlp")
+    cube = np.random.default_rng(sum(hw)).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
+    patch = min(128, *hw)
+    cap = max(1, patch // 2)
+    paper = build_grid(hw, patch, min(44, cap), min(57, cap))
+    grid = _grid_for({"kind": "mlp", "config": {}}, cube, None)
+    assert grid.n_patches <= paper.n_patches
+    for name in ("mlp.sdw", "mlp.sdq"):
+        _, model, weights = cli._load_model(str(work / name))
+        want_map, want_labels = reconstruct(infer_cube(model, cube, paper, weights=weights),
+                                            paper)
+        for threads in (1, 2, 4):
+            got_map, got_labels = reconstruct(
+                infer_cube(model, cube, grid, weights=weights, threads=threads), grid)
+            assert np.array_equal(got_map, want_map), (name, threads)
+            assert np.array_equal(got_labels, want_labels), (name, threads)
 
 
 def test_bench_infer_float_vs_int8(work, tmp_path, capsys):

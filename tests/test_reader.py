@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import specdrive
-from specdrive.errors import CorruptContainer, Field, InvalidOption, decode, fields, value
+from specdrive.errors import (REQUIRED, CorruptContainer, Field, InvalidOption, decode, fields,
+                              value)
 
 
 @pytest.mark.parametrize("v, f", [
@@ -27,6 +28,13 @@ from specdrive.errors import CorruptContainer, Field, InvalidOption, decode, fie
 def test_value_refuses(v, f):
     with pytest.raises(InvalidOption, match="^opt"):
         value(v, f, "opt")
+
+
+def test_field_repr_is_the_same_in_every_run():
+    """A Field's repr, which test_value_refuses takes for its ids, holds no
+    object address, even with the REQUIRED default."""
+    assert repr(REQUIRED) == "<object object at REQUIRED>"
+    assert not re.search("0x[0-9a-f]", repr(Field(int)))
 
 
 def test_value_reads():

@@ -4,6 +4,7 @@ import pytest
 from specdrive.errors import InvalidGeometry, ShapeMismatch
 from specdrive.tiling import (
     PatchGrid,
+    abutting_grid,
     build_grid,
     extract_patches,
     overlap_index,
@@ -74,6 +75,30 @@ def test_grid_rejects_oversized_patch():
         build_grid((100, 100), 128, 44, 57)
     with pytest.raises(InvalidGeometry):
         build_grid((216, 409), 128, 0, 57)
+
+
+@pytest.mark.parametrize("hw, p", [((216, 409), 128), ((140, 77), 77), ((3, 700), 3),
+                                   ((129, 1000), 128), ((128, 128), 128), ((300, 300), 128),
+                                   ((7, 7), 2)])
+def test_abutting_grid_is_the_fewest_covering_patches(hw, p):
+    """ceil(n / p) patches an axis, the fewest that cover it; each starts
+    where the one before ends, except the last, flush with the far edge,
+    so pixels outside the flush patches' strips are covered once."""
+    g = abutting_grid(hw, p)
+    oi = overlap_index(g)
+    assert np.array_equal(oi, brute_force_oi(g))
+    assert oi.min() == 1
+    for starts, n in zip((g.row_starts, g.col_starts), hw):
+        assert len(starts) == -(-n // p)
+        assert starts[-1] == n - p
+        assert all(b - a == p for a, b in zip(starts[:-2], starts[1:-1]))
+    assert (oi[: hw[0] - p, : hw[1] - p] == 1).all()
+
+
+@pytest.mark.parametrize("p", [0, 101])
+def test_abutting_grid_rejects_a_patch_that_does_not_fit(p):
+    with pytest.raises(InvalidGeometry):
+        abutting_grid((100, 200), p)
 
 
 def test_grid_rejects_uncoverable_stride():
