@@ -22,10 +22,10 @@ import numpy as np
 from . import bench as bench_mod
 from . import formats, quant
 from .complexity import count_flops
-from .errors import (Field, InvalidOption, InvalidSpec, MissingWeights, ShapeMismatch,
-                     SpecdriveError, decode, fields, json_spec, value)
+from .errors import (Field, InvalidGeometry, InvalidOption, InvalidSpec, MissingWeights,
+                     ShapeMismatch, SpecdriveError, decode, fields, json_spec, value)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
-from .model import build_from_meta, fold_batchnorm, forward, run_input_prefix
+from .model import UNetConfig, build_from_meta, fold_batchnorm, forward, run_input_prefix
 from .mosaic import default_layout, preprocess_pipeline
 from .quant import (
     load_qgraph,
@@ -87,15 +87,23 @@ def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
     would only evaluate pixels again and average equal copies: it gets the
     fewest 128-pixel patches that cover the cube (tiling.abutting_grid),
     not one cube-sized patch, so a square cube still feeds two workers. On
-    a cube thinner than the patch, the patch shrinks to the cube. The U-Net's
-    strides are capped at half the patch: the middle gap of a mirrored grid
-    is below twice the stride, so the patches cover every pixel."""
+    a cube thinner than the patch, the patch shrinks to the cube, and a
+    U-Net's further down to a multiple of 2^encoder_depth, the side its
+    pooling halves that often; a cube thinner than that raises
+    InvalidGeometry. The U-Net's strides are capped at half the patch: the
+    middle gap of a mirrored grid is below twice the stride, so the patches
+    cover every pixel."""
     if grid_path:
         return formats.load_grid(grid_path)
     h, w = cube.shape[:2]
     if meta["kind"] != "unet":
         return abutting_grid((h, w), min(128, h, w))
-    patch = min(meta["config"]["patch_size"], h, w)
+    cfg = UNetConfig(**meta["config"])
+    step = 2**cfg.encoder_depth
+    patch = min(cfg.patch_size, h, w) // step * step
+    if not patch:
+        raise InvalidGeometry(f"cube of {h}x{w} pixels is thinner than this U-Net's "
+                              f"minimum patch, {step}x{step} (2^encoder_depth)")
     cap = max(1, patch // 2)
     return build_grid((h, w), patch, min(44, cap), min(57, cap))
 
@@ -114,7 +122,9 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     has its batch norm folded once here, in both kernel modes, so no patch
     folds it again; a quantized body builds its requantization tables here,
     before the workers share it. Returns the per-patch probabilities in grid
-    order; naive selects reference kernels."""
+    order; naive selects reference kernels. The patches are read-only views
+    of the prefix's output (see tiling.extract_patches): no patch is copied,
+    and cube is left as it was."""
     _check_bands(model.meta, cube)
     if isinstance(model, quant.QuantizedGraph):
         body, x = quant.run_input_prefix(model, cube)

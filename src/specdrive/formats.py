@@ -249,10 +249,6 @@ def save_render(path, mask: np.ndarray, ignore_label: int = IGNORE_LABEL) -> Non
         f.write(rgb.tobytes())
 
 
-def save_grid(path, grid) -> None:
-    Path(path).write_text(grid.to_json())
-
-
 def load_grid(path):
     from .tiling import PatchGrid
 

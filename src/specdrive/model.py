@@ -11,8 +11,8 @@ an op, yields every output and drops a tensor after its last reader. walk
 runs it with the float ops, and quant's int8 walk with an op of its own.
 
 The fast float walk runs a graph with its batch norm folded into the layer
-before it (fold_batchnorm), so forward, return_all and quant.calibrate all
-see the folded graph and no caller has to fold first. The naive walk runs
+before it (fold_batchnorm), so forward, walk and quant.calibrate all see the
+folded graph and no caller has to fold first. The naive walk runs
 the graph as written, batchnorm layers included, and is the fold's oracle.
 
 LAYER_KINDS is the one place a layer kind is defined: the tensors a layer of
@@ -26,12 +26,14 @@ graph with a kind that is not in the table is rejected when it is built.
 A graph whose every layer is per-pixel (the MLP) runs over its input's
 pixels in blocks of PIXEL_BLOCK: forward, quant.qforward and
 quant.calibrate flatten the pixels to (n, C) rows and walk the graph once
-per block. The temporaries of one block (2048 x 100 values) stay in cache
-and come from reused allocations, where a whole 128x128 patch needs 13 MB
-float64 buffers that are page-faulted in afresh on every layer. The block
+per block, flattening one block at a time, so a patch view (see
+tiling.extract_patches) is never copied whole. The temporaries of one block
+(2048 x 100 values) stay in cache and come from reused allocations, where a
+whole 128x128 patch needs 13 MB float64 buffers that are page-faulted in
+afresh on every layer. The block
 size is a constant, never derived from the thread count, so a result is the
-same bits whatever the worker count. walk and return_all do not block: they
-give whole-tensor intermediates, layer by layer. Graphs with a spatial
+same bits whatever the worker count. walk does not block: it gives
+whole-tensor intermediates, layer by layer. Graphs with a spatial
 layer (the U-Net's conv3, maxpool2, upconv2) run each input whole.
 
 split_input cuts a graph into its input prefix, the leading per-pixel
@@ -394,24 +396,36 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False
     yield from run(graph, np.asarray(x, dtype=np.float32), op)
 
 
-def pixel_blocks(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
-    """x's pixels flattened to (n, C) rows, PIXEL_BLOCK rows a block, when
-    every layer of the graph is per-pixel and x holds more than one block;
-    [x] otherwise."""
-    if not graph.per_pixel or x.ndim < 2 or x.size <= PIXEL_BLOCK * x.shape[-1]:
-        return [x]
-    flat = x.reshape(-1, x.shape[-1])
-    return [flat[i : i + PIXEL_BLOCK] for i in range(0, len(flat), PIXEL_BLOCK)]
+def _blocked(graph: ModelGraph, x: np.ndarray) -> bool:
+    """Whether every layer of the graph is per-pixel and x holds more than
+    one block of pixels."""
+    return graph.per_pixel and x.ndim >= 2 and x.size > PIXEL_BLOCK * x.shape[-1]
+
+
+def pixel_blocks(graph: ModelGraph, x: np.ndarray):
+    """Yields x's pixels flattened to (n, C) rows, PIXEL_BLOCK rows a block,
+    when _blocked; x alone otherwise. Each block is cut from the rows of x
+    it spans, so a strided x (a patch view) is copied a block at a time,
+    never whole."""
+    if not _blocked(graph, x):
+        yield x
+        return
+    c = x.shape[-1]
+    rows = x.reshape(-1, x.shape[-2], c)  # a patch view stays a view
+    w = rows.shape[1]
+    n = len(rows) * w
+    for a in range(0, n, PIXEL_BLOCK):
+        b = min(a + PIXEL_BLOCK, n)
+        yield rows[a // w : -(-b // w)].reshape(-1, c)[a % w : a % w + b - a]
 
 
 def map_pixel_blocks(fn, graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     """fn(x) for a function that maps (..., C) pixels to (..., K) outputs,
     run block by block (see pixel_blocks) into one preallocated output."""
-    blocks = pixel_blocks(graph, x)
-    if len(blocks) == 1:
+    if not _blocked(graph, x):
         return fn(x)
     out = None
-    for i, block in enumerate(blocks):
+    for i, block in enumerate(pixel_blocks(graph, x)):
         y = fn(block)
         if out is None:
             out = np.empty((x.size // x.shape[-1], y.shape[-1]), y.dtype)
@@ -419,22 +433,12 @@ def map_pixel_blocks(fn, graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     return out.reshape(*x.shape[:-1], out.shape[-1])
 
 
-def forward(
-    graph: ModelGraph,
-    x: np.ndarray,
-    weights: dict,
-    *,
-    naive: bool = False,
-    return_all: bool = False,
-):
+def forward(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False):
     """Float32 inference. Dropout is identity; batch norm uses its stored
-    statistics, folded into the layer before it unless naive (see walk).
-    With return_all, gives every intermediate tensor by name,
-    from one whole-tensor walk. Otherwise a per-pixel graph runs in blocks
-    of PIXEL_BLOCK pixels (see the module docstring) and any other graph on
-    the whole input, keeping one layer's working set at a time."""
-    if return_all:
-        return dict(walk(graph, x, weights, naive=naive))
+    statistics, folded into the layer before it unless naive (see walk). A
+    per-pixel graph runs in blocks of PIXEL_BLOCK pixels (see the module
+    docstring) and any other graph on the whole input, keeping one layer's
+    working set at a time. walk gives every intermediate tensor."""
 
     def output(block):
         for _, out in walk(graph, block, weights, naive=naive):

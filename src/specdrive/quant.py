@@ -22,9 +22,9 @@ whose table would pass MAX_TABLE entries runs the reference tail. The
 tables are built once per QuantizedGraph, on first use, and kept with it
 (cli.infer_cube builds them before its workers start). The naive walk runs
 the reference tail and every relu and tanh, as the oracle of the tables,
-and return_all walks without tables so every tensor is its own layer's
-output. concat's requantization is a 256-entry table of the reference form
-in the fast walk, built per call.
+and qwalk walks without tables so every tensor is its own layer's output.
+concat's requantization is a 256-entry table of the reference form in the
+fast walk, built per call.
 
 Every int8 value the package makes (a quantized input or tanh table, a
 kernel layer's or a concat's reference requantization) ends in one tail,
@@ -421,48 +421,46 @@ def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool,
     return run(qg.graph, x, op)
 
 
-def _dequant(qg: QuantizedGraph, name: str, v: np.ndarray) -> np.ndarray:
-    """The walk's tensor name, v, in float: an int8 v dequantized through
-    the tensor's scheme."""
-    return qg.schemes[name].dequant(v) if v.dtype == np.int8 else v
+def _walk_input(qg: QuantizedGraph, x) -> np.ndarray:
+    """x as the walk reads it: an int8 x as already quantized in the scheme
+    of "input" (see run_input_prefix), anything else as float32."""
+    x = np.asarray(x)
+    if x.dtype != np.int8:
+        return x.astype(np.float32, copy=False)
+    if "input" not in qg.schemes:
+        raise RangeMissing('an int8 input needs a scheme for "input"')
+    return x
 
 
-def qforward(
-    qg: QuantizedGraph,
-    x: np.ndarray,
-    *,
-    naive: bool = False,
-    return_all: bool = False,
-):
+def qwalk(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
+    """Integer inference one layer at a time, for error analysis against
+    the float walk (model.walk): yields ("input", x), then (layer name,
+    output) for every layer, from one whole-tensor walk without
+    requantization tables, so every tensor is its own layer's output. Each
+    int8 tensor is dequantized through its scheme."""
+    for name, v in _qwalk(qg, _walk_input(qg, x), naive, {}):
+        yield name, qg.schemes[name].dequant(v) if v.dtype == np.int8 else v
+
+
+def qforward(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
     """Integer inference. Input normalization runs in float, the body in
     int8 with int32 accumulators, and the head dequantizes before softmax.
     An int8 x is taken as already quantized in the scheme of "input" (see
     run_input_prefix).
 
-    With return_all, returns {tensor name: float array} from one
-    whole-tensor walk, with every int tensor dequantized through its
-    scheme, for error analysis against the float network. Otherwise a
-    per-pixel graph runs in blocks of model.PIXEL_BLOCK pixels, as forward
+    A per-pixel graph runs in blocks of model.PIXEL_BLOCK pixels, as forward
     does. Its float ops reduce over channels only and its integer ops are
-    exact, so the result is the same bits as the whole-tensor walk. Without
-    naive or return_all, relus fold into the requantization before them.
+    exact, so the result is the same bits as qwalk's output. Without naive,
+    relus fold into the requantization before them.
     """
-    x = np.asarray(x)
-    if x.dtype != np.int8:
-        x = x.astype(np.float32, copy=False)
-    elif "input" not in qg.schemes:
-        raise RangeMissing('an int8 input needs a scheme for "input"')
-    if return_all:
-        return {n: _dequant(qg, n, v) for n, v in _qwalk(qg, x, naive, {})}
-
     tables = {} if naive else qg.tables
 
     def output(block):
         for name, out in _qwalk(qg, block, naive, tables):
             pass
-        return _dequant(qg, name, out)
+        return qg.schemes[name].dequant(out) if out.dtype == np.int8 else out
 
-    return map_pixel_blocks(output, qg.graph, x)
+    return map_pixel_blocks(output, qg.graph, _walk_input(qg, x))
 
 
 def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
@@ -513,8 +511,8 @@ def quant_report(
     agree = 0
     total = 0
     for sample in probe:
-        ftens = forward(graph, sample, weights, return_all=True)
-        qtens = qforward(qg, sample, return_all=True)
+        ftens = dict(walk(graph, sample, weights))
+        qtens = dict(qwalk(qg, sample))
         for name in ftens:
             if name == "input" or name not in qtens:
                 continue

@@ -10,7 +10,6 @@ in parallel and be combined afterwards.
 from __future__ import annotations
 
 import io
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +32,6 @@ class ClassStats:
         mean = x.mean(axis=0)
         centered = x - mean
         return cls(count=x.shape[0], mean=mean, scatter=centered.T @ centered)
-
-    @classmethod
-    def from_moments(cls, mean, cov, count: int = 2) -> "ClassStats":
-        mean = np.atleast_1d(np.asarray(mean, np.float64))
-        cov = np.atleast_2d(np.asarray(cov, np.float64))
-        return cls(count=count, mean=mean, scatter=cov * (count - 1))
 
     @property
     def cov(self) -> np.ndarray:
@@ -202,20 +195,6 @@ def select_bands(data: np.ndarray, k: int) -> list[int]:
         col = resid[:, j].copy()
         resid = resid - np.outer(col, col) / col[j]
     return chosen
-
-
-def aggregate_selections(selections: list[list[int]]) -> list[int]:
-    """Combine per-image selections into one: the most frequent band per
-    slot (ties break toward the smaller band index)."""
-    if not selections:
-        raise InsufficientData("no selections to aggregate")
-    k = len(selections[0])
-    out = []
-    for slot in range(k):
-        votes = Counter(sel[slot] for sel in selections)
-        best = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))
-        out.append(best[0])
-    return out
 
 
 def matrix_csv(matrix: np.ndarray, labels: list[str] | None = None) -> str:

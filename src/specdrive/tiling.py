@@ -133,14 +133,20 @@ def overlap_index(grid: PatchGrid) -> np.ndarray:
 
 
 def extract_patches(cube: np.ndarray, grid: PatchGrid) -> list[np.ndarray]:
-    """Copy out each patch, row-major over (row_start, col_start)."""
+    """Each patch as a read-only view of the cube, row-major over
+    (row_start, col_start). Overlapping patches share the cube's memory, so
+    tiling allocates nothing; a write to a patch raises ValueError instead
+    of changing its neighbours."""
     h, w = cube.shape[:2]
     if (h, w) != grid.image_size:
         raise InvalidGeometry(
             f"grid built for {grid.image_size}, cube is {(h, w)}"
         )
     p = grid.patch_size
-    return [cube[r : r + p, c : c + p].copy() for r, c in grid.origins()]
+    patches = [cube[r : r + p, c : c + p] for r, c in grid.origins()]
+    for patch in patches:
+        patch.flags.writeable = False
+    return patches
 
 
 def map_patches(fn, items, threads: int) -> list:

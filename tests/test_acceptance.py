@@ -247,17 +247,22 @@ def test_08_metrics_correctness():
               "inverse-frequency weights match exact-arithmetic formula to 1e-12")
 
 
+def _gauss(mean, cov):
+    """The statistics of two samples with this mean and covariance."""
+    return ClassStats(2, np.asarray(mean, np.float64), np.asarray(cov, np.float64))
+
+
 def test_09_jm_properties():
-    same = ClassStats.from_moments([0.2, 0.4], [[1.0, 0.1], [0.1, 0.5]])
+    same = _gauss([0.2, 0.4], [[1.0, 0.1], [0.1, 0.5]])
     assert jm_distance(same, same) == pytest.approx(0.0, abs=1e-12)
 
-    a = ClassStats.from_moments([0.0], [[1.0]])
-    b = ClassStats.from_moments([2.0], [[1.0]])
+    a = _gauss([0.0], [[1.0]])
+    b = _gauss([2.0], [[1.0]])
     expected = 2 * (1 - np.exp(-0.5))
     assert abs(jm_distance(a, b) - expected) <= 1e-9
 
     sweep = [
-        jm_distance(a, ClassStats.from_moments([d], [[1.0]]))
+        jm_distance(a, _gauss([d], [[1.0]]))
         for d in np.linspace(0.0, 8.0, 20)
     ]
     assert all(later >= earlier - 1e-12 for earlier, later in zip(sweep, sweep[1:]))

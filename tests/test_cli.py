@@ -387,13 +387,76 @@ def test_segment_threads_do_not_change_output(work, tmp_path, monkeypatch):
             assert np.array_equal(formats.load_mask(tmp_path / f"t{threads}.pgm"), want_labels)
 
 
+@pytest.mark.parametrize("model", ["unet.sdw", "unet.sdq", "mlp.sdq"])
+def test_patch_views_give_the_bits_of_patch_copies(work, monkeypatch, model):
+    """infer_cube on read-only patch views gives, at 1, 2 and 4 threads, the
+    bits of a reference that copies each patch, and leaves the cube as it
+    was: no model op writes to its input."""
+    if model.endswith(".sdq"):
+        _quantized(work, model[:-4])
+    kind, graph, weights = cli._load_model(str(work / model))
+    cube = formats.load_cube(work / "crop.hsc")
+    before = cube.copy()
+    grid = _grid_for(graph.meta, cube, None)
+    assert grid.n_patches > 1
+
+    def copies(x, g):
+        return [p.copy() for p in extract_patches(x, g)]
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "extract_patches", copies)
+        want_map, want_labels = reconstruct(infer_cube(graph, cube, grid, weights=weights),
+                                            grid)
+    for threads in (1, 2, 4):
+        got_map, got_labels = reconstruct(
+            infer_cube(graph, cube, grid, weights=weights, threads=threads), grid)
+        assert np.array_equal(got_map, want_map), threads
+        assert np.array_equal(got_labels, want_labels), threads
+        assert np.array_equal(cube, before), threads
+
+
+@pytest.mark.parametrize("hw", [(90, 200), (127, 300), (6, 6)])
+def test_quantize_thin_cube_default_grid(work, tmp_path, hw):
+    """On a cube thinner than 128 whose side is not a multiple of
+    2^encoder_depth, the U-Net's default patch rounds down to one, so
+    quantize calibrates on it (the pooling used to meet an odd side and
+    exit 2)."""
+    cube = np.random.default_rng(sum(hw)).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
+    assert _grid_for({"kind": "unet", "config": {}}, cube, None).patch_size == min(hw) // 4 * 4
+    (tmp_path / "calib").mkdir()
+    formats.save_cube(tmp_path / "calib" / "thin.hsc", cube)
+    assert main(["quantize", "--model", str(work / "unet.sdw"),
+                 "--calib", str(tmp_path / "calib"), "--out", str(tmp_path / "q.sdq")]) == 0
+
+
+def test_cube_thinner_than_the_unets_minimum_patch_exit_2(work, tmp_path, capsys):
+    """A 3x700 cube cannot hold a patch the depth-2 U-Net's pooling can
+    halve twice: segment and quantize refuse it, naming the cube and the
+    minimum, before any model runs."""
+    cube = np.random.default_rng(3).uniform(0.05, 0.95, (3, 700, 25)).astype(np.float32)
+    (tmp_path / "calib").mkdir()
+    formats.save_cube(tmp_path / "calib" / "thin.hsc", cube)
+    for argv in (["segment", "--cube", str(tmp_path / "calib" / "thin.hsc"),
+                  "--out", str(tmp_path / "m.pgm")],
+                 ["quantize", "--calib", str(tmp_path / "calib"),
+                  "--out", str(tmp_path / "q.sdq")]):
+        capsys.readouterr()
+        assert main(argv + ["--model", str(work / "unet.sdw")]) == 2
+        err = capsys.readouterr().err
+        assert "3x700" in err and "4x4" in err, err
+    assert not (tmp_path / "m.pgm").exists() and not (tmp_path / "q.sdq").exists()
+
+
 @pytest.mark.parametrize("model, hw", [
     ("mlp.sdw", (3, 700)), ("unet.sdw", (40, 300)), ("unet.sdw", (40, 100)),
-    ("unet64.sdw", (150, 409)), ("unet32.sdw", (216, 409)), ("unet16.sdw", (40, 40))])
+    ("unet64.sdw", (150, 409)), ("unet32.sdw", (216, 409)), ("unet16.sdw", (40, 40)),
+    ("unet.sdw", (90, 200)), ("unet.sdw", (127, 300)), ("unet.sdw", (6, 6))])
 def test_segment_thin_cube_default_grid(work, tmp_path, model, hw):
     """A cube thinner than the patch, or a patch smaller than the strides,
     segments with the default grid; strides over half the patch used to
-    leave gaps between patches (exit 2). unet<N>.sdw is a patch-N U-Net."""
+    leave gaps between patches (exit 2), and a U-Net patch that is not a
+    multiple of 2^encoder_depth made the pooling meet an odd side (exit 2).
+    unet<N>.sdw is a patch-N U-Net."""
     if not (work / model).exists():
         unet = build_unet(UNetConfig(patch_size=int(model[4:-4])))
         save_weights(work / model, unet, generate_weights(unet, 0))

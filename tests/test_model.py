@@ -15,6 +15,7 @@ from specdrive.model import (
     layer_tensors,
     run_input_prefix,
     split_input,
+    walk,
 )
 from specdrive.quant import QuantScheme
 from specdrive.weights import generate_weights
@@ -68,7 +69,7 @@ def test_unet_shape_law():
     g = build_unet(SMALL)
     w = generate_weights(g, 0)
     x = np.random.default_rng(0).uniform(0, 1, (16, 16, 5)).astype(np.float32)
-    tensors = forward(g, x, w, return_all=True)
+    tensors = dict(walk(g, x, w))
     assert tensors["enc0.relu1"].shape[:2] == (16, 16)
     assert tensors["enc1.relu1"].shape[:2] == (8, 8)
     assert tensors["bridge.relu1"].shape[:2] == (4, 4)
@@ -163,14 +164,14 @@ def test_fold_batchnorm_preserves_outputs(rng):
 
 def test_fast_forward_runs_the_folded_graph(rng):
     """forward folds an unfolded graph itself: the same bits as forward on
-    fold_batchnorm's output, and no batchnorm tensor in return_all."""
+    fold_batchnorm's output, and no batchnorm tensor in walk."""
     g = build_unet(SMALL)
     w = generate_weights(g, 7)
     fg, fw = fold_batchnorm(g, w)
     x = rng.uniform(0, 1, (16, 16, 5)).astype(np.float32)
     assert np.array_equal(forward(g, x, w), forward(fg, x, fw))
-    full = forward(g, x, w, return_all=True)
-    assert full.keys() == forward(fg, x, fw, return_all=True).keys()
+    full = dict(walk(g, x, w))
+    assert full.keys() == dict(walk(fg, x, fw)).keys()
 
 
 def test_batchnorm_runs_only_on_the_naive_walk(monkeypatch, rng):
@@ -182,7 +183,7 @@ def test_batchnorm_runs_only_on_the_naive_walk(monkeypatch, rng):
                         lambda *a: calls.append(1) or real(*a))
     x = rng.uniform(0, 1, (16, 16, 5)).astype(np.float32)
     forward(g, x, w)
-    forward(g, x, w, return_all=True)
+    dict(walk(g, x, w))
     assert calls == []
     forward(g, x, w, naive=True)
     assert len(calls) == sum(l.kind == "batchnorm" for l in g.layers) == 10
@@ -342,7 +343,7 @@ def test_band_norm_layer_in_unet(rng):
     g = build_unet(SMALL)
     w = generate_weights(g, 10)
     x = rng.uniform(0.1, 0.9, (16, 16, 5)).astype(np.float32)
-    tensors = forward(g, x, w, return_all=True)
+    tensors = dict(walk(g, x, w))
     assert np.abs(tensors["norm.bands"].sum(-1) - 1).max() <= 1e-6
 
 

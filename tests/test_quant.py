@@ -27,6 +27,7 @@ from specdrive.quant import (
     quant_report,
     quantize_graph,
     quantize_model,
+    qwalk,
     round_half_away,
     run_input_prefix,
     save_qgraph,
@@ -396,7 +397,7 @@ def _spy_rows(monkeypatch, owner, key):
 @pytest.mark.parametrize("lead", BLOCK_SHAPES, ids=str)
 def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
     """Blocks of PIXEL_BLOCK pixels: qforward gives the bits of its
-    whole-tensor return_all walk, forward the bits or agreement within 1e-5
+    whole-tensor qwalk, forward the bits or agreement within 1e-5
     with the same labels (BLAS may sum a 2048-row block in another order)."""
     g, w, qg = mlp_models
     n = int(np.prod(lead))
@@ -407,7 +408,7 @@ def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
     rows = _spy_rows(monkeypatch, kernels.FAST_KERNELS, "dense")
     y = forward(g, x, w)
     assert rows == want_rows
-    ref = forward(g, x, w, return_all=True)[g.output_name]
+    ref = dict(walk(g, x, w))[g.output_name]
     assert y.shape == ref.shape == (*lead, 3) and y.dtype == np.float32
     if not np.array_equal(y, ref):
         assert np.abs(y - ref).max() <= 1e-5
@@ -416,7 +417,7 @@ def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
     rows = _spy_rows(monkeypatch, kernels, "dense_int")
     yq = qforward(qg, x)
     assert rows == want_rows
-    qref = qforward(qg, x, return_all=True)[qg.graph.output_name]
+    qref = dict(qwalk(qg, x))[qg.graph.output_name]
     assert yq.shape == (*lead, 3) and yq.dtype == np.float32
     assert np.array_equal(yq, qref)
 
@@ -428,6 +429,20 @@ def test_mlp_blocks_keep_the_naive_gate(mlp_models):
     assert np.abs(fast - slow).max() <= 1e-5
     assert np.array_equal(fast.argmax(-1), slow.argmax(-1))
     assert np.array_equal(qforward(qg, x), qforward(qg, x, naive=True))
+
+
+def test_pixel_blocks_of_a_patch_view_copy_only_their_rows(rng):
+    """A strided patch view is flattened a block at a time: each block holds
+    its pixels of the flattened patch and copies only the patch rows it
+    spans (77-pixel rows, so blocks start mid-row)."""
+    cube = rng.uniform(0, 1, (100, 120, 5)).astype(np.float32)
+    patch = cube[3:80, 10:87]
+    flat = patch.reshape(-1, 5)
+    blocks = list(model.pixel_blocks(build_mlp(5, 3), patch))
+    assert len(blocks) == 3
+    for i, block in enumerate(blocks):
+        assert np.array_equal(block, flat[i * PIXEL_BLOCK : (i + 1) * PIXEL_BLOCK])
+        assert block.base.size <= (PIXEL_BLOCK + 2 * 77) * 5
 
 
 def test_calibrate_walks_pixel_blocks(monkeypatch, rng):
@@ -543,9 +558,9 @@ def _spy_calls(monkeypatch, owner, name):
 
 
 def test_relu_folds_into_requantization(monkeypatch, rng, mlp_models):
-    """qforward without naive or return_all composes the relu or tanh that
+    """qforward without naive composes the relu or tanh that
     is a kernel layer's only reader into its requantization table, and never
-    calls relu_int or the tanh's lookup_int; the naive and return_all walks
+    calls relu_int or the tanh's lookup_int; the naive qforward and qwalk
     run every relu and tanh and give the same output bits."""
     g = small_unet()
     w = generate_weights(g, 25)
@@ -558,7 +573,7 @@ def test_relu_folds_into_requantization(monkeypatch, rng, mlp_models):
     fast = qforward(qg, x)
     assert calls == []
     assert np.array_equal(qforward(qg, x, naive=True), fast) and len(calls) == relus
-    full = qforward(qg, x, return_all=True)
+    full = dict(qwalk(qg, x))
     assert np.array_equal(full[qg.graph.output_name], fast) and len(calls) == 2 * relus
     assert full["enc0.conv0"].min() < full["enc0.relu0"].min()  # the relu ran after
 
@@ -570,7 +585,7 @@ def test_relu_folds_into_requantization(monkeypatch, rng, mlp_models):
     fast = qforward(qg, x)
     assert calls == []
     assert np.array_equal(qforward(qg, x, naive=True), fast) and len(calls) == 2 * 3
-    assert np.array_equal(qforward(qg, x, return_all=True)[qg.graph.output_name], fast)
+    assert np.array_equal(dict(qwalk(qg, x))[qg.graph.output_name], fast)
 
 
 def _big_bias_mlp(rng):

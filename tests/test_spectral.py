@@ -4,7 +4,6 @@ import pytest
 from specdrive.errors import InsufficientData, RankDeficient, SingularCovariance
 from specdrive.spectral import (
     ClassStats,
-    aggregate_selections,
     band_correlation,
     bhattacharyya,
     class_stats,
@@ -51,8 +50,10 @@ def test_correlation_insufficient_data():
         band_correlation(np.zeros((1, 5)))
 
 
-def gauss(mean, var):
-    return ClassStats.from_moments(np.atleast_1d(mean), np.atleast_2d(var))
+def gauss(mean, cov):
+    """The statistics of two samples with this mean and covariance."""
+    return ClassStats(2, np.atleast_1d(np.asarray(mean, np.float64)),
+                      np.atleast_2d(np.asarray(cov, np.float64)))
 
 
 def test_jm_identical_distributions_zero():
@@ -166,11 +167,6 @@ def test_select_bands_rank_deficient(rng):
     x = np.stack([base, 2 * base, -base], axis=1)
     with pytest.raises(RankDeficient):
         select_bands(x, 2)
-
-
-def test_aggregate_selections_mode():
-    sels = [[8, 21, 24], [8, 21, 3], [8, 5, 24], [7, 21, 24]]
-    assert aggregate_selections(sels) == [8, 21, 24]
 
 
 def test_matrix_csv_shape():

@@ -124,6 +124,20 @@ def test_extract_single_patch_equals_cube(rng):
     assert np.array_equal(patch, cube)
 
 
+def test_extract_gives_read_only_views_of_the_cube(paper_grid, rng):
+    """Every patch shares the cube's memory and refuses a write, which would
+    otherwise change the overlapping patches next to it."""
+    cube = rng.uniform(0, 1, (216, 409, 25)).astype(np.float32)
+    before = cube.copy()
+    patches = extract_patches(cube, paper_grid)
+    for (r, c), patch in zip(paper_grid.origins(), patches):
+        assert np.shares_memory(patch, cube) and not patch.flags.writeable
+        assert np.array_equal(patch, before[r : r + 128, c : c + 128])
+    with pytest.raises(ValueError):
+        patches[7][0, 0, 0] = 1.0
+    assert cube.flags.writeable and np.array_equal(cube, before)
+
+
 def test_extract_grid_size_mismatch(rng):
     with pytest.raises(InvalidGeometry):
         extract_patches(np.zeros((100, 100, 3)), build_grid(IMAGE, 128, 44, 57))
