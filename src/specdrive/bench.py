@@ -48,10 +48,6 @@ class BenchConfig:
         if not self.threads or not self.vectorized:
             raise InvalidOption("need at least one thread count and one kernel mode")
 
-    @classmethod
-    def from_dict(cls, d, name: str = "bench config") -> "BenchConfig":
-        return read_config(d, name)[0]
-
 
 def read_config(d, name: str, inputs: dict[str, Field] | None = None):
     """(BenchConfig, the inputs' fields) read from the JSON object d, whose

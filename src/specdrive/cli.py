@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from dataclasses import replace
@@ -47,15 +46,6 @@ from .tiling import (THREADS, abutting_grid, build_grid, extract_patches, map_pa
                      reconstruct)
 from .weights import load_weights
 
-THREADS_ENV = "SPECDRIVE_THREADS"
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
@@ -79,33 +69,39 @@ def _load_model(path: str, want_quantized: bool = False):
     return "float", graph, w
 
 
-def _grid_for(meta: dict, cube: np.ndarray, grid_path: str | None):
-    """The grid file if one is given, for any model. Else a U-Net gets the
-    paper's 44/57-stride grid of its patch size, whose overlap gives each
-    convolution context at the patch borders. A per-pixel model (the MLP,
-    whose graph is ModelGraph.per_pixel) reads no neighbours, so overlap
-    would only evaluate pixels again and average equal copies: it gets the
-    fewest 128-pixel patches that cover the cube (tiling.abutting_grid),
-    not one cube-sized patch, so a square cube still feeds two workers. On
-    a cube thinner than the patch, the patch shrinks to the cube, and a
-    U-Net's further down to a multiple of 2^encoder_depth, the side its
-    pooling halves that often; a cube thinner than that raises
-    InvalidGeometry. The U-Net's strides are capped at half the patch: the
-    middle gap of a mirrored grid is below twice the stride, so the patches
-    cover every pixel."""
+def _grid_for(meta: dict, hw: tuple[int, int], grid_path: str | None):
+    """The grid for an image of hw = (rows, cols) pixels: the grid file if
+    one is given, for any model. Else a U-Net gets the paper's 44/57-stride
+    grid of its patch size, whose overlap gives each convolution context at
+    the patch borders. A per-pixel model (the MLP, whose graph is
+    ModelGraph.per_pixel) reads no neighbours, so overlap would only
+    evaluate pixels again and average equal copies: it gets the fewest
+    128-pixel patches that cover the cube (tiling.abutting_grid), not one
+    cube-sized patch, so a square cube still feeds two workers. On a cube
+    thinner than the patch, the patch shrinks to the cube, and a U-Net's
+    further down to a multiple of 2^encoder_depth, the side its pooling
+    halves that often; a cube thinner than that raises InvalidGeometry, and
+    so does a grid file whose patch is not such a multiple. The U-Net's
+    strides are capped at half the patch: the middle gap of a mirrored grid
+    is below twice the stride, so the patches cover every pixel."""
+    h, w = hw
+    cfg = UNetConfig(**meta["config"]) if meta["kind"] == "unet" else None
+    step = 2**cfg.encoder_depth if cfg else 1
     if grid_path:
-        return formats.load_grid(grid_path)
-    h, w = cube.shape[:2]
-    if meta["kind"] != "unet":
-        return abutting_grid((h, w), min(128, h, w))
-    cfg = UNetConfig(**meta["config"])
-    step = 2**cfg.encoder_depth
+        grid = formats.load_grid(grid_path)
+        if grid.patch_size % step:
+            raise InvalidGeometry(
+                f"grid {grid_path} has patch {grid.patch_size}, which this U-Net cannot "
+                f"pool: it must be a multiple of {step} (2^encoder_depth)")
+        return grid
+    if cfg is None:
+        return abutting_grid(hw, min(128, h, w))
     patch = min(cfg.patch_size, h, w) // step * step
     if not patch:
         raise InvalidGeometry(f"cube of {h}x{w} pixels is thinner than this U-Net's "
                               f"minimum patch, {step}x{step} (2^encoder_depth)")
     cap = max(1, patch // 2)
-    return build_grid((h, w), patch, min(44, cap), min(57, cap))
+    return build_grid(hw, patch, min(44, cap), min(57, cap))
 
 
 def _check_bands(meta: dict, cube: np.ndarray) -> None:
@@ -157,7 +153,7 @@ def run_segment(manifest: dict, name: str = "manifest") -> dict:
     manifest = fields(manifest, MANIFEST, name)
     cube = formats.load_cube(manifest["cube"])
     _, model, weights = _load_model(manifest["model"], manifest["quantized"])
-    grid = _grid_for(model.meta, cube, manifest["grid"])
+    grid = _grid_for(model.meta, cube.shape[:2], manifest["grid"])
     prob_map, labels = reconstruct(
         infer_cube(model, cube, grid, weights=weights, threads=manifest["threads"]), grid)
 
@@ -230,7 +226,7 @@ def _cmd_segment(args) -> int:
     if isinstance(manifest, dict):  # run_segment refuses anything else
         flags = {k: v for k, v in vars(args).items()
                  if k in MANIFEST and v is not None and v is not False}
-        manifest = {"threads": default_threads(), **manifest, **flags}
+        manifest = {**manifest, **flags}
     result = run_segment(manifest, args.manifest or "segment")
     print(f"mask written to {result['mask']}")
     if "report" in result:
@@ -252,7 +248,8 @@ def _cmd_quantize(args) -> int:
         cube = formats.load_cube(c)
         _check_bands(graph.meta, cube)
         if graph.meta["kind"] == "unet":
-            samples.extend(extract_patches(cube, _grid_for(graph.meta, cube, args.grid)))
+            grid = _grid_for(graph.meta, cube.shape[:2], args.grid)
+            samples.extend(extract_patches(cube, grid))
         else:
             samples.append(cube)
     qg = quantize_model(graph, weights, samples)
@@ -315,7 +312,7 @@ def _cmd_bench(args) -> int:
             scene = synth_scene(spec)
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
-        grid = _grid_for(model.meta, cube, cfg["grid"])
+        grid = _grid_for(model.meta, cube.shape[:2], cfg["grid"])
         report = bench_mod.bench_inference(
             bcfg, model, cube, grid, weights=weights, preprocess_ms=cfg["preprocess_ms"])
         if cfg["quantized_model"]:
@@ -410,7 +407,11 @@ def _cmd_model_info(args) -> int:
     kind, model, _weights = _load_model(args.model)
     meta = model.meta
     unet = meta["kind"] == "unet"
-    rep = count_flops(build_from_meta(meta), patches_per_image=18 if unet else 216 * 409)
+    # per image: segment's default grid on the default layout's frame, for a
+    # U-Net; each of the frame's pixels once, for a per-pixel model
+    hw = default_layout().cube_shape[:2]
+    per_image = _grid_for(meta, hw, None).n_patches if unet else hw[0] * hw[1]
+    rep = count_flops(build_from_meta(meta), patches_per_image=per_image)
     print(f"kind: {meta['kind']} ({json.dumps(meta['config'])})")
     print(f"params {rep.np_total} ({rep.non_trainable} non-trainable)")
     unit, units = ("patch", "patches") if unet else ("pixel", "pixels")
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--white", required=True)
     s.add_argument("--layout")
     s.add_argument("--out", required=True)
-    s.add_argument("--threads", type=int, default=default_threads())
+    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--no-vector", action="store_true")
     s.set_defaults(fn=_cmd_preprocess)
 

@@ -100,14 +100,14 @@ def read_container(path, magic: bytes, dtypes: dict[str, str], parse,
     return parse(header, arrays)
 
 
-def save_raw(path, frame: np.ndarray, layout_id: str = "default-5x5",
-             bit_depth: int = 16) -> None:
+def save_raw(path, frame: np.ndarray, layout_id: str = "default-5x5") -> None:
+    """The frame as little-endian uint16 and its sidecar, at bit depth 16."""
     frame = np.ascontiguousarray(frame, dtype="<u2")
     Path(path).write_bytes(frame.tobytes())
     sidecar = {
         "width": frame.shape[1],
         "height": frame.shape[0],
-        "bit_depth": bit_depth,
+        "bit_depth": 16,
         "layout_id": layout_id,
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar))
@@ -231,18 +231,18 @@ def load_mask(path) -> np.ndarray:
     return np.frombuffer(data, np.uint8).reshape(h, w).copy()
 
 
-def render_mask(mask: np.ndarray, ignore_label: int = IGNORE_LABEL) -> np.ndarray:
-    """Class indices to RGB with the fixed palette; ignore pixels are black."""
+def render_mask(mask: np.ndarray) -> np.ndarray:
+    """Class indices to RGB with the fixed palette; IGNORE_LABEL is black."""
     rgb = np.zeros((*mask.shape, 3), np.uint8)
     for cid in np.unique(mask):
-        if cid == ignore_label:
+        if cid == IGNORE_LABEL:
             continue
         rgb[mask == cid] = PALETTE[int(cid) % len(PALETTE)]
     return rgb
 
 
-def save_render(path, mask: np.ndarray, ignore_label: int = IGNORE_LABEL) -> None:
-    rgb = render_mask(mask, ignore_label)
+def save_render(path, mask: np.ndarray) -> None:
+    rgb = render_mask(mask)
     h, w = mask.shape
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())

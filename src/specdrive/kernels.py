@@ -126,8 +126,8 @@ def dense_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*x.shape[:-1], w.shape[1])
 
 
-def batchnorm_infer(x, scale, offset, mean, var, eps: float = BN_EPS):
-    inv = scale / np.sqrt(var + eps)
+def batchnorm_infer(x, scale, offset, mean, var):
+    inv = scale / np.sqrt(var + BN_EPS)
     return (x - mean) * inv + offset
 
 

@@ -24,10 +24,6 @@ IGNORE_LABEL = 255
 class ConfusionMatrix:
     counts: np.ndarray  # (C, C) int64, rows = ground truth, cols = prediction
 
-    @classmethod
-    def empty(cls, num_classes: int) -> "ConfusionMatrix":
-        return cls(np.zeros((num_classes, num_classes), np.int64))
-
     @property
     def num_classes(self) -> int:
         return self.counts.shape[0]
@@ -36,25 +32,15 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Elementwise add: matrices accumulated in parallel can be merged
-        in any order."""
-        if self.counts.shape != other.counts.shape:
-            raise ShapeMismatch("cannot merge confusion matrices of different sizes")
-        return ConfusionMatrix(self.counts + other.counts)
-
-    def __add__(self, other):
-        return self.merge(other)
-
 
 def accumulate(
     gt: np.ndarray,
     pred: np.ndarray,
     num_classes: int,
     ignore_label: int = IGNORE_LABEL,
-    into: ConfusionMatrix | None = None,
 ) -> ConfusionMatrix:
-    """Tally gt/prediction pairs, skipping ignore-labelled ground truth."""
+    """Tally gt/prediction pairs into a new matrix, skipping pixels whose
+    ground truth is ignore_label."""
     gt = np.asarray(gt)
     pred = np.asarray(pred)
     if gt.shape != pred.shape:
@@ -68,8 +54,7 @@ def accumulate(
     if p.size and (p.min() < 0 or p.max() >= num_classes):
         raise LabelOutOfRange(f"predicted label outside [0, {num_classes})")
     binned = np.bincount(g * num_classes + p, minlength=num_classes * num_classes)
-    cm = ConfusionMatrix(binned.reshape(num_classes, num_classes))
-    return cm if into is None else into.merge(cm)
+    return ConfusionMatrix(binned.reshape(num_classes, num_classes))
 
 
 @dataclass
@@ -94,17 +79,16 @@ def inverse_frequency_weights(frequencies: np.ndarray) -> np.ndarray:
 
 def compute_metrics(
     cm: ConfusionMatrix,
-    weights: np.ndarray | None = None,
     frequencies: np.ndarray | None = None,
 ) -> MetricsReport:
     """Derive per-class and aggregate scores from a confusion matrix.
 
-    Weights come from, in order of precedence: the explicit `weights`
-    vector, inverse `frequencies` (one finite value >= 0 per class, summing
-    to more than 0), or inverse class frequency observed in the matrix
-    itself. Classes absent from the ground truth are excluded
-    from the mean and weighted aggregates (with a warning), and the weights
-    are renormalized over the remaining classes.
+    The weighted aggregate uses inverse_frequency_weights of `frequencies`
+    (one finite value >= 0 per class, summing to more than 0) if given,
+    else of the class frequencies observed in the matrix itself; a class of
+    frequency 0 has weight NaN. Classes absent from the ground truth are
+    excluded from the mean and weighted aggregates (with a warning), and
+    the weights are renormalized over the remaining classes.
     """
     total = cm.total
     if total == 0:
@@ -150,21 +134,11 @@ def compute_metrics(
             return float(metric[ok].mean())
         return float((metric[ok] * w[ok] / w[ok].sum()).sum())
 
-    if weights is not None:
-        w_full = np.asarray(weights, np.float64)
-        if w_full.shape != (cm.num_classes,):
-            raise ShapeMismatch("weights length must equal the class count")
-        w_full = w_full / w_full.sum()
-    else:
-        freq = (
-            _check_frequencies(frequencies, cm.num_classes)
-            if frequencies is not None
-            else gt_count / total
-        )
-        pos = freq > 0
-        inv = np.zeros_like(freq)
-        inv[pos] = 1.0 / freq[pos]
-        w_full = np.where(pos, inv / inv[pos].sum(), np.nan)
+    freq = (gt_count / total if frequencies is None
+            else _check_frequencies(frequencies, cm.num_classes))
+    pos = freq > 0
+    w_full = np.full_like(freq, np.nan)
+    w_full[pos] = inverse_frequency_weights(freq[pos])
 
     mean = tuple(aggregate(m, None) for m in (recall, precision, iou))
     weighted = tuple(aggregate(m, w_full) for m in (recall, precision, iou))

@@ -52,14 +52,8 @@ STAGE_NAMES = (STAGE_CROP, STAGE_REFLECTANCE, STAGE_EXTRACT, STAGE_TRANSLATE)
 FULL_SCALE = 65535.0
 # white-dark spans at or below this many counts are treated as degenerate
 DEFAULT_EPS = 1e-6 * FULL_SCALE
-# eps runs as a float32, which must be positive and finite
-_F32 = np.finfo(np.float32)
-EPS = Field(float, float(_F32.smallest_subnormal), float(_F32.max))
-
-
-def _eps32(eps) -> np.float32:
-    """eps checked against EPS, as the float32 the reflectance stage uses."""
-    return np.float32(value(eps, EPS, "eps"))
+# the same threshold as the float32 the reflectance stage compares against
+_EPS32 = np.float32(DEFAULT_EPS)
 
 
 @dataclass(frozen=True)
@@ -149,23 +143,20 @@ def crop_clip(frame: np.ndarray, layout: MosaicLayout) -> np.ndarray:
     return frame[r0 : r0 + h, c0 : c0 + w]
 
 
-def reflectance_correct(
-    img: np.ndarray,
-    dark: np.ndarray,
-    white: np.ndarray,
-    eps: float = DEFAULT_EPS,
-) -> tuple[np.ndarray, int]:
+def reflectance_correct(img: np.ndarray, dark: np.ndarray,
+                        white: np.ndarray) -> tuple[np.ndarray, int]:
     """Normalize radiance counts to [0, 1] reflectance.
 
     r = clamp((img - dark) / max(white - dark, eps), 0, 1), computed in
-    float32. Pixels whose white-dark span is <= eps are degenerate: they are
-    forced to 0 and counted (second return value), not treated as fatal.
+    float32 with eps the float32 of DEFAULT_EPS. Pixels whose white-dark
+    span is <= eps are degenerate: they are forced to 0 and counted (second
+    return value), not treated as fatal.
     """
     if not (img.shape == dark.shape == white.shape):
         raise DimensionMismatch(
             f"frame shapes disagree: {img.shape} / {dark.shape} / {white.shape}"
         )
-    return _reflectance(img, dark, white, _eps32(eps))
+    return _reflectance(img, dark, white)
 
 
 # frame rows per reflectance block: at full width a block's uint16 inputs,
@@ -174,7 +165,7 @@ def reflectance_correct(
 _REFL_ROWS = 32
 
 
-def _reflectance(img, dark, white, eps32):
+def _reflectance(img, dark, white):
     """The whole-array expression, one block of _REFL_ROWS rows at a time
     into one output. Each operand is cast to float32 once per block before
     anything is subtracted, as the naive form casts it, so every pixel
@@ -193,9 +184,9 @@ def _reflectance(img, dark, white, eps32):
         np.copyto(s, white[rows])
         np.copyto(o, img[rows])
         np.subtract(s, db, out=s)
-        np.less_equal(s, eps32, out=b)
+        np.less_equal(s, _EPS32, out=b)
         np.subtract(o, db, out=o)
-        np.maximum(s, eps32, out=s)
+        np.maximum(s, _EPS32, out=s)
         np.divide(o, s, out=o)
         np.clip(o, zero, one, out=o)
         np.copyto(o, zero, where=b)
@@ -203,7 +194,7 @@ def _reflectance(img, dark, white, eps32):
     return out, n_bad
 
 
-def _reflectance_naive(img, dark, white, eps32):
+def _reflectance_naive(img, dark, white):
     zero = np.float32(0.0)
     one = np.float32(1.0)
     out = np.empty(img.shape, dtype=np.float32)
@@ -214,13 +205,13 @@ def _reflectance_naive(img, dark, white, eps32):
             d = np.float32(dark[r, c])
             w = np.float32(white[r, c])
             span = w - d
-            denom = span if span > eps32 else eps32
+            denom = span if span > _EPS32 else _EPS32
             v = (i - d) / denom
             if v < zero:
                 v = zero
             elif v > one:
                 v = one
-            if span <= eps32:
+            if span <= _EPS32:
                 v = zero
                 n_bad += 1
             out[r, c] = v
@@ -408,14 +399,15 @@ def preprocess_pipeline(
     white: np.ndarray,
     layout: MosaicLayout | None = None,
     *,
-    eps: float = DEFAULT_EPS,
     threads: int = 1,
     vectorized: bool = True,
 ) -> PreprocessResult:
     """Run the four preprocessing stages and time each one.
 
     Crop, reflectance and extraction are whole-array passes; the crops are
-    views, and no stage writes to frame, dark or white. Translation
+    views, and no stage writes to frame, dark or white. Reflectance treats
+    white-dark spans at or below DEFAULT_EPS as degenerate (see
+    reflectance_correct). Translation
     computes one band plane per task and splits the bands across `threads`
     workers through tiling.map_patches. A plane reads only the lattice and
     its own band's coefficients and is written to its band's slot of the
@@ -425,7 +417,6 @@ def preprocess_pipeline(
     if layout is None:
         layout = default_layout()
     value(threads, THREADS, "threads")
-    eps32 = _eps32(eps)
     if vectorized:
         refl_fn, extract_fn, band_fn = _reflectance, _extract, _translate_band
     else:
@@ -443,8 +434,7 @@ def preprocess_pipeline(
     # reference frames are corrected over the same active window
     dark_a = crop_clip(dark, layout) if dark.shape != active.shape else dark
     white_a = crop_clip(white, layout) if white.shape != active.shape else white
-    refl, n_bad = timed(
-        STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a, eps32)
+    refl, n_bad = timed(STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a)
     lattice = timed(STAGE_EXTRACT, extract_fn, refl, layout)
     planes = timed(STAGE_TRANSLATE, _translate, lattice, layout, band_fn, threads)
 

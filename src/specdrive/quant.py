@@ -432,13 +432,13 @@ def _walk_input(qg: QuantizedGraph, x) -> np.ndarray:
     return x
 
 
-def qwalk(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
+def qwalk(qg: QuantizedGraph, x: np.ndarray):
     """Integer inference one layer at a time, for error analysis against
     the float walk (model.walk): yields ("input", x), then (layer name,
-    output) for every layer, from one whole-tensor walk without
-    requantization tables, so every tensor is its own layer's output. Each
-    int8 tensor is dequantized through its scheme."""
-    for name, v in _qwalk(qg, _walk_input(qg, x), naive, {}):
+    output) for every layer, from one whole-tensor walk on the fast kernels
+    without requantization tables, so every tensor is its own layer's
+    output. Each int8 tensor is dequantized through its scheme."""
+    for name, v in _qwalk(qg, _walk_input(qg, x), False, {}):
         yield name, qg.schemes[name].dequant(v) if v.dtype == np.int8 else v
 
 

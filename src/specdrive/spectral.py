@@ -2,9 +2,8 @@
 
 Band-to-band Pearson correlation, per-class Gaussian statistics with a
 Jeffreys-Matusita separability index on the 0..2 scale, and greedy
-informative-band selection by orthogonal projection. Class statistics are a
-mergeable fold (count / mean / scatter), so per-image accumulation can run
-in parallel and be combined afterwards.
+informative-band selection by orthogonal projection. Class statistics are
+held as count, mean and scatter.
 """
 
 from __future__ import annotations
@@ -38,18 +37,6 @@ class ClassStats:
         if self.count < 2:
             raise InsufficientData("covariance needs at least 2 samples")
         return self.scatter / (self.count - 1)
-
-    def merge(self, other: "ClassStats") -> "ClassStats":
-        """Parallel-fold combination of two partial statistics."""
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * (other.count / n)
-        scatter = (
-            self.scatter
-            + other.scatter
-            + np.outer(delta, delta) * (self.count * other.count / n)
-        )
-        return ClassStats(count=n, mean=mean, scatter=scatter)
 
 
 def class_stats(

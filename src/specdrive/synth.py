@@ -110,9 +110,8 @@ def _class_map(spec: SceneSpec, hm: int, wm: int) -> np.ndarray:
     return cmap.astype(np.uint8)
 
 
-def weak_labels(class_map: np.ndarray, erode: int = 1,
-                ignore: int = IGNORE_LABEL) -> np.ndarray:
-    """Ignore-label every pixel within `erode` (chebyshev) of a region edge."""
+def weak_labels(class_map: np.ndarray, erode: int = 1) -> np.ndarray:
+    """IGNORE_LABEL every pixel within `erode` (chebyshev) of a region edge."""
     labels = class_map.astype(np.uint8).copy()
     if erode <= 0:
         return labels
@@ -125,7 +124,7 @@ def weak_labels(class_map: np.ndarray, erode: int = 1,
                 continue
             shifted = pm[erode + di : erode + di + h, erode + dj : erode + dj + w]
             bad |= shifted != class_map
-    labels[bad] = ignore
+    labels[bad] = IGNORE_LABEL
     return labels
 
 
@@ -205,21 +204,20 @@ def synth_scene(spec: SceneSpec, layout: MosaicLayout | None = None) -> SceneDat
     )
 
 
-def interior_mask(shape: tuple[int, int], ring: int = 1) -> np.ndarray:
-    """True away from the outer `ring` mosaics, where center interpolation
+def interior_mask(shape: tuple[int, int]) -> np.ndarray:
+    """True away from the outer ring of mosaics, where center interpolation
     has its full 4-sample neighbourhood."""
     mask = np.zeros(shape, dtype=bool)
-    mask[ring:-ring, ring:-ring] = True
+    mask[1:-1, 1:-1] = True
     return mask
 
 
-def separating_mlp_weights(
-    signatures: np.ndarray,
-    *,
-    embed_gain: float = 2.0,
-    score_gain: float = 0.1,
-    out_gain: float = 300.0,
-) -> tuple[ModelGraph, dict[str, np.ndarray]]:
+# separating_mlp_weights' gains: of the tanh embedding, of the class scores
+# and of the centered logits
+EMBED_GAIN, SCORE_GAIN, OUT_GAIN = 2.0, 0.1, 300.0
+
+
+def separating_mlp_weights(signatures) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     """Hand-built spectral classifier with provable argmax.
 
     Construction: band-sum normalize, center, squash through tanh with a
@@ -238,18 +236,18 @@ def separating_mlp_weights(
 
     sig_n = sig / sig.sum(axis=1, keepdims=True)
     mu = sig_n.mean(axis=0)
-    centroids = np.tanh(embed_gain * (sig_n - mu))  # (classes, 25)
+    centroids = np.tanh(EMBED_GAIN * (sig_n - mu))  # (classes, 25)
 
     weights: dict[str, np.ndarray] = {
         "norm.zscore.mean": mu.astype(np.float32),
         "norm.zscore.std": np.ones(bands, np.float32),
-        "fc0.weight": (embed_gain * np.eye(bands)).astype(np.float32),
+        "fc0.weight": (EMBED_GAIN * np.eye(bands)).astype(np.float32),
         "fc0.bias": np.zeros(25, np.float32),
     }
     w1 = np.zeros((25, 100))
     b1 = np.zeros(100)
-    w1[:, :classes] = score_gain * centroids.T
-    b1[:classes] = -score_gain * 0.5 * (centroids**2).sum(axis=1)
+    w1[:, :classes] = SCORE_GAIN * centroids.T
+    b1[:classes] = -SCORE_GAIN * 0.5 * (centroids**2).sum(axis=1)
     weights["fc1.weight"] = w1.astype(np.float32)
     weights["fc1.bias"] = b1.astype(np.float32)
 
@@ -259,7 +257,7 @@ def separating_mlp_weights(
     weights["fc2.bias"] = np.zeros(100, np.float32)
 
     w3 = np.zeros((100, classes))
-    w3[:classes, :classes] = out_gain * (
+    w3[:classes, :classes] = OUT_GAIN * (
         np.eye(classes) - np.full((classes, classes), 1.0 / classes)
     )
     weights["fc3.weight"] = w3.astype(np.float32)

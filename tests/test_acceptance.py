@@ -116,7 +116,7 @@ def test_05_demosaicing_roundtrip_100_scenes():
         scene = synth_scene(SceneSpec(kind="gradient", seed=seed))
         res = preprocess_pipeline(scene.raw, scene.dark, scene.white, scene.layout)
         err = np.abs(res.cube.astype(np.float64) - scene.gt_cube)
-        interior = interior_mask(scene.gt_cube.shape[:2], 1)
+        interior = interior_mask(scene.gt_cube.shape[:2])
         worst_interior = max(worst_interior, float(err[interior].max()))
         worst_border = max(worst_border, float(err[~interior].max()))
         assert worst_interior <= 1e-5

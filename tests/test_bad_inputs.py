@@ -367,7 +367,7 @@ def test_bad_option_exit_2(files, tmp_path, run, option):
 
 
 def test_segment_threads_precedence(files, tmp_path, monkeypatch):
-    """--threads, then the manifest, then SPECDRIVE_THREADS, then 1."""
+    """--threads, then the manifest, then 1."""
     seen = []
     real = cli.map_patches
 
@@ -376,13 +376,40 @@ def test_segment_threads_precedence(files, tmp_path, monkeypatch):
         return real(fn, patches, threads)
 
     monkeypatch.setattr(cli, "map_patches", spy)
-    monkeypatch.setenv("SPECDRIVE_THREADS", "3")
     assert manifest(files, tmp_path, threads=4) == 0
     assert segment(files, tmp_path, manifest=tmp_path / "run.json", threads=2) == 0
     assert segment(files, tmp_path) == 0
-    monkeypatch.delenv("SPECDRIVE_THREADS")
-    assert segment(files, tmp_path) == 0
-    assert seen == [4, 2, 3, 1]
+    assert seen == [4, 2, 1]
+
+
+@pytest.mark.parametrize("command", ["segment", "quantize", "bench infer"])
+def test_grid_file_a_unet_cannot_pool_exit_2(tmp_path, capsys, command):
+    """A grid file whose patch is not a multiple of 2^encoder_depth used to
+    reach the kernels and exit 2 with maxpool2's message, which names no
+    grid and no model. Every command that reads a grid now refuses it before
+    any model runs, naming the file, its patch and the step."""
+    g = build_unet(UNetConfig(patch_size=8, encoder_depth=2, initial_filters=2,
+                              in_channels=5))
+    model = tmp_path / "u.sdw"
+    save_weights(model, g, generate_weights(g, 1))
+    (tmp_path / "calib").mkdir()
+    cube = tmp_path / "calib" / "c10.hsc"
+    formats.save_cube(cube, np.random.default_rng(10).uniform(
+        0.05, 0.95, (10, 10, 5)).astype(np.float32))
+    grid = tmp_path / "g.json"
+    grid.write_text(json.dumps({"patch": 6, "rows": [0, 4], "cols": [0, 4]}))
+    out = tmp_path / "out"
+    (tmp_path / "b.json").write_text(json.dumps({
+        "model": str(model), "cube": str(cube), "grid": str(grid), "iterations": 1}))
+    argv = {"segment": ["segment", "--cube", str(cube), "--out", str(out)],
+            "quantize": ["quantize", "--calib", str(tmp_path / "calib"), "--out", str(out)],
+            "bench infer": ["bench", "infer", "--config", str(tmp_path / "b.json")]}[command]
+    if command != "bench infer":
+        argv += ["--model", str(model), "--grid", str(grid)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"grid {grid} has patch 6" in err and "multiple of 4 (2^encoder_depth)" in err
+    assert not out.exists()
 
 
 def test_segment_manifest_not_an_object_exit_2(files, tmp_path, capsys):

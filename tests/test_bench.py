@@ -10,6 +10,7 @@ from specdrive.bench import (
     BenchConfig,
     bench_inference,
     bench_preprocess,
+    read_config,
     report_csv,
     report_json,
     report_table,
@@ -120,9 +121,9 @@ def test_config_validation():
         BenchConfig(iterations=0)
     with pytest.raises(ValueError):
         BenchConfig(threads=(0,))
-    cfg = BenchConfig.from_dict(
-        {"iterations": 5, "threads": [1, 2], "vectorized": True, "watts": 3}
-    )
+    cfg = read_config(
+        {"iterations": 5, "threads": [1, 2], "vectorized": True, "watts": 3}, "bench config"
+    )[0]
     assert cfg.iterations == 5 and cfg.threads == (1, 2)
     assert cfg.vectorized == (True,) and cfg.watts == 3.0
 

@@ -212,6 +212,18 @@ def test_model_info_counts_the_network_as_defined(work, capsys):
     assert f"(ratio {ratio:.3f})" in out
 
 
+@pytest.mark.parametrize("patch, patches", [(64, 72), (128, 18)])
+def test_model_info_counts_the_default_grid(tmp_path, capsys, patch, patches):
+    """FLOPs per image count the patches of segment's default grid on the
+    default layout's 216x409 frame; a patch-64 U-Net used to print the
+    patch-128 grid's 18."""
+    unet = build_unet(UNetConfig(patch_size=patch))
+    save_weights(tmp_path / "u.sdw", unet, generate_weights(unet, 0))
+    assert main(["model-info", str(tmp_path / "u.sdw")]) == 0
+    assert f"FLOPs per image ({patches} patches)" in capsys.readouterr().out
+    assert _grid_for(unet.meta, (216, 409), None).n_patches == patches
+
+
 def test_model_info_mlp(work, capsys):
     assert main(["model-info", str(work / "mlp_rand.sdw")]) == 0
     out = capsys.readouterr().out
@@ -331,17 +343,6 @@ def test_spectral_commands(work, tmp_path, capsys):
     assert len(out.strip().splitlines()) == 4
 
 
-def test_threads_env_var(monkeypatch):
-    from specdrive.cli import default_threads
-
-    monkeypatch.setenv("SPECDRIVE_THREADS", "4")
-    assert default_threads() == 4
-    monkeypatch.setenv("SPECDRIVE_THREADS", "junk")
-    assert default_threads() == 1
-    monkeypatch.delenv("SPECDRIVE_THREADS")
-    assert default_threads() == 1
-
-
 def _quantized(work, name):
     """The int8 container of work/<name>.sdw, made on first use so tests
     do not depend on their order."""
@@ -355,7 +356,7 @@ def _quantized(work, name):
 def _library_segment(cube, model_path):
     """The per-patch library path: the whole graph on each float patch."""
     kind, model, weights = cli._load_model(str(model_path))
-    grid = _grid_for(model.meta, cube, None)
+    grid = _grid_for(model.meta, cube.shape[:2], None)
     probs = [qforward(model, p) if kind == "quantized" else forward(model, p, weights)
              for p in extract_patches(cube, grid)]
     return reconstruct(probs, grid)
@@ -397,7 +398,7 @@ def test_patch_views_give_the_bits_of_patch_copies(work, monkeypatch, model):
     kind, graph, weights = cli._load_model(str(work / model))
     cube = formats.load_cube(work / "crop.hsc")
     before = cube.copy()
-    grid = _grid_for(graph.meta, cube, None)
+    grid = _grid_for(graph.meta, cube.shape[:2], None)
     assert grid.n_patches > 1
 
     def copies(x, g):
@@ -422,7 +423,7 @@ def test_quantize_thin_cube_default_grid(work, tmp_path, hw):
     quantize calibrates on it (the pooling used to meet an odd side and
     exit 2)."""
     cube = np.random.default_rng(sum(hw)).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
-    assert _grid_for({"kind": "unet", "config": {}}, cube, None).patch_size == min(hw) // 4 * 4
+    assert _grid_for({"kind": "unet", "config": {}}, hw, None).patch_size == min(hw) // 4 * 4
     (tmp_path / "calib").mkdir()
     formats.save_cube(tmp_path / "calib" / "thin.hsc", cube)
     assert main(["quantize", "--model", str(work / "unet.sdw"),
@@ -472,7 +473,7 @@ def test_segment_thin_cube_default_grid(work, tmp_path, model, hw):
 def test_default_grid_of_full_size_cube(meta):
     """The U-Net gets the paper's 44/57-stride grid; the per-pixel MLP the
     fewest 128-pixel patches that cover the cube."""
-    grid = _grid_for(meta, np.empty((216, 409, 1), np.float32), None)
+    grid = _grid_for(meta, (216, 409), None)
     assert grid.patch_size == 128
     if meta["kind"] == "unet":
         assert grid.origins() == [(r, c) for r in (0, 44, 88)
@@ -484,7 +485,7 @@ def test_default_grid_of_full_size_cube(meta):
 def test_per_pixel_default_grid_of_thin_cube():
     """A cube thinner than 128 gets square patches of its thin side, back
     to back along the long one, the last flush with the far edge."""
-    grid = _grid_for({"kind": "mlp", "config": {}}, np.empty((3, 700, 1), np.float32), None)
+    grid = _grid_for({"kind": "mlp", "config": {}}, (3, 700), None)
     assert grid.patch_size == 3 and grid.row_starts == (0,)
     assert grid.col_starts == tuple(range(0, 699, 3)) + (697,)
 
@@ -494,7 +495,8 @@ def test_grid_file_overrides_per_pixel_default(work, tmp_path):
     cube = formats.load_cube(work / "crop.hsc")
     paper = build_grid(cube.shape[:2], 32, 16, 16)
     (tmp_path / "g.json").write_text(paper.to_json())
-    assert _grid_for({"kind": "mlp", "config": {}}, cube, str(tmp_path / "g.json")) == paper
+    grid = _grid_for({"kind": "mlp", "config": {}}, cube.shape[:2], str(tmp_path / "g.json"))
+    assert grid == paper
 
 
 @pytest.mark.parametrize("hw", [(216, 409), (140, 77), (3, 700), (129, 1000), (128, 128),
@@ -509,7 +511,7 @@ def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
     patch = min(128, *hw)
     cap = max(1, patch // 2)
     paper = build_grid(hw, patch, min(44, cap), min(57, cap))
-    grid = _grid_for({"kind": "mlp", "config": {}}, cube, None)
+    grid = _grid_for({"kind": "mlp", "config": {}}, hw, None)
     assert grid.n_patches <= paper.n_patches
     for name in ("mlp.sdw", "mlp.sdq"):
         _, model, weights = cli._load_model(str(work / name))

@@ -67,6 +67,18 @@ def test_weighted_aggregation_matches_formula():
         assert got == pytest.approx(float((w * metric).sum()), abs=1e-12)
 
 
+@pytest.mark.parametrize("frequencies", [None, [0.5, 0.0, 0.25, 0.25]])
+def test_weights_are_inverse_frequency_weights_of_the_present_frequencies(frequencies):
+    """One formula for given and observed frequencies: a class of frequency 0
+    weighs NaN, the others are inverse_frequency_weights of theirs, bit for
+    bit."""
+    counts = np.array([[5, 1, 0, 2], [0, 0, 0, 0], [1, 0, 7, 0], [0, 0, 3, 9]], np.int64)
+    rep = compute_metrics(ConfusionMatrix(counts), frequencies=frequencies)
+    freq = counts.sum(axis=1) / counts.sum() if frequencies is None else np.array(frequencies)
+    assert np.isnan(rep.weights[1]) and not np.isnan(rep.weights[[0, 2, 3]]).any()
+    assert np.array_equal(rep.weights[[0, 2, 3]], inverse_frequency_weights(freq[[0, 2, 3]]))
+
+
 def test_label_permutation_equivariance(rng):
     gt = rng.integers(0, 3, 500)
     pred = rng.integers(0, 3, 500)
@@ -100,21 +112,13 @@ def test_micro_metrics_equal_accuracy(rng):
 def test_adding_correct_pixels_never_hurts(rng):
     gt = rng.integers(0, 3, 300)
     pred = rng.integers(0, 3, 300)
-    cm = accumulate(gt, pred, 3)
-    rep = compute_metrics(cm)
-    more = accumulate(np.full(50, 1), np.full(50, 1), 3, into=cm)
+    rep = compute_metrics(accumulate(gt, pred, 3))
+    ones = np.full(50, 1)
+    more = accumulate(np.concatenate([gt, ones]), np.concatenate([pred, ones]), 3)
     rep2 = compute_metrics(more)
     assert rep2.recall[1] >= rep.recall[1] - 1e-12
     assert rep2.precision[1] >= rep.precision[1] - 1e-12
     assert rep2.iou[1] >= rep.iou[1] - 1e-12
-
-
-def test_merge_is_elementwise_add(rng):
-    gt = rng.integers(0, 3, 400)
-    pred = rng.integers(0, 3, 400)
-    full = accumulate(gt, pred, 3)
-    merged = accumulate(gt[:150], pred[:150], 3) + accumulate(gt[150:], pred[150:], 3)
-    assert np.array_equal(full.counts, merged.counts)
 
 
 def test_absent_class_excluded_with_warning():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specdrive import mosaic
-from specdrive.errors import DimensionMismatch, InvalidOption
+from specdrive.errors import DimensionMismatch
 from specdrive.mosaic import (
     STAGE_NAMES,
     STAGE_TOTAL,
@@ -151,19 +151,6 @@ def test_naive_stages_bitwise_match_vectorized(rng, small_layout):
     assert np.array_equal(fast.cube, slow.cube)
 
 
-@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf"), 1e39])
-def test_eps_must_be_a_positive_finite_float32(rng, small_layout, eps):
-    """Both entry points check eps in one place and raise InvalidOption, a
-    ValueError; NaN used to give a cube of NaN and -1 was accepted."""
-    frame = rng.integers(400, 60000, (22, 28)).astype(np.uint16)
-    dark = np.full((22, 28), 300, np.uint16)
-    white = np.full((22, 28), 61000, np.uint16)
-    with pytest.raises(InvalidOption, match="^eps must be float"):
-        preprocess_pipeline(frame, dark, white, small_layout, eps=eps)
-    with pytest.raises(InvalidOption, match="^eps must be float"):
-        reflectance_correct(frame, dark, white, eps)
-
-
 def test_pipeline_composes_stages(rng, small_layout):
     frame = rng.integers(400, 60000, (22, 28)).astype(np.uint16)
     dark = np.full((22, 28), 300, np.uint16)
@@ -286,9 +273,8 @@ def test_reflectance_blocks_match_naive(height):
     img[1::5] = 0
     edge = min(B, height - 1)
     white[max(edge - 1, 0) : edge + 2, 2:5] = dark[max(edge - 1, 0) : edge + 2, 2:5]
-    eps = np.float32(mosaic.DEFAULT_EPS)
-    fast, n_fast = mosaic._reflectance(img, dark, white, eps)
-    slow, n_slow = mosaic._reflectance_naive(img, dark, white, eps)
+    fast, n_fast = mosaic._reflectance(img, dark, white)
+    slow, n_slow = mosaic._reflectance_naive(img, dark, white)
     assert fast.shape == shape and fast.flags.c_contiguous
     assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
     assert n_fast == n_slow == int(np.count_nonzero(white == dark))

@@ -104,15 +104,6 @@ def test_separability_matrix_properties(rng):
     assert rep.class_means.shape == (3,)
 
 
-def test_class_stats_merge_equals_batch(rng):
-    x = rng.normal(2, 3, (500, 6))
-    whole = ClassStats.from_samples(x)
-    merged = ClassStats.from_samples(x[:200]).merge(ClassStats.from_samples(x[200:]))
-    assert merged.count == whole.count
-    np.testing.assert_allclose(merged.mean, whole.mean, atol=1e-10)
-    np.testing.assert_allclose(merged.cov, whole.cov, atol=1e-9)
-
-
 def test_class_stats_from_labelled_cube(rng):
     cube = rng.uniform(0, 1, (8, 9, 5)).astype(np.float32)
     labels = rng.integers(0, 2, (8, 9)).astype(np.uint8)

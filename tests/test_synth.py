@@ -30,7 +30,7 @@ def test_gradient_scene_interior_recovery():
     scene = synth_scene(SceneSpec(kind="gradient", seed=2))
     cube = run_pipeline(scene).cube
     err = np.abs(cube - scene.gt_cube)
-    interior = interior_mask(scene.gt_cube.shape[:2], 1)
+    interior = interior_mask(scene.gt_cube.shape[:2])
     assert err[interior].max() <= 1e-5
     assert err[~interior].max() <= 5e-3
 
