@@ -407,11 +407,14 @@ def _cmd_model_info(args) -> int:
     kind, model, _weights = _load_model(args.model)
     meta = model.meta
     unet = meta["kind"] == "unet"
-    # per image: segment's default grid on the default layout's frame, for a
-    # U-Net; each of the frame's pixels once, for a per-pixel model
+    # per image: segment's default grid on the default layout's frame, each
+    # patch counted at the grid's side, for a U-Net; each of the frame's
+    # pixels once, for a per-pixel model
     hw = default_layout().cube_shape[:2]
-    per_image = _grid_for(meta, hw, None).n_patches if unet else hw[0] * hw[1]
-    rep = count_flops(build_from_meta(meta), patches_per_image=per_image)
+    grid = _grid_for(meta, hw, None)
+    config = {**meta["config"], "patch_size": grid.patch_size} if unet else meta["config"]
+    per_image = grid.n_patches if unet else hw[0] * hw[1]
+    rep = count_flops(build_from_meta({**meta, "config": config}), patches_per_image=per_image)
     print(f"kind: {meta['kind']} ({json.dumps(meta['config'])})")
     print(f"params {rep.np_total} ({rep.non_trainable} non-trainable)")
     unit, units = ("patch", "patches") if unet else ("pixel", "pixels")

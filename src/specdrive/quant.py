@@ -26,10 +26,10 @@ and qwalk walks without tables so every tensor is its own layer's output.
 concat's requantization is a 256-entry table of the reference form in the
 fast walk, built per call.
 
-Every int8 value the package makes (a quantized input or tanh table, a
-kernel layer's or a concat's reference requantization) ends in one tail,
-QuantScheme._to_int8: round half away, add the zero point, clip, cast. The
-int8 walk runs on model.run, the float walk's layer loop (see _qwalk).
+Every int8 value the package makes (a quantized weight, input or tanh
+table, a kernel layer's or a concat's reference requantization) ends in one
+tail, QuantScheme._to_int8: round half away, add the zero point, clip, cast.
+The int8 walk runs on model.run, the float walk's layer loop (see _qwalk).
 
 A graph's leading per-pixel float layers (input normalization) and the
 quantization of their output need no neighbours, so run_input_prefix runs
@@ -278,9 +278,7 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
             (wname, _, _), (bname, _, _) = stored
             w, b = _weight(weights, wname), _weight(weights, bname)
             wscheme = QuantScheme.symmetric_for(w)
-            wq = np.clip(
-                round_half_away(w.astype(np.float64) / wscheme.scale), -127, 127
-            ).astype(np.int8)
+            wq = wscheme.quant(w)  # |w / scale| <= 127: symmetric_for's peak
             bscheme = QuantScheme(schemes[layer.inputs[0]].scale * wscheme.scale, 0)
             bias_q = round_half_away(b.astype(np.float64) / bscheme.scale)
             if np.abs(bias_q).max(initial=0) >= 2**31:

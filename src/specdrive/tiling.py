@@ -7,11 +7,14 @@ image, which is where predictions benefit from it most. A grid for a model
 without spatial context needs no overlap: abutting_grid lays the fewest
 patches that cover the image. Overlapping predictions are averaged per pixel
 using the overlap-index matrix (the sum of all patch masks).
+
+Coverage is a property of PatchGrid: a grid whose patches leave a pixel of
+its image uncovered raises InvalidGeometry when it is made, however it was
+built or read, so the overlap index is at least 1 at every pixel.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +40,11 @@ class PatchGrid:
         last_row, last_col = (n - self.patch_size for n in self.image_size)
         value(self.row_starts, Field([int], 0, last_row), "row starts", InvalidGeometry)
         value(self.col_starts, Field([int], 0, last_col), "col starts", InvalidGeometry)
+        for axis, starts, n in zip(("row", "col"), (self.row_starts, self.col_starts),
+                                   self.image_size):
+            if not _covers(starts, n, self.patch_size):
+                raise InvalidGeometry(f"patches of {self.patch_size} at {axis} starts "
+                                      f"{starts} leave pixels of {n} uncovered")
 
     @property
     def n_patches(self) -> int:
@@ -46,26 +54,15 @@ class PatchGrid:
         """Patch origins in row-major order over (row_start, col_start)."""
         return [(r, c) for r in self.row_starts for c in self.col_starts]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "patch": self.patch_size,
-                "rows": list(self.row_starts),
-                "cols": list(self.col_starts),
-            }
-        )
-
     @classmethod
     def from_json(cls, text, name: str = "grid") -> "PatchGrid":
-        """The grid to_json wrote (name says where the text came from). A
-        grid that is not GRID's keys raises CorruptContainer."""
+        """The grid of a GRID object, on the image its farthest patches end
+        at (name says where the text came from). A grid that is not GRID's
+        keys raises CorruptContainer."""
         d = fields(decode(text, name, CorruptContainer), GRID, name, CorruptContainer)
         patch, rows, cols = d["patch"], d["rows"], d["cols"]
-        size = (max(rows, default=0) + patch, max(cols, default=0) + patch)
-        grid = cls(patch, rows, cols, size)
-        if not all(map(_covers, (rows, cols), grid.image_size, (patch, patch))):
-            raise InvalidGeometry("grid leaves pixels uncovered")
-        return grid
+        return cls(patch, rows, cols, (max(rows, default=0) + patch,
+                                       max(cols, default=0) + patch))
 
 
 def _covers(starts, size: int, patch: int) -> bool:
@@ -80,8 +77,9 @@ def _covers(starts, size: int, patch: int) -> bool:
 
 def _mirrored_starts(dim: int, patch: int, stride: int) -> tuple[int, ...]:
     """Stride forward from 0 up to the axis midpoint, mirror from the far
-    edge, and merge. Covers the axis and is symmetric under
-    s -> (dim - patch) - s even when the stride does not divide evenly."""
+    edge, and merge. Symmetric under s -> (dim - patch) - s even when the
+    stride does not divide evenly; PatchGrid refuses a stride that leaves a
+    gap."""
     if patch > dim:
         raise InvalidGeometry(f"patch {patch} exceeds image dimension {dim}")
     if stride <= 0:
@@ -93,13 +91,7 @@ def _mirrored_starts(dim: int, patch: int, stride: int) -> tuple[int, ...]:
     while s <= mid:
         forward.append(s)
         s += stride
-    starts = sorted(set(forward) | {last - s for s in forward})
-    gaps = np.diff(starts)
-    if len(gaps) and gaps.max() > patch:
-        raise InvalidGeometry(
-            f"stride {stride} leaves pixels uncovered (gap {gaps.max()} > patch {patch})"
-        )
-    return tuple(starts)
+    return tuple(sorted(set(forward) | {last - s for s in forward}))
 
 
 def build_grid(
@@ -124,7 +116,8 @@ def abutting_grid(image_size: tuple[int, int], patch_size: int) -> PatchGrid:
 
 
 def overlap_index(grid: PatchGrid) -> np.ndarray:
-    """Per-pixel count of covering patches (>= 1 everywhere by construction)."""
+    """Per-pixel count of covering patches, >= 1 everywhere: PatchGrid
+    refuses a grid that leaves a pixel uncovered."""
     h, w = grid.image_size
     counts = np.zeros((h, w), dtype=np.int64)
     for r, c in grid.origins():

@@ -224,6 +224,29 @@ def test_model_info_counts_the_default_grid(tmp_path, capsys, patch, patches):
     assert _grid_for(unet.meta, (216, 409), None).n_patches == patches
 
 
+@pytest.mark.parametrize("patch, counts", [
+    (128, ["MACs per patch: 141,033,472", "FLOPs per patch (2xMAC): 282,066,944",
+           "FLOPs per image (18 patches): 5,077,204,992"]),
+    (256, ["MACs per patch: 401,614,848", "FLOPs per patch (2xMAC): 803,229,696",
+           "FLOPs per image (4 patches): 3,212,918,784"]),
+    (None, ["MACs per pixel: 13,425", "FLOPs per pixel (2xMAC): 26,850",
+            "FLOPs per image (88344 pixels): 2,372,036,400"]),
+], ids=["unet-128", "unet-256", "mlp"])
+def test_model_info_counts_macs_at_the_grid_patch(tmp_path, capsys, patch, counts):
+    """A U-Net's MACs per patch are counted at the side of the patches
+    segment runs: on the 216x409 frame a patch-256 U-Net's default grid is
+    4 patches of 216x216, not of 256x256 (564,133,888 MACs each). The
+    default U-Net and the MLP print their counts unchanged."""
+    graph = build_unet(UNetConfig(patch_size=patch)) if patch else build_mlp(25, 3)
+    save_weights(tmp_path / "m.sdw", graph, generate_weights(graph, 0))
+    assert main(["model-info", str(tmp_path / "m.sdw")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"kind: {graph.meta['kind']} ({json.dumps(graph.meta['config'])})"
+    assert out[2:5] == counts
+    if patch:
+        assert _grid_for(graph.meta, (216, 409), None).patch_size == min(patch, 216)
+
+
 def test_model_info_mlp(work, capsys):
     assert main(["model-info", str(work / "mlp_rand.sdw")]) == 0
     out = capsys.readouterr().out
@@ -494,7 +517,8 @@ def test_grid_file_overrides_per_pixel_default(work, tmp_path):
     """--grid gives a per-pixel model the grid in the file, not its default."""
     cube = formats.load_cube(work / "crop.hsc")
     paper = build_grid(cube.shape[:2], 32, 16, 16)
-    (tmp_path / "g.json").write_text(paper.to_json())
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"patch": paper.patch_size, "rows": paper.row_starts, "cols": paper.col_starts}))
     grid = _grid_for({"kind": "mlp", "config": {}}, cube.shape[:2], str(tmp_path / "g.json"))
     assert grid == paper
 

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specdrive.errors import InvalidGeometry, ShapeMismatch
 from specdrive.tiling import (
@@ -107,6 +111,38 @@ def test_grid_rejects_uncoverable_stride():
         build_grid((1000, 1000), 10, 400, 400)
 
 
+@pytest.mark.parametrize("patch, rows, cols, size, axis", [
+    (4, (0, 6), (0,), (10, 4), "row"),
+    (4, (0,), (0, 6), (4, 10), "col"),
+    (0, (0,), (0,), (4, 4), "row"),
+], ids=["row-gap", "col-gap", "patch-0"])
+def test_grid_with_a_gap_raises(patch, rows, cols, size, axis):
+    """Patches of 4 at starts 0 and 6 leave pixels 4-5 of a 10-pixel axis
+    uncovered, and patches of 0 cover nothing: reconstruct would average
+    those pixels over no patch."""
+    with pytest.raises(InvalidGeometry, match=f"{axis} starts .* uncovered"):
+        PatchGrid(patch, rows, cols, size)
+
+
+@given(h=st.integers(1, 160), w=st.integers(1, 160), data=st.data())
+def test_built_grids_cover_their_image_or_raise(h, w, data):
+    """Whatever the image, patch and strides, build_grid and abutting_grid
+    either raise InvalidGeometry or give a grid that covers every pixel.
+    Patches run up to one past the image's thin side, strides up to twice
+    the patch and beyond, where gaps open."""
+    patch = data.draw(st.integers(0, min(h, w) + 1), "patch")
+    v_stride, h_stride = (data.draw(st.integers(0, 2 * patch + 2), name)
+                          for name in ("v_stride", "h_stride"))
+    for build in (lambda: build_grid((h, w), patch, v_stride, h_stride),
+                  lambda: abutting_grid((h, w), patch)):
+        try:
+            grid = build()
+        except InvalidGeometry:
+            continue
+        assert grid.image_size == (h, w)
+        assert overlap_index(grid).min() >= 1
+
+
 def test_extract_shapes_and_gather(paper_grid, rng):
     cube = rng.uniform(0, 1, (216, 409, 25)).astype(np.float32)
     cube[:, :, 0] = np.arange(216, dtype=np.float32)[:, None]
@@ -192,5 +228,7 @@ def test_reconstruct_patch_count_mismatch(paper_grid):
 
 
 def test_grid_json_roundtrip(paper_grid):
-    restored = PatchGrid.from_json(paper_grid.to_json())
+    restored = PatchGrid.from_json(json.dumps({"patch": paper_grid.patch_size,
+                                               "rows": paper_grid.row_starts,
+                                               "cols": paper_grid.col_starts}))
     assert restored == paper_grid
