@@ -361,6 +361,8 @@ def _cmd_metrics(args) -> int:
     cm = accumulate(gt, pred, classes, args.ignore)
     freqs = _frequencies(args.frequencies) if args.frequencies else None
     report = compute_metrics(cm, frequencies=freqs)
+    for text in report.warnings:
+        print(f"specdrive: warning: {text}", file=sys.stderr)
     csv = report_csv(report)
     if args.out:
         Path(args.out).write_text(csv)
@@ -511,7 +513,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:  # argparse usage errors routed to exit 1
         return int(e.code or 0)
-    except (SpecdriveError, FileNotFoundError, IsADirectoryError) as e:
+    except (SpecdriveError, OSError) as e:
         print(f"specdrive: error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CorruptContainer, DimensionMismatch, Field, decode, fields, read_json
 from .metrics import IGNORE_LABEL
 from .mosaic import MosaicLayout
+from .tiling import PatchGrid
 
 # class index -> RGB; cycled for indices past the end, ignore label is black
 PALETTE = (
@@ -250,6 +251,4 @@ def save_render(path, mask: np.ndarray) -> None:
 
 
 def load_grid(path):
-    from .tiling import PatchGrid
-
     return PatchGrid.from_json(Path(path).read_bytes(), str(path))

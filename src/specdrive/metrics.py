@@ -4,13 +4,14 @@ Ground truth masks are weakly labelled: pixels carrying the ignore label
 (default 255) are skipped entirely. Per class the report carries recall,
 precision and intersection-over-union, aggregated three ways: overall
 (micro, every scored pixel counts once), mean (plain class average) and
-weighted (inverse class frequency, normalized to sum 1). Zero-denominator
-metrics are reported as missing and left out of the aggregates.
+weighted (inverse class frequency, normalized to sum 1). A zero-denominator
+metric is reported as missing (NaN). One rule leaves classes out of the mean
+and weighted aggregates: absent from the ground truth, a missing score, and
+(weighted only) a frequency of 0.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ class MetricsReport:
     overall: tuple[float, float, float]
     mean: tuple[float, float, float]
     weighted: tuple[float, float, float]
-    weights: np.ndarray      # per class, nan for classes absent from gt
+    weights: np.ndarray      # per class, nan where its frequency (given or observed) is 0
     present: np.ndarray      # bool per class
     warnings: list[str] = field(default_factory=list)
 
@@ -83,12 +84,15 @@ def compute_metrics(
 ) -> MetricsReport:
     """Derive per-class and aggregate scores from a confusion matrix.
 
-    The weighted aggregate uses inverse_frequency_weights of `frequencies`
-    (one finite value >= 0 per class, summing to more than 0) if given,
-    else of the class frequencies observed in the matrix itself; a class of
-    frequency 0 has weight NaN. Classes absent from the ground truth are
-    excluded from the mean and weighted aggregates (with a warning), and
-    the weights are renormalized over the remaining classes.
+    A per-class score whose denominator is 0 is NaN: undefined. The weighted
+    aggregate uses inverse_frequency_weights of `frequencies` (one finite value
+    >= 0 per class, summing to more than 0) if given, else of the class
+    frequencies observed in the matrix itself; a class of frequency 0 has
+    weight NaN. One rule picks the classes of every mean and weighted
+    aggregate: those present in the ground truth whose score is defined, and,
+    for the weighted aggregate, whose weight is defined too; the weights are
+    renormalized over them. Each reason that leaves classes out gives one
+    warning naming them.
     """
     total = cm.total
     if total == 0:
@@ -97,14 +101,11 @@ def compute_metrics(
     tp = np.diag(counts)
     gt_count = counts.sum(axis=1)
     pred_count = counts.sum(axis=0)
-    fn = gt_count - tp
-    fp = pred_count - tp
-
-    warnings: list[str] = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        recall = np.where(tp + fn > 0, tp / (tp + fn), np.nan)
-        precision = np.where(tp + fp > 0, tp / (tp + fp), np.nan)
-        iou = np.where(tp + fn + fp > 0, tp / (tp + fn + fp), np.nan)
+    # tp is 0 wherever a denominator is, so 0/0 gives NaN and nothing else
+    with np.errstate(invalid="ignore"):
+        recall = tp / gt_count
+        precision = tp / pred_count
+        iou = tp / (gt_count + pred_count - tp)
 
     trace = tp.sum()
     overall = (
@@ -114,45 +115,43 @@ def compute_metrics(
     )
 
     present = gt_count > 0
-    absent = np.flatnonzero(~present)
-    if absent.size:
-        warnings.append(
-            f"classes {absent.tolist()} absent from ground truth; "
-            "excluded from mean/weighted aggregates"
-        )
-
-    def aggregate(metric: np.ndarray, w: np.ndarray | None) -> float:
-        ok = present & ~np.isnan(metric)
-        dropped = np.flatnonzero(present & np.isnan(metric))
-        if dropped.size:
-            warnings.append(
-                f"metric undefined for classes {dropped.tolist()}; excluded"
-            )
-        if not ok.any():
-            return float("nan")
-        if w is None:
-            return float(metric[ok].mean())
-        return float((metric[ok] * w[ok] / w[ok].sum()).sum())
-
     freq = (gt_count / total if frequencies is None
             else _check_frequencies(frequencies, cm.num_classes))
     pos = freq > 0
-    w_full = np.full_like(freq, np.nan)
-    w_full[pos] = inverse_frequency_weights(freq[pos])
+    weights = np.full_like(freq, np.nan)
+    weights[pos] = inverse_frequency_weights(freq[pos])
 
-    mean = tuple(aggregate(m, None) for m in (recall, precision, iou))
-    weighted = tuple(aggregate(m, w_full) for m in (recall, precision, iou))
+    def aggregate(metric: np.ndarray, weighted: bool) -> float:
+        ok = present & ~np.isnan(metric)
+        if weighted:
+            ok &= pos
+        if not ok.any():
+            return float("nan")
+        if not weighted:
+            return float(metric[ok].mean())
+        w = weights[ok]
+        return float((metric[ok] * w / w.sum()).sum())
 
+    metrics = (recall, precision, iou)
+    reasons = (
+        (~present, "absent from ground truth; excluded from mean/weighted aggregates"),
+        (present & np.isnan(precision),
+         "never predicted, so their precision is undefined; "
+         "excluded from mean/weighted precision"),
+        (present & ~pos,
+         "of frequency 0, so without weight; excluded from weighted aggregates"),
+    )
     return MetricsReport(
         recall=recall,
         precision=precision,
         iou=iou,
         overall=overall,
-        mean=mean,
-        weighted=weighted,
-        weights=w_full,
+        mean=tuple(aggregate(m, False) for m in metrics),
+        weighted=tuple(aggregate(m, True) for m in metrics),
+        weights=weights,
         present=present,
-        warnings=warnings,
+        warnings=[f"classes {np.flatnonzero(mask).tolist()} {text}"
+                  for mask, text in reasons if mask.any()],
     )
 
 
@@ -172,23 +171,12 @@ def _check_frequencies(frequencies, num_classes: int) -> np.ndarray:
 
 def report_csv(report: MetricsReport, class_names: list[str] | None = None) -> str:
     """Percentages with two decimals, one row per class plus the aggregates."""
-    n = len(report.recall)
-    names = class_names or [f"class{i}" for i in range(n)]
+    names = class_names or [f"class{i}" for i in range(len(report.recall))]
+    rows = [*zip(names, zip(report.recall, report.precision, report.iou), strict=True),
+            ("overall", report.overall), ("mean", report.mean), ("weighted", report.weighted)]
 
     def fmt(v: float) -> str:
         return "" if np.isnan(v) else f"{100 * v:.2f}"
 
-    buf = io.StringIO()
-    buf.write("name,recall,precision,iou\n")
-    for i in range(n):
-        buf.write(
-            f"{names[i]},{fmt(report.recall[i])},{fmt(report.precision[i])},"
-            f"{fmt(report.iou[i])}\n"
-        )
-    for label, row in (
-        ("overall", report.overall),
-        ("mean", report.mean),
-        ("weighted", report.weighted),
-    ):
-        buf.write(f"{label},{fmt(row[0])},{fmt(row[1])},{fmt(row[2])}\n")
-    return buf.getvalue()
+    return "name,recall,precision,iou\n" + "".join(
+        f"{name},{fmt(r)},{fmt(p)},{fmt(i)}\n" for name, (r, p, i) in rows)

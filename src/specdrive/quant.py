@@ -58,6 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from .complexity import count_params
 from .errors import (
     CorruptContainer,
     EmptyCalibration,
@@ -500,8 +501,6 @@ def quant_report(
     probe: list[np.ndarray],
 ) -> QuantReport:
     """Byte accounting plus float-vs-integer error statistics on a probe set."""
-    from .complexity import count_params
-
     float_bytes = 4 * count_params(graph).np_total
     size = SizeReport(float_bytes=float_bytes, quantized_bytes=payload_bytes(qg))
 

@@ -665,6 +665,23 @@ def test_analysis_commands_good_arguments_exit_0(files):
     assert main(["spectral", "select-bands", "--cube", cube, "--gt", labels]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["metrics", "--gt", "plain/x", "--pred", "mask.pgm", "--classes", "3"],
+    ["metrics", "--gt", "mask.pgm", "--pred", "mask.pgm", "--classes", "3", "--out", "plain/x"],
+    ["segment", "--cube", "plain/x", "--model", "mlp.sdw", "--out", "out.pgm"],
+    ["segment", "--cube", "cube.hsc", "--model", "mlp.sdw", "--out", "plain/x"],
+], ids=" ".join)
+def test_path_under_a_regular_file_exit_2(files, tmp_path, capsys, argv):
+    """A path through a regular file raises NotADirectoryError, an OSError like
+    a missing file; it exited 3 with a traceback."""
+    (tmp_path / "plain").write_text("a regular file")
+    paths = {"mask.pgm": files / "mask.pgm", "mlp.sdw": files / "mlp.sdw",
+             "cube.hsc": files / "cube.hsc", "plain/x": tmp_path / "plain" / "x",
+             "out.pgm": tmp_path / "out.pgm"}
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("freqs, error", [
     ([1.0, 2.0], ShapeMismatch),
     ([np.nan, 1.0, 1.0], InvalidOption),

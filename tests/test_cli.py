@@ -285,6 +285,22 @@ def test_metrics_command(work, tmp_path):
     assert text.startswith("name,recall,precision,iou")
 
 
+def test_metrics_command_prints_warnings_on_stderr(tmp_path, capsys):
+    formats.save_mask(tmp_path / "gt.pgm", np.array([[0, 0, 1, 1], [2, 2, 1, 0]], np.uint8))
+    formats.save_mask(tmp_path / "pred.pgm", np.array([[0, 0, 2, 2], [2, 2, 0, 0]], np.uint8))
+    rc = main(["metrics", "--gt", str(tmp_path / "gt.pgm"), "--pred", str(tmp_path / "pred.pgm"),
+               "--classes", "3", "--frequencies", "0,0.5,0.5"])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "weighted,50.00,50.00,25.00"
+    assert err.splitlines() == [
+        "specdrive: warning: classes [1] never predicted, so their precision is undefined; "
+        "excluded from mean/weighted precision",
+        "specdrive: warning: classes [0] of frequency 0, so without weight; "
+        "excluded from weighted aggregates",
+    ]
+
+
 def test_bench_preprocess_command(work, tmp_path, capsys):
     cfg = {
         "iterations": 1, "warmup": 0, "threads": [1, 2],

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specdrive.errors import EmptyMatrix, LabelOutOfRange, ShapeMismatch
 from specdrive.metrics import (
@@ -163,3 +165,79 @@ def test_csv_format():
     assert lines[1] == "road,50.00,100.00,50.00"
     assert lines[2] == "marks,100.00,66.67,66.67"
     assert lines[-1].startswith("weighted,")
+
+
+def test_csv_refuses_a_name_list_of_another_length():
+    rep = compute_metrics(accumulate(np.array([0, 1]), np.array([0, 1]), 2))
+    for names in (["road"], ["road", "marks", "other"]):
+        with pytest.raises(ValueError):
+            report_csv(rep, names)
+
+
+def test_present_class_of_frequency_0_is_left_out_of_weighted():
+    """A given frequency of 0 for a class in the ground truth used to blank
+    the whole weighted row; now that class alone is left out, with a warning."""
+    counts = np.array([[2, 1, 0], [0, 3, 1], [1, 0, 4]], np.int64)
+    rep = compute_metrics(ConfusionMatrix(counts), frequencies=[0.0, 0.5, 0.5])
+    assert np.isnan(rep.weights[0])
+    for got, metric in zip(rep.weighted, (rep.recall, rep.precision, rep.iou)):
+        assert got == pytest.approx(metric[1:].mean(), abs=1e-12)
+    assert [w for w in rep.warnings if "frequency 0" in w] == [
+        "classes [0] of frequency 0, so without weight; excluded from weighted aggregates"]
+
+
+def test_never_predicted_class_gives_one_warning():
+    counts = np.array([[5, 0], [3, 0]], np.int64)
+    rep = compute_metrics(ConfusionMatrix(counts))
+    assert rep.warnings == [
+        "classes [1] never predicted, so their precision is undefined; "
+        "excluded from mean/weighted precision"]
+
+
+@st.composite
+def matrices(draw):
+    """A confusion matrix of 1-6 classes with many zero cells and at least one
+    scored pixel, and either no frequencies or given ones, zeros included."""
+    c = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 7, 1000]), min_size=c * c,
+                          max_size=c * c))
+    counts = np.array(cells, np.int64).reshape(c, c)
+    if counts.sum() == 0:
+        counts[draw(st.integers(0, c - 1)), draw(st.integers(0, c - 1))] = 1
+    freqs = draw(st.none() | st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 3.0]),
+                                      min_size=c, max_size=c))
+    if freqs is not None and sum(freqs) == 0:
+        freqs[0] = 1.0
+    return counts, freqs
+
+
+@given(matrices())
+def test_aggregates_follow_one_exclusion_rule(case):
+    counts, freqs = case
+    rep = compute_metrics(ConfusionMatrix(counts), frequencies=freqs)
+    tp = np.diag(counts)
+    gt, pred = counts.sum(axis=1), counts.sum(axis=0)
+    metrics = (rep.recall, rep.precision, rep.iou)
+    for metric, denominator in zip(metrics, (gt, pred, gt + pred - tp)):
+        assert np.array_equal(np.isnan(metric), denominator == 0)
+
+    present = gt > 0
+    freq = gt / gt.sum() if freqs is None else np.array(freqs)
+    has_weight = freq > 0
+    assert np.array_equal(np.isnan(rep.weights), ~has_weight)
+    for metric, mean, weighted in zip(metrics, rep.mean, rep.weighted):
+        ok = present & ~np.isnan(metric)
+        assert mean == (metric[ok].mean() if ok.any() else pytest.approx(np.nan, nan_ok=True))
+        ok &= has_weight
+        w = 1 / freq[ok]
+        want = (metric[ok] * w).sum() / w.sum() if ok.any() else np.nan
+        assert weighted == pytest.approx(want, rel=1e-12, abs=1e-15, nan_ok=True)
+
+    excluded = {"absent": ~present, "never predicted": present & (pred == 0),
+                "frequency 0": present & ~has_weight}
+    for key, mask in excluded.items():
+        named = [w for w in rep.warnings if key in w]
+        assert len(named) == int(mask.any())
+        if named:
+            assert named[0].startswith(f"classes {np.flatnonzero(mask).tolist()} ")
+    assert len(rep.warnings) == sum(m.any() for m in excluded.values())
