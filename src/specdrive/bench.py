@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from . import cli
-from .errors import (Field, InvalidOption, NonDeterministicOutput, fields, json_field,
-                     json_spec, value)
+from .errors import (Field, InvalidOption, NonDeterministicOutput, construct, fields,
+                     json_field, json_spec, value)
 from .mosaic import STAGE_NAMES, STAGE_TOTAL, MosaicLayout, preprocess_pipeline
 from .model import ModelGraph
 from .quant import QuantizedGraph
@@ -58,7 +58,7 @@ def read_config(d, name: str, inputs: dict[str, Field] | None = None):
              for k, v in d.items()}
     config = json_spec(BenchConfig)
     got = fields(d, {**config, **(inputs or {})}, name)
-    return BenchConfig(**{k: got.pop(k) for k in config}), got
+    return construct(BenchConfig, {k: got.pop(k) for k in config}, name), got
 
 
 @dataclass

@@ -22,7 +22,8 @@ from . import bench as bench_mod
 from . import formats, quant
 from .complexity import count_flops
 from .errors import (Field, InvalidGeometry, InvalidOption, InvalidSpec, MissingWeights,
-                     ShapeMismatch, SpecdriveError, decode, fields, json_spec, value)
+                     ShapeMismatch, SpecdriveError, construct, decode, fields, json_spec,
+                     value)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
 from .model import UNetConfig, build_from_meta, fold_batchnorm, forward, run_input_prefix
 from .mosaic import default_layout, preprocess_pipeline
@@ -55,18 +56,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_model(path: str, want_quantized: bool = False):
-    """Return ('float', graph, weights) or ('quantized', qgraph, None); a
-    float file where a quantized one is wanted raises InvalidSpec."""
+    """Return (graph, weights) or (qgraph, None); a float file where a
+    quantized one is wanted raises InvalidSpec."""
     with open(path, "rb") as f:
         magic = f.read(4)
     if magic == quant.MAGIC:
-        return "quantized", load_qgraph(path), None
+        return load_qgraph(path), None
     if want_quantized:
         raise InvalidSpec(
             f"{path} is a float container; quantize it first (specdrive quantize)"
         )
-    graph, w = load_weights(path)
-    return "float", graph, w
+    return load_weights(path)
 
 
 def _grid_for(meta: dict, hw: tuple[int, int], grid_path: str | None):
@@ -152,7 +152,7 @@ def run_segment(manifest: dict, name: str = "manifest") -> dict:
     """
     manifest = fields(manifest, MANIFEST, name)
     cube = formats.load_cube(manifest["cube"])
-    _, model, weights = _load_model(manifest["model"], manifest["quantized"])
+    model, weights = _load_model(manifest["model"], manifest["quantized"])
     grid = _grid_for(model.meta, cube.shape[:2], manifest["grid"])
     prob_map, labels = reconstruct(
         infer_cube(model, cube, grid, weights=weights, threads=manifest["threads"]), grid)
@@ -201,11 +201,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _read_frames(raw, dark, white, layout):
+    """The raw, dark and white frames at those paths, and the layout file's
+    layout (the default one if layout is None)."""
+    frames = [formats.load_raw(path)[0] for path in (raw, dark, white)]
+    return *frames, formats.load_layout(layout) if layout else default_layout()
+
+
 def _cmd_preprocess(args) -> int:
-    frame, _ = formats.load_raw(args.raw)
-    dark, _ = formats.load_raw(args.dark)
-    white, _ = formats.load_raw(args.white)
-    layout = formats.load_layout(args.layout) if args.layout else default_layout()
+    frame, dark, white, layout = _read_frames(args.raw, args.dark, args.white, args.layout)
     res = preprocess_pipeline(
         frame, dark, white, layout,
         threads=args.threads, vectorized=not args.no_vector,
@@ -284,17 +288,13 @@ BENCH_INPUTS = {
 
 def _scene_or_files(cfg: dict, name: str):
     if cfg["scene"] is not None:
-        scene = synth_scene(SceneSpec.from_dict(cfg["scene"], f"{name}: 'scene'"))
+        scene = synth_scene(construct(SceneSpec, cfg["scene"], f"{name}: 'scene'"))
         return scene.raw, scene.dark, scene.white, scene.layout
     missing = [k for k in ("raw", "dark", "white") if cfg[k] is None]
     if missing:
         raise InvalidSpec("bench preprocess config has no 'scene' and lacks "
                           + ", ".join(missing))
-    frame, _ = formats.load_raw(cfg["raw"])
-    dark, _ = formats.load_raw(cfg["dark"])
-    white, _ = formats.load_raw(cfg["white"])
-    layout = formats.load_layout(cfg["layout"]) if cfg["layout"] else default_layout()
-    return frame, dark, white, layout
+    return _read_frames(cfg["raw"], cfg["dark"], cfg["white"], cfg["layout"])
 
 
 def _cmd_bench(args) -> int:
@@ -304,19 +304,19 @@ def _cmd_bench(args) -> int:
         frame, dark, white, layout = _scene_or_files(cfg, args.config)
         report = bench_mod.bench_preprocess(bcfg, frame, dark, white, layout)
     else:
-        _, model, weights = _load_model(cfg["model"])
+        model, weights = _load_model(cfg["model"])
         if cfg["cube"]:
             cube = formats.load_cube(cfg["cube"])
         else:
-            spec = SceneSpec.from_dict(cfg["scene"] or {}, f"{args.config}: 'scene'")
-            scene = synth_scene(spec)
+            scene = synth_scene(construct(SceneSpec, cfg["scene"] or {},
+                                          f"{args.config}: 'scene'"))
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
         grid = _grid_for(model.meta, cube.shape[:2], cfg["grid"])
         report = bench_mod.bench_inference(
             bcfg, model, cube, grid, weights=weights, preprocess_ms=cfg["preprocess_ms"])
         if cfg["quantized_model"]:
-            _, qmodel, _ = _load_model(cfg["quantized_model"], True)
+            qmodel, _ = _load_model(cfg["quantized_model"], True)
             qreport = bench_mod.bench_inference(
                 bcfg, qmodel, cube, grid, preprocess_ms=cfg["preprocess_ms"])
             f_ms = report.best().total_mean_ms
@@ -406,7 +406,7 @@ def _cmd_spectral(args) -> int:
 def _cmd_model_info(args) -> int:
     """Counts the network as defined, batch norm unfolded, for a float and
     a quantized file alike."""
-    kind, model, _weights = _load_model(args.model)
+    model, _ = _load_model(args.model)
     meta = model.meta
     unet = meta["kind"] == "unet"
     # per image: segment's default grid on the default layout's frame, each
@@ -424,7 +424,7 @@ def _cmd_model_info(args) -> int:
     print(f"FLOPs per {unit} (2xMAC): {rep.flops_per_patch:,}")
     print(f"FLOPs per image ({rep.patches_per_image} {units}): {rep.flops_per_image:,}")
     print(f"float payload bytes: {4 * rep.np_total:,}")
-    if kind == "quantized":
+    if isinstance(model, quant.QuantizedGraph):
         q = payload_bytes(model)
         print(f"quantized payload bytes: {q:,} "
               f"(ratio {q / (4 * rep.np_total):.3f})")
@@ -453,16 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_preprocess)
 
     s = sub.add_parser("segment", help="tile, infer and rebuild a label mask")
-    s.add_argument("--cube")
-    s.add_argument("--model")
-    s.add_argument("--quantized", action="store_true")
-    s.add_argument("--grid")
-    s.add_argument("--out")
-    s.add_argument("--render")
-    s.add_argument("--gt")
-    s.add_argument("--metrics")
+    for key, f in MANIFEST.items():
+        s.add_argument(f"--{key}", **({"action": "store_true"} if f.type is bool
+                                       else {"type": f.type}))
     s.add_argument("--manifest")
-    s.add_argument("--threads", type=int)
     s.set_defaults(fn=_cmd_segment)
 
     s = sub.add_parser("quantize", help="full-integer post-training quantization")

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one reader every
-JSON input goes through.
+"""Exception types shared across the package, the one reader every JSON
+input goes through, and construct, the one constructor of the objects JSON
+describes: an error from a class's own checks names the source too.
 
 The CLI maps these onto exit codes: usage problems exit 1, data/input
 problems exit 2, anything unexpected exits 3.
@@ -177,6 +178,15 @@ def value(v, f: Field, name: str, error=InvalidOption):
 def fields(obj, spec: dict[str, Field], name: str, error=InvalidOption) -> dict:
     """spec's keys read from the JSON object obj (see value)."""
     return value(obj, Field(spec), name, error)
+
+
+def construct(cls, kwargs: dict, name: str):
+    """cls(**kwargs) on fields already read; a SpecdriveError from cls's
+    own checks (across keys) is raised again as its type, naming name."""
+    try:
+        return cls(**kwargs)
+    except SpecdriveError as e:
+        raise type(e)(f"{name}: {e}") from None
 
 
 def decode(text, name: str, error=InvalidOption):

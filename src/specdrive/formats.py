@@ -8,7 +8,8 @@ graymaps (P5) holding class indices, renders are portable pixmaps (P6) with
 a fixed palette so two runs are diffable byte for byte.
 
 Loaders trust nothing: a malformed header, a payload of the wrong length or
-a non-finite cube raises CorruptContainer.
+a non-finite cube raises CorruptContainer naming the file. read_container
+returns a container's data, its header and arrays, for the loaders to check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptContainer, DimensionMismatch, Field, decode, fields, read_json
+from .errors import (CorruptContainer, DimensionMismatch, Field, construct, decode, fields,
+                     read_json)
 from .metrics import IGNORE_LABEL
 from .mosaic import MosaicLayout
 from .tiling import PatchGrid
@@ -68,14 +70,14 @@ def write_container(path, magic: bytes, header: dict, tensors) -> None:
             f.write(arr.tobytes())
 
 
-def read_container(path, magic: bytes, dtypes: dict[str, str], parse,
+def read_container(path, magic: bytes, dtypes: dict[str, str],
                    header: dict[str, Field], entry: dict[str, Field] | None = None):
-    """Read a framed container and return parse(header, {name: (array,
-    manifest entry)}), both as errors.fields reads them. The header holds
-    header's keys and "tensors", whose entries hold a name, shape, dtype (a
-    key of dtypes, which maps it to a numpy dtype) and entry's keys. The
-    payload must end exactly after the last tensor and float tensors must
-    be finite."""
+    """Read a framed container and return its data: (header, {name:
+    (array, manifest entry)}), both as errors.fields reads them. The header
+    holds header's keys and "tensors", whose entries hold a name, shape,
+    dtype (a key of dtypes, which maps it to a numpy dtype) and entry's
+    keys. The payload must end exactly after the last tensor and float
+    tensors must be finite."""
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != magic:
         raise CorruptContainer(f"{path}: not a {magic.decode()} container")
@@ -98,7 +100,7 @@ def read_container(path, magic: bytes, dtypes: dict[str, str], parse,
         offset += nbytes
     if offset != len(raw):
         raise CorruptContainer(f"{path}: {len(raw) - offset} trailing bytes")
-    return parse(header, arrays)
+    return header, arrays
 
 
 def save_raw(path, frame: np.ndarray, layout_id: str = "default-5x5") -> None:
@@ -191,9 +193,8 @@ def load_layout(path) -> MosaicLayout:
     d = read_json(path, LAYOUT, CorruptContainer)
     if len({len(row) for row in d["tile"]}) > 1:
         raise CorruptContainer(f"{path}: 'tile' rows differ in length")
-    return MosaicLayout(
-        tile=np.array(d["tile"], np.int64), active_origin=d["active_origin"],
-        active_size=d["active_size"], center_offset=d["center_offset"], layout_id=d["id"])
+    d["layout_id"] = d.pop("id")
+    return construct(MosaicLayout, d, str(path))
 
 
 def save_mask(path, mask: np.ndarray) -> None:

@@ -163,8 +163,8 @@ def _check_frequencies(frequencies, num_classes: int) -> np.ndarray:
     if not (np.isfinite(freq).all() and (freq >= 0).all() and freq.sum() > 0):
         raise InvalidOption(
             f"frequencies must be finite, >= 0 and not all 0, got {freq.tolist()}")
-    with np.errstate(divide="ignore", over="ignore"):
-        if not np.isfinite(1.0 / freq[freq > 0]).all():
+    with np.errstate(divide="ignore", over="ignore"):  # weights divide by the sum
+        if not np.isfinite((1.0 / freq[freq > 0]).sum()):
             raise InvalidOption(f"frequencies too small to invert: {freq.tolist()}")
     return freq
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (REQUIRED, Field, InvalidConfig, MissingWeights, ShapeMismatch,
-                     StructureError, fields, json_field, json_spec)
+                     StructureError, construct, fields, json_field, json_spec)
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,8 @@ def build_from_meta(meta: dict, name: str = "model description") -> ModelGraph:
         return build_mlp(**fields(meta["config"], MLP_CONFIG, name, InvalidConfig))
     # every key: a .sdq's graph keeps the description as its meta
     spec = {k: f._replace(default=REQUIRED) for k, f in json_spec(UNetConfig).items()}
-    return build_unet(UNetConfig(**fields(meta["config"], spec, name, InvalidConfig)))
+    cfg = fields(meta["config"], spec, name, InvalidConfig)
+    return build_unet(construct(UNetConfig, cfg, name))
 
 
 # pixels per block of a per-pixel graph, chosen by measurement (numpy 2.4,

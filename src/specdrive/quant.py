@@ -50,7 +50,6 @@ checks the layers against the model description's folded graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -550,8 +549,12 @@ def save_qgraph(path, qg: QuantizedGraph) -> None:
 
 
 # a scheme's keys: an activation's object holds them, and so does the
-# manifest entry of an int8 weight or int32 bias (ENTRY: null elsewhere)
-SCHEME = {"scale": Field(float, math.ulp(0.0)), "zero_point": Field(int, -128, 127)}
+# manifest entry of an int8 weight or int32 bias (ENTRY: null elsewhere).
+# Scales in [2^-100, 2^100] keep a requantization ratio and an int32
+# accumulator times it finite in float64, where the tails compute, and a
+# dequantized value (below 2^108) in float32; a wider scale gave NaN or
+# undefined int8 values. Calibrated scales lie far inside (a bias's >= ~6e-11).
+SCHEME = {"scale": Field(float, 2.0**-100, 2.0**100), "zero_point": Field(int, -128, 127)}
 ENTRY = {k: f._replace(default=None) for k, f in SCHEME.items()}
 LAYER = {"name": Field(str), "kind": Field(str), "inputs": Field([str]),
          "in_ch": Field(int), "out_ch": Field(int), "kernel": Field(int),
@@ -565,40 +568,37 @@ def load_qgraph(path) -> QuantizedGraph:
     schemes must be valid, the layers must be the description's graph with
     its batch norm folded, and the file must hold exactly the tensors
     stored_tensors names, in any order, with int8 weights in [-127, 127]."""
-
-    def parse(header, arrays):
-        model = build_from_meta(header["model"], f"{path}: 'model'")
-        graph = ModelGraph([LayerSpec(**d) for d in header["layers"]], meta=header["model"])
-        if graph.layers != fold_layers(model):
-            raise CorruptContainer(f"{path}: layers are not the model's folded graph")
-        schemes = {n: QuantScheme(**fields(v, SCHEME, f"{path}: activation {n!r}",
-                                           CorruptContainer))
-                   for n, v in header["activations"].items()}
-        tensors: dict[str, np.ndarray] = {}
-        for layer in graph.layers:
-            kind = LAYER_KINDS[layer.kind]
-            if kind.int_op and any(n not in schemes for n in (*layer.inputs, layer.name)):
-                raise CorruptContainer(f"{path}: no scheme for layer {layer.name!r}")
-            for name, shape, dtype in stored_tensors(layer):
-                arr, entry = arrays.get(name, (None, {}))
-                if arr is None or arr.shape != shape or entry["dtype"] != dtype:
-                    raise CorruptContainer(f"{path}: needs a {dtype} {name!r} {shape}")
-                tensors[name] = arr
-                if _accumulates(kind):
-                    if None in (entry["scale"], entry["zero_point"]):
-                        raise CorruptContainer(f"{path}: no scheme for {name!r}")
-                    schemes[name] = QuantScheme(entry["scale"], entry["zero_point"])
+    header, arrays = read_container(path, MAGIC, {t: t for t in ("<i1", "<i4", "<f4")},
+                                    HEADER, ENTRY)
+    model = build_from_meta(header["model"], f"{path}: 'model'")
+    graph = ModelGraph([LayerSpec(**d) for d in header["layers"]], meta=header["model"])
+    if graph.layers != fold_layers(model):
+        raise CorruptContainer(f"{path}: layers are not the model's folded graph")
+    schemes = {n: QuantScheme(**fields(v, SCHEME, f"{path}: activation {n!r}",
+                                       CorruptContainer))
+               for n, v in header["activations"].items()}
+    tensors: dict[str, np.ndarray] = {}
+    for layer in graph.layers:
+        kind = LAYER_KINDS[layer.kind]
+        if kind.int_op and any(n not in schemes for n in (*layer.inputs, layer.name)):
+            raise CorruptContainer(f"{path}: no scheme for layer {layer.name!r}")
+        for name, shape, dtype in stored_tensors(layer):
+            arr, entry = arrays.get(name, (None, {}))
+            if arr is None or arr.shape != shape or entry["dtype"] != dtype:
+                raise CorruptContainer(f"{path}: needs a {dtype} {name!r} {shape}")
+            tensors[name] = arr
             if _accumulates(kind):
-                w, b = (tensors[name] for name, _, _ in stored_tensors(layer))
-                if w.min(initial=0) < -127:  # the kernels' exactness bound needs it
-                    raise CorruptContainer(f"{path}: {layer.name} weight below -127")
-                try:
-                    _check_acc_bound(w, b)
-                except ShapeMismatch as e:
-                    raise CorruptContainer(f"{path}: {layer.name}: {e}") from None
-        if len(header["tensors"]) != len(tensors):
-            raise CorruptContainer(f"{path}: tensors other than the model's stored set")
-        return QuantizedGraph(graph, schemes, tensors)
-
-    return read_container(path, MAGIC, {t: t for t in ("<i1", "<i4", "<f4")}, parse,
-                          HEADER, ENTRY)
+                if None in (entry["scale"], entry["zero_point"]):
+                    raise CorruptContainer(f"{path}: no scheme for {name!r}")
+                schemes[name] = QuantScheme(entry["scale"], entry["zero_point"])
+        if _accumulates(kind):
+            w, b = (tensors[name] for name, _, _ in stored_tensors(layer))
+            if w.min(initial=0) < -127:  # the kernels' exactness bound needs it
+                raise CorruptContainer(f"{path}: {layer.name} weight below -127")
+            try:
+                _check_acc_bound(w, b)
+            except ShapeMismatch as e:
+                raise CorruptContainer(f"{path}: {layer.name}: {e}") from None
+    if len(header["tensors"]) != len(tensors):
+        raise CorruptContainer(f"{path}: tensors other than the model's stored set")
+    return QuantizedGraph(graph, schemes, tensors)

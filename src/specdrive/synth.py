@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec, fields, json_field, json_spec
+from .errors import InvalidSpec, construct, fields, json_field, json_spec
 from .metrics import IGNORE_LABEL
 from .model import ModelGraph, build_mlp
 from .mosaic import MosaicLayout, default_layout
@@ -58,11 +58,7 @@ class SceneSpec:
     @classmethod
     def from_dict(cls, d, name: str = "scene spec") -> "SceneSpec":
         """The spec in the JSON object d; name says where it came from."""
-        checked = fields(d, json_spec(cls), name, InvalidSpec)
-        try:
-            return cls(**checked)
-        except InvalidSpec as e:  # a check across keys
-            raise InvalidSpec(f"{name}: {e}") from None
+        return construct(cls, fields(d, json_spec(cls), name, InvalidSpec), name)
 
 
 @dataclass

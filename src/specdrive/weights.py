@@ -73,11 +73,8 @@ def save_weights(path, graph: ModelGraph, weights: dict[str, np.ndarray]) -> Non
 def load_weights(path) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     """Read a container back into a graph plus weight dict. The tensors must
     be exactly the ones the model's graph reads, in order and shape."""
-
-    def parse(header, arrays):
-        graph = build_from_meta(header["model"], f"{path}: 'model'")
-        if [(n, a.shape) for n, (a, _) in arrays.items()] != tensor_specs(graph):
-            raise CorruptContainer(f"{path}: tensors do not match the model")
-        return graph, {n: a for n, (a, _) in arrays.items()}
-
-    return read_container(path, MAGIC, {"f32le": "<f4"}, parse, HEADER)
+    header, arrays = read_container(path, MAGIC, {"f32le": "<f4"}, HEADER)
+    graph = build_from_meta(header["model"], f"{path}: 'model'")
+    if [(n, a.shape) for n, (a, _) in arrays.items()] != tensor_specs(graph):
+        raise CorruptContainer(f"{path}: tensors do not match the model")
+    return graph, {n: a for n, (a, _) in arrays.items()}

@@ -48,7 +48,9 @@ def files(tmp_path_factory):
     save_weights(root / "unet.sdw", g, w)
     save_qgraph(root / "unet.sdq", quantize_model(g, w, [cube[:8, :8]]))
     mlp = build_mlp(5, 3)
-    save_weights(root / "mlp.sdw", mlp, generate_weights(mlp, 2))
+    mw = generate_weights(mlp, 2)
+    save_weights(root / "mlp.sdw", mlp, mw)
+    save_qgraph(root / "mlp.sdq", quantize_model(mlp, mw, [cube]))
     frame = rng.integers(0, 4096, (1088, 2048)).astype(np.uint16)
     for name in ("raw", "dark", "white"):
         formats.save_raw(root / f"{name}.u16", frame)
@@ -466,19 +468,33 @@ def _cube_file(files, tmp_path, over):
     return path, ["spectral", "corr", "--cube", path]
 
 
-def _model_file(name):
+def _model_file(name, command="segment"):
     def write(files, tmp_path, config):
         path = tmp_path / name
         path.write_bytes(reframe((files / name).read_bytes(),
                                  lambda h: h["model"]["config"].update(config)))
+        if command == "model-info":
+            return path, ["model-info", path]
         return path, segment_argv(files, tmp_path, model=path)
     return write
+
+
+def _layout_file(files, tmp_path, over):
+    """A 2x2 layout on the raw frames, edited by over, through preprocess."""
+    layout = {"tile": [[0, 1], [2, 3]], "active_origin": [0, 0],
+              "active_size": [1080, 2040], "center_offset": [0, 1], "id": "two"}
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps({**layout, **over}))
+    return path, ["preprocess", "--raw", files / "raw.u16", "--dark", files / "dark.u16",
+                  "--white", files / "white.u16", "--layout", path,
+                  "--out", tmp_path / "cube.hsc"]
 
 
 JSON_FILES = {"synth": _spec_file, "bench infer": _bench_file("infer"),
               "bench preprocess": _bench_file("preprocess"), "manifest": _manifest_file,
               "cube": _cube_file, "unet.sdw": _model_file("unet.sdw"),
-              "mlp.sdw": _model_file("mlp.sdw")}
+              "unet.sdw model-info": _model_file("unet.sdw", "model-info"),
+              "mlp.sdw": _model_file("mlp.sdw"), "layout": _layout_file}
 
 
 @pytest.mark.parametrize("target, value, key", [
@@ -516,6 +532,14 @@ JSON_FILES = {"synth": _spec_file, "bench infer": _bench_file("infer"),
      "'scene': need dark_level < white_level"),
     ("bench infer", {"scene": {"dark_level": 9, "white_level": 9}},
      "'scene': need dark_level < white_level"),
+    ("layout", {"tile": [[0, 1], [1, 3]]}, "tile must be a bijection"),
+    ("layout", {"active_size": [9, 10]}, "not divisible by mosaic pitch 2"),
+    ("layout", {"center_offset": [0, 5]}, "center_offset[1] must be int in [0, 1]"),
+    ("unet.sdw", {"patch_size": 100, "encoder_depth": 3}, "not divisible by 2^3"),
+    ("unet.sdw model-info", {"patch_size": 100, "encoder_depth": 3}, "not divisible by 2^3"),
+    ("unet.sdw", {"conv_kernel": 2}, "conv kernel must be odd"),
+    ("unet.sdw model-info", {"conv_kernel": 2}, "conv kernel must be odd"),
+    ("bench preprocess", {"threads": []}, "need at least one thread count"),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_json_input_refused_naming_file_and_key(files, tmp_path, capsys, target, value, key):
     """Every JSON input goes through one typed-field reader: a value of the
@@ -525,6 +549,40 @@ def test_json_input_refused_naming_file_and_key(files, tmp_path, capsys, target,
     assert main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+
+
+def _activation_scale(layer, scale):
+    def edit(h):
+        h["activations"][layer]["scale"] = scale
+    return edit
+
+
+def _fc3_scales(h):
+    h["activations"]["fc3"]["scale"] = 1e307
+    next(t for t in h["tensors"] if t["name"] == "fc3.bias")["scale"] = 1e307
+
+
+@pytest.mark.parametrize("edit", [_activation_scale("fc1", 5e-324), _fc3_scales,
+                                  _activation_scale("fc1", 2.0**101)],
+                         ids=["fc1 5e-324", "fc3 1e307", "fc1 2^101"])
+def test_sdq_scale_out_of_bound_exit_2(files, tmp_path, capsys, edit):
+    """A scale outside [2^-100, 2^100] made the int8 walk's requantization
+    ratio infinite (NaN, then undefined int8 values) or its dequantized
+    head infinite (NaN probabilities, an all-class-0 mask), with exit 0."""
+    bad = tmp_path / "scale.sdq"
+    bad.write_bytes(reframe((files / "mlp.sdq").read_bytes(), edit))
+    with pytest.raises(CorruptContainer, match="'scale'"):
+        load_qgraph(bad)
+    assert segment(files, tmp_path, model=bad) == 2
+    assert f"{bad}: " in capsys.readouterr().err
+
+
+def test_sdq_scales_at_the_bounds_load(files, tmp_path):
+    for scale in (2.0**-100, 2.0**100):
+        path = tmp_path / "edge.sdq"
+        path.write_bytes(reframe((files / "mlp.sdq").read_bytes(),
+                                 _activation_scale("fc1", scale)))
+        assert load_qgraph(path).schemes["fc1"].scale == scale
 
 
 @pytest.mark.parametrize("mismatched", ["model", "quantized_model"])
@@ -641,6 +699,8 @@ def test_sdq_accumulator_bound_checked_at_load_exit_2(files, tmp_path):
     ["metrics", "--classes", "3", "--frequencies", "inf,1,1"],
     ["metrics", "--classes", "3", "--frequencies=-1,1,1"],
     ["metrics", "--classes", "3", "--frequencies", "1e-320,1,1"],
+    # inverses that are finite but sum to infinity: this exited 0, weighted,,,
+    ["metrics", "--classes", "3", "--frequencies", "1e-308,1e-308,1"],
     ["metrics", "--classes", "0"],
     ["metrics", "--classes", "257"],
     ["spectral", "jm", "--gt", "labels.pgm", "--classes", "-1"],
@@ -688,6 +748,7 @@ def test_path_under_a_regular_file_exit_2(files, tmp_path, capsys, argv):
     ([-1.0, 1.0, 1.0], InvalidOption),
     ([0.0, 0.0, 0.0], InvalidOption),
     ([1e-320, 1.0, 1.0], InvalidOption),
+    ([1e-308, 1e-308, 1.0], InvalidOption),
 ])
 def test_compute_metrics_rejects_bad_frequencies(freqs, error):
     with pytest.raises(error):

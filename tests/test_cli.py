@@ -394,9 +394,9 @@ def _quantized(work, name):
 
 def _library_segment(cube, model_path):
     """The per-patch library path: the whole graph on each float patch."""
-    kind, model, weights = cli._load_model(str(model_path))
+    model, weights = cli._load_model(str(model_path))
     grid = _grid_for(model.meta, cube.shape[:2], None)
-    probs = [qforward(model, p) if kind == "quantized" else forward(model, p, weights)
+    probs = [qforward(model, p) if weights is None else forward(model, p, weights)
              for p in extract_patches(cube, grid)]
     return reconstruct(probs, grid)
 
@@ -434,7 +434,7 @@ def test_patch_views_give_the_bits_of_patch_copies(work, monkeypatch, model):
     was: no model op writes to its input."""
     if model.endswith(".sdq"):
         _quantized(work, model[:-4])
-    kind, graph, weights = cli._load_model(str(work / model))
+    graph, weights = cli._load_model(str(work / model))
     cube = formats.load_cube(work / "crop.hsc")
     before = cube.copy()
     grid = _grid_for(graph.meta, cube.shape[:2], None)
@@ -554,7 +554,7 @@ def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
     grid = _grid_for({"kind": "mlp", "config": {}}, hw, None)
     assert grid.n_patches <= paper.n_patches
     for name in ("mlp.sdw", "mlp.sdq"):
-        _, model, weights = cli._load_model(str(work / name))
+        model, weights = cli._load_model(str(work / name))
         want_map, want_labels = reconstruct(infer_cube(model, cube, paper, weights=weights),
                                             paper)
         for threads in (1, 2, 4):

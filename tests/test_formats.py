@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specdrive import formats
-from specdrive.errors import CorruptContainer
+from specdrive.errors import CorruptContainer, Field
 from specdrive.metrics import IGNORE_LABEL
 from specdrive.mosaic import default_layout
 from specdrive.tiling import build_grid
@@ -112,3 +112,17 @@ def test_grid_file_roundtrip(tmp_path):
     path.write_text(json.dumps(
         {"patch": grid.patch_size, "rows": grid.row_starts, "cols": grid.col_starts}))
     assert formats.load_grid(path) == grid
+
+
+def test_read_container_returns_its_data(tmp_path):
+    """read_container takes no callback: it returns the header and each
+    tensor with its manifest entry, for the model loaders to check."""
+    a = np.arange(6, dtype="<f4").reshape(2, 3)
+    formats.write_container(tmp_path / "c.bin", b"TST1", {"k": 1},
+                            [({"name": "a", "shape": [2, 3], "dtype": "f32le"}, a)])
+    header, arrays = formats.read_container(tmp_path / "c.bin", b"TST1",
+                                            {"f32le": "<f4"}, {"k": Field(int)})
+    assert header["k"] == 1 and list(arrays) == ["a"]
+    arr, entry = arrays["a"]
+    assert np.array_equal(arr, a)
+    assert entry == {"name": "a", "shape": (2, 3), "dtype": "f32le"}

@@ -63,3 +63,8 @@ def test_segment_flags_are_the_manifest_keys():
     flag that is not one would be read and then dropped."""
     dests = set(vars(build_parser().parse_args(["segment"])))
     assert dests - {"command", "fn", "manifest"} == set(MANIFEST)
+
+
+def test_segment_flags_parse_as_their_manifest_types():
+    args = build_parser().parse_args(["segment", "--threads", "2", "--quantized"])
+    assert (args.threads, args.quantized) == (2, True)

@@ -251,8 +251,7 @@ def _reorder_sdq(src, dst, edit):
     """Rewrite a .sdq with edit applied to its (manifest entry, array)
     list, through the container codec. The codec reads an entry without a
     scheme as holding null ones; they are left out again."""
-    header, arrays = read_container(src, quant.MAGIC, SDQ_DTYPES, lambda h, a: (h, a),
-                                    quant.HEADER, quant.ENTRY)
+    header, arrays = read_container(src, quant.MAGIC, SDQ_DTYPES, quant.HEADER, quant.ENTRY)
     del header["tensors"]
     tensors = [({k: v for k, v in e.items() if v is not None}, a) for a, e in arrays.values()]
     write_container(dst, quant.MAGIC, header, edit(tensors))
