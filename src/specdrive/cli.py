@@ -75,9 +75,13 @@ def _grid_for(meta: dict, hw: tuple[int, int], grid_path: str | None):
     grid of its patch size, whose overlap gives each convolution context at
     the patch borders. A per-pixel model (the MLP, whose graph is
     ModelGraph.per_pixel) reads no neighbours, so overlap would only
-    evaluate pixels again and average equal copies: it gets the fewest
-    128-pixel patches that cover the cube (tiling.abutting_grid), not one
-    cube-sized patch, so a square cube still feeds two workers. On a cube
+    evaluate pixels again and average equal copies: it gets abutting
+    patches (tiling.abutting_grid), ceil(n / 128) along an axis of n
+    pixels, each as small as those counts allow. The side is the larger of
+    the two axes' ceil(n / count), so the last patch on an axis evaluates
+    few rows again: 8 patches of 108 on a 216x409 cube, 1.06 evaluations a
+    pixel, where patches of 128 made 1.48. An axis over 128 pixels still
+    gets two patches or more, so the workers share the cube. On a cube
     thinner than the patch, the patch shrinks to the cube, and a U-Net's
     further down to a multiple of 2^encoder_depth, the side its pooling
     halves that often; a cube thinner than that raises InvalidGeometry, and
@@ -95,7 +99,8 @@ def _grid_for(meta: dict, hw: tuple[int, int], grid_path: str | None):
                 f"pool: it must be a multiple of {step} (2^encoder_depth)")
         return grid
     if cfg is None:
-        return abutting_grid(hw, min(128, h, w))
+        side = max(-(-n // -(-n // 128)) for n in hw)
+        return abutting_grid(hw, min(side, h, w))
     patch = min(cfg.patch_size, h, w) // step * step
     if not patch:
         raise InvalidGeometry(f"cube of {h}x{w} pixels is thinner than this U-Net's "
@@ -423,6 +428,9 @@ def _cmd_model_info(args) -> int:
     print(f"MACs per {unit}: {rep.macs_per_patch:,}")
     print(f"FLOPs per {unit} (2xMAC): {rep.flops_per_patch:,}")
     print(f"FLOPs per image ({rep.patches_per_image} {units}): {rep.flops_per_image:,}")
+    p = grid.patch_size
+    print(f"default grid on the {hw[0]}x{hw[1]} frame: {grid.n_patches} patches of {p}x{p}, "
+          f"{grid.n_patches * p * p / (hw[0] * hw[1]):.2f} evaluations per pixel")
     print(f"float payload bytes: {4 * rep.np_total:,}")
     if isinstance(model, quant.QuantizedGraph):
         q = payload_bytes(model)

@@ -30,11 +30,16 @@ per block, flattening one block at a time, so a patch view (see
 tiling.extract_patches) is never copied whole. The temporaries of one block
 (2048 x 100 values) stay in cache and come from reused allocations, where a
 whole 128x128 patch needs 13 MB float64 buffers that are page-faulted in
-afresh on every layer. The block
-size is a constant, never derived from the thread count, so a result is the
-same bits whatever the worker count. walk does not block: it gives
-whole-tensor intermediates, layer by layer. Graphs with a spatial
-layer (the U-Net's conv3, maxpool2, upconv2) run each input whole.
+afresh on every layer. The block size is a constant, never derived from the
+thread count, and forward and qforward pad a short last block to the full
+PIXEL_BLOCK rows, so every block runs at one row count: a pixel of an input
+over one block gets the same bits whatever the worker count, the patch
+size or its place in the patch. An input of one block or less runs whole,
+unpadded, so a thin cube's small patches do not each pay for a full
+block. walk does not block: it gives whole-tensor intermediates, layer by
+layer; nor does calibrate pad, so its ranges come from the pixels alone.
+Graphs with a spatial layer (the U-Net's conv3, maxpool2, upconv2) run
+each input whole.
 
 split_input cuts a graph into its input prefix, the leading per-pixel
 layers without an int op (band_norm, zscore), and the body that follows.
@@ -350,10 +355,12 @@ def build_from_meta(meta: dict, name: str = "model description") -> ModelGraph:
 
 
 # pixels per block of a per-pixel graph, chosen by measurement (numpy 2.4,
-# OpenBLAS 0.3.31): OpenBLAS picks its sgemm path by row count, and
-# 2048-row blocks take the path of a 128x128 patch's 128-row products, so
-# float outputs stayed the same bits; 4096 moved the float softmax by 1 ulp,
-# and 256 lost the gain to per-block Python overhead
+# OpenBLAS 0.3.31): 4096 moved the float softmax by 1 ulp, and 256 lost the
+# gain to per-block Python overhead. OpenBLAS picks its sgemm path by row
+# count, so a short block may sum a pixel's products in another order than
+# a full one; map_pixel_blocks pads a short last block to the full
+# PIXEL_BLOCK rows, and a pixel of an input over one block gets the same
+# float bits whatever block, patch or grid it falls in
 PIXEL_BLOCK = 2048
 
 
@@ -422,15 +429,20 @@ def pixel_blocks(graph: ModelGraph, x: np.ndarray):
 
 def map_pixel_blocks(fn, graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     """fn(x) for a function that maps (..., C) pixels to (..., K) outputs,
-    run block by block (see pixel_blocks) into one preallocated output."""
+    run block by block (see pixel_blocks) into one preallocated output. A
+    short last block is padded to PIXEL_BLOCK rows with copies of its last
+    pixel, whose outputs are dropped (see PIXEL_BLOCK)."""
     if not _blocked(graph, x):
         return fn(x)
     out = None
     for i, block in enumerate(pixel_blocks(graph, x)):
-        y = fn(block)
+        n = len(block)
+        if n < PIXEL_BLOCK:
+            block = np.pad(block, ((0, PIXEL_BLOCK - n), (0, 0)), "edge")
+        y = fn(block)[:n]
         if out is None:
             out = np.empty((x.size // x.shape[-1], y.shape[-1]), y.dtype)
-        out[i * PIXEL_BLOCK : i * PIXEL_BLOCK + len(y)] = y
+        out[i * PIXEL_BLOCK : i * PIXEL_BLOCK + n] = y
     return out.reshape(*x.shape[:-1], out.shape[-1])
 
 

@@ -130,14 +130,15 @@ class PreprocessResult:
         return np.ascontiguousarray(self.planes.transpose(1, 2, 0))
 
 
-def crop_clip(frame: np.ndarray, layout: MosaicLayout) -> np.ndarray:
-    """The filter-covered active window of the raw frame, as a view: it
-    shares the frame's memory, so writing to it writes to the frame."""
+def crop_clip(frame: np.ndarray, layout: MosaicLayout, role: str = "raw") -> np.ndarray:
+    """The filter-covered active window of a frame, as a view: it shares the
+    frame's memory, so writing to it writes to the frame. role (raw, dark
+    or white) names the frame in the refusal of one that is too small."""
     r0, c0 = layout.active_origin
     h, w = layout.active_size
     if frame.ndim != 2 or frame.shape[0] < r0 + h or frame.shape[1] < c0 + w:
         raise DimensionMismatch(
-            f"frame {frame.shape} smaller than active window "
+            f"{role} frame {frame.shape} smaller than active window "
             f"{layout.active_size} at origin {layout.active_origin}"
         )
     return frame[r0 : r0 + h, c0 : c0 + w]
@@ -432,8 +433,8 @@ def preprocess_pipeline(
 
     active = timed(STAGE_CROP, crop_clip, frame, layout)
     # reference frames are corrected over the same active window
-    dark_a = crop_clip(dark, layout) if dark.shape != active.shape else dark
-    white_a = crop_clip(white, layout) if white.shape != active.shape else white
+    dark_a = crop_clip(dark, layout, "dark") if dark.shape != active.shape else dark
+    white_a = crop_clip(white, layout, "white") if white.shape != active.shape else white
     refl, n_bad = timed(STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a)
     lattice = timed(STAGE_EXTRACT, extract_fn, refl, layout)
     planes = timed(STAGE_TRANSLATE, _translate, lattice, layout, band_fn, threads)

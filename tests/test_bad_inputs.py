@@ -225,6 +225,16 @@ def test_sidecar_without_width_exit_2(files, tmp_path):
     assert preprocess(files, tmp_path, raw=raw) == 2
 
 
+@pytest.mark.parametrize("role", ["raw", "dark", "white"])
+def test_short_frame_refusal_names_its_role(files, tmp_path, capsys, role):
+    """A frame smaller than the active window exits 2 saying which of the
+    three frames it is; a short dark frame used to read as the raw one."""
+    formats.save_raw(tmp_path / f"{role}.u16", np.zeros((50, 60), np.uint16))
+    assert preprocess(files, tmp_path, **{role: tmp_path / f"{role}.u16"}) == 2
+    assert (f"{role} frame (50, 60) smaller than active window (1080, 2045) at origin "
+            "(0, 0)") in capsys.readouterr().err
+
+
 def test_empty_layout_exit_2(files, tmp_path):
     bad = tmp_path / "layout.json"
     bad.write_text("{}")

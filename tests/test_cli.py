@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specdrive import cli, formats, kernels
 from specdrive.cli import _grid_for, infer_cube, main, run_segment
@@ -11,7 +13,8 @@ from specdrive.model import UNetConfig, build_mlp, build_unet, forward
 from specdrive.mosaic import MosaicLayout, preprocess_pipeline
 from specdrive.quant import load_qgraph, payload_bytes, qforward
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
-from specdrive.tiling import build_grid, extract_patches, reconstruct
+from specdrive.tiling import (abutting_grid, build_grid, extract_patches, overlap_index,
+                              reconstruct)
 from specdrive.weights import generate_weights, save_weights
 
 
@@ -510,15 +513,32 @@ def test_segment_thin_cube_default_grid(work, tmp_path, model, hw):
 @pytest.mark.parametrize("meta", [{"kind": "unet", "config": {"patch_size": 128}},
                                   {"kind": "mlp", "config": {}}])
 def test_default_grid_of_full_size_cube(meta):
-    """The U-Net gets the paper's 44/57-stride grid; the per-pixel MLP the
-    fewest 128-pixel patches that cover the cube."""
+    """The U-Net gets the paper's 44/57-stride grid of 128-pixel patches;
+    the per-pixel MLP as many abutting patches as 128-pixel ones would
+    need, 2x4, each as small as that count allows."""
     grid = _grid_for(meta, (216, 409), None)
-    assert grid.patch_size == 128
     if meta["kind"] == "unet":
+        assert grid.patch_size == 128
         assert grid.origins() == [(r, c) for r in (0, 44, 88)
                                   for c in (0, 57, 114, 167, 224, 281)]
     else:
-        assert grid.origins() == [(r, c) for r in (0, 88) for c in (0, 128, 256, 281)]
+        assert grid.patch_size == 108
+        assert grid.origins() == [(r, c) for r in (0, 108) for c in (0, 108, 216, 301)]
+
+
+@given(h=st.integers(1, 600), w=st.integers(1, 600))
+def test_per_pixel_default_grid_sized_to_the_cube(h, w):
+    """The per-pixel default grid covers the cube with patches of at most
+    128, never more patches or evaluated pixels than the fewest 128-pixel
+    (or cube-thin) patches would take, and is that grid on a cube thinner
+    than 128."""
+    grid = _grid_for({"kind": "mlp", "config": {}}, (h, w), None)
+    full = abutting_grid((h, w), min(128, h, w))
+    assert overlap_index(grid).min() >= 1 and grid.patch_size <= 128
+    assert grid.n_patches <= full.n_patches
+    assert grid.n_patches * grid.patch_size**2 <= full.n_patches * full.patch_size**2
+    if min(h, w) < 128:
+        assert grid == full
 
 
 def test_per_pixel_default_grid_of_thin_cube():
@@ -540,7 +560,7 @@ def test_grid_file_overrides_per_pixel_default(work, tmp_path):
 
 
 @pytest.mark.parametrize("hw", [(216, 409), (140, 77), (3, 700), (129, 1000), (128, 128),
-                                (300, 300)])
+                                (300, 300), (1, 1)])
 def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
     """On the MLP, float and int8, the default grid gives the probability map
     and labels of the paper's 44/57-stride grid bit for bit, at 1, 2 and 4

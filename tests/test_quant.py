@@ -395,13 +395,14 @@ def _spy_rows(monkeypatch, owner, key):
 
 @pytest.mark.parametrize("lead", BLOCK_SHAPES, ids=str)
 def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
-    """Blocks of PIXEL_BLOCK pixels: qforward gives the bits of its
-    whole-tensor qwalk, forward the bits or agreement within 1e-5
-    with the same labels (BLAS may sum a 2048-row block in another order)."""
+    """Blocks of PIXEL_BLOCK pixels, a short last one padded to full
+    length, or one block or less whole: qforward gives the bits of its
+    whole-tensor qwalk, forward the bits or agreement within 1e-5 with the
+    same labels (BLAS may sum a 2048-row block in another order)."""
     g, w, qg = mlp_models
     n = int(np.prod(lead))
     x = np.random.default_rng(n).uniform(0.05, 0.95, (*lead, 25)).astype(np.float32)
-    blocks = [min(PIXEL_BLOCK, n - i) for i in range(0, n, PIXEL_BLOCK)]
+    blocks = [PIXEL_BLOCK] * -(-n // PIXEL_BLOCK) if n > PIXEL_BLOCK else [n]
     want_rows = [rows for rows in blocks for _ in range(4)]  # four dense layers
 
     rows = _spy_rows(monkeypatch, kernels.FAST_KERNELS, "dense")
@@ -419,6 +420,21 @@ def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
     qref = dict(qwalk(qg, x))[qg.graph.output_name]
     assert yq.shape == (*lead, 3) and yq.dtype == np.float32
     assert np.array_equal(yq, qref)
+
+
+def test_mlp_pixel_bits_do_not_depend_on_their_block(mlp_models):
+    """Every block of an input over one block runs at PIXEL_BLOCK rows, so
+    a pixel gets the same bits from forward and qforward whatever block it
+    lands in: dropping the first k pixels moves every other pixel to
+    another block, or to another row of its block. Without the padding,
+    BLAS summed a short last block in another order: 192 of the offsets
+    from 1 to 3951 changed float bits."""
+    g, w, qg = mlp_models
+    x = np.random.default_rng(9).uniform(0.05, 0.95, (6000, 25)).astype(np.float32)
+    y, yq = forward(g, x, w), qforward(qg, x)
+    for k in range(1, len(x) - PIXEL_BLOCK, 97):
+        assert np.array_equal(forward(g, x[k:], w), y[k:]), k
+        assert np.array_equal(qforward(qg, x[k:]), yq[k:]), k
 
 
 def test_mlp_blocks_keep_the_naive_gate(mlp_models):
@@ -693,13 +709,14 @@ def test_input_prefix_stays_float_for_a_float_reader(rng):
 
 
 def test_mlp_input_prefix_runs_in_pixel_blocks(monkeypatch, mlp_models):
-    """The MLP's prefix runs over a cube in PIXEL_BLOCK blocks and the int8
-    cube's pixel blocks through the body match the float patch walk."""
+    """The MLP's prefix runs over a cube in PIXEL_BLOCK blocks, the last
+    padded to full length, and the int8 cube's pixel blocks through the
+    body match the float patch walk."""
     g, w, qg = mlp_models
     cube = np.random.default_rng(8).uniform(0.05, 0.95, (48, 100, 25)).astype(np.float32)
     rows = _spy_rows(monkeypatch, kernels, "band_norm")
     body, q8 = run_input_prefix(qg, cube)
-    assert rows == [PIXEL_BLOCK, PIXEL_BLOCK, 48 * 100 - 2 * PIXEL_BLOCK]
+    assert rows == [PIXEL_BLOCK] * 3
     assert [l.kind for l in body.graph.layers[:1]] == ["dense"]
     assert np.array_equal(qforward(body, q8), qforward(qg, cube))
     with pytest.raises(RangeMissing):  # the whole graph reads float "input"
