@@ -29,10 +29,9 @@ from .errors import (Field, InvalidOption, NonDeterministicOutput, construct, fi
 from .mosaic import STAGE_NAMES, STAGE_TOTAL, MosaicLayout, preprocess_pipeline
 from .model import ModelGraph
 from .quant import QuantizedGraph
-from .tiling import THREADS, PatchGrid, reconstruct
+from .tiling import THREADS, PatchGrid
 
 STAGE_INFER = "Inference"
-STAGE_REBUILD = "Reconstruction"
 
 
 @dataclass(frozen=True)
@@ -176,23 +175,21 @@ def bench_inference(
     cfg: BenchConfig,
     model: ModelGraph | QuantizedGraph,
     cube: np.ndarray,
-    grid: PatchGrid,
+    grid: PatchGrid | None,
     weights: dict | None = None,
     preprocess_ms: float | None = None,
 ) -> BenchReport:
-    """Per-image latency of segment's path: cli.infer_cube over the cube
-    (the input prefix once, then the model body on every patch of the grid)
-    as Inference, plus probability-map reconstruction. With preprocess_ms,
-    also reports the two-stage pipeline throughput 1 / max(stage means)."""
+    """Per-image latency of segment's path, cli.infer_cube over the cube, as
+    its one Inference stage: a per-pixel model untiled (grid None), any
+    other the input prefix once, the body on every patch of the grid and
+    the reconstruction. With preprocess_ms, also reports the two-stage
+    pipeline throughput 1 / max(stage means)."""
     value(preprocess_ms, Field(float, 0, default=None), "preprocess_ms")
 
     def run(v, t):
         t0 = time.perf_counter()
-        probs = cli.infer_cube(model, cube, grid, weights=weights, threads=t, naive=not v)
-        t1 = time.perf_counter()
-        out = reconstruct(probs, grid)
-        t2 = time.perf_counter()
-        return out, {STAGE_INFER: (t1 - t0) * 1e3, STAGE_REBUILD: (t2 - t1) * 1e3}
+        out = cli.infer_cube(model, cube, grid, weights=weights, threads=t, naive=not v)
+        return out, {STAGE_INFER: (time.perf_counter() - t0) * 1e3}
 
     def agree(ref, out, same_mode):
         close = np.array_equal if same_mode else partial(np.allclose, atol=1e-5)

@@ -25,7 +25,8 @@ from .errors import (Field, InvalidGeometry, InvalidOption, InvalidSpec, Missing
                      ShapeMismatch, SpecdriveError, construct, decode, fields, json_spec,
                      value)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
-from .model import UNetConfig, build_from_meta, fold_batchnorm, forward, run_input_prefix
+from .model import (UNetConfig, build_from_meta, fold_batchnorm, forward, map_pixel_blocks,
+                    run_input_prefix)
 from .mosaic import default_layout, preprocess_pipeline
 from .quant import (
     load_qgraph,
@@ -43,8 +44,7 @@ from .spectral import (
     separability,
 )
 from .synth import SceneSpec, synth_scene
-from .tiling import (THREADS, abutting_grid, build_grid, extract_patches, map_patches,
-                     reconstruct)
+from .tiling import THREADS, build_grid, extract_patches, map_patches, reconstruct
 from .weights import load_weights
 
 
@@ -70,27 +70,27 @@ def _load_model(path: str, want_quantized: bool = False):
 
 
 def _grid_for(meta: dict, hw: tuple[int, int], grid_path: str | None):
-    """The grid for an image of hw = (rows, cols) pixels: the grid file if
-    one is given, for any model. Else a U-Net gets the paper's 44/57-stride
-    grid of its patch size, whose overlap gives each convolution context at
-    the patch borders. A per-pixel model (the MLP, whose graph is
-    ModelGraph.per_pixel) reads no neighbours, so overlap would only
-    evaluate pixels again and average equal copies: it gets abutting
-    patches (tiling.abutting_grid), ceil(n / 128) along an axis of n
-    pixels, each as small as those counts allow. The side is the larger of
-    the two axes' ceil(n / count), so the last patch on an axis evaluates
-    few rows again: 8 patches of 108 on a 216x409 cube, 1.06 evaluations a
-    pixel, where patches of 128 made 1.48. An axis over 128 pixels still
-    gets two patches or more, so the workers share the cube. On a cube
-    thinner than the patch, the patch shrinks to the cube, and a U-Net's
-    further down to a multiple of 2^encoder_depth, the side its pooling
-    halves that often; a cube thinner than that raises InvalidGeometry, and
-    so does a grid file whose patch is not such a multiple. The U-Net's
-    strides are capped at half the patch: the middle gap of a mirrored grid
-    is below twice the stride, so the patches cover every pixel."""
+    """The patch grid a U-Net segments an image of hw = (rows, cols) pixels
+    on: the grid file if one is given, else the paper's 44/57-stride grid of
+    its patch size, whose overlap gives each convolution context at the
+    patch borders. A per-pixel model (the MLP, whose graph is
+    ModelGraph.per_pixel) reads no neighbours and runs untiled (see
+    infer_cube), so it gets None, and a grid file given with it, which
+    could change nothing, raises InvalidOption. On a cube thinner than the
+    patch, the patch shrinks to the cube, and further down to a multiple of
+    2^encoder_depth, the side the U-Net's pooling halves that often; a cube
+    thinner than that raises InvalidGeometry, and so does a grid file whose
+    patch is not such a multiple. The strides are capped at half the patch:
+    the middle gap of a mirrored grid is below twice the stride, so the
+    patches cover every pixel."""
+    if meta["kind"] != "unet":
+        if grid_path:
+            raise InvalidOption(f"grid {grid_path} would change nothing: a per-pixel "
+                                "model runs untiled")
+        return None
     h, w = hw
-    cfg = UNetConfig(**meta["config"]) if meta["kind"] == "unet" else None
-    step = 2**cfg.encoder_depth if cfg else 1
+    cfg = UNetConfig(**meta["config"])
+    step = 2**cfg.encoder_depth
     if grid_path:
         grid = formats.load_grid(grid_path)
         if grid.patch_size % step:
@@ -98,9 +98,6 @@ def _grid_for(meta: dict, hw: tuple[int, int], grid_path: str | None):
                 f"grid {grid_path} has patch {grid.patch_size}, which this U-Net cannot "
                 f"pool: it must be a multiple of {step} (2^encoder_depth)")
         return grid
-    if cfg is None:
-        side = max(-(-n // -(-n // 128)) for n in hw)
-        return abutting_grid(hw, min(side, h, w))
     patch = min(cfg.patch_size, h, w) // step * step
     if not patch:
         raise InvalidGeometry(f"cube of {h}x{w} pixels is thinner than this U-Net's "
@@ -117,28 +114,35 @@ def _check_bands(meta: dict, cube: np.ndarray) -> None:
 
 def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     """The Inference stage that segment runs and bench infer times: the
-    model's per-pixel input prefix (normalization, and on a quantized model
-    the quantization) once over the cube, then the body on every patch of
-    its output on `threads` workers (see model.split_input). A float model
-    has its batch norm folded once here, in both kernel modes, so no patch
-    folds it again; a quantized body builds its requantization tables here,
-    before the workers share it. Returns the per-patch probabilities in grid
-    order; naive selects reference kernels. The patches are read-only views
-    of the prefix's output (see tiling.extract_patches): no patch is copied,
-    and cube is left as it was."""
+    cube's (prob_map, labels), on `threads` workers; naive selects reference
+    kernels. A float model has its batch norm folded once here, in both
+    kernel modes, and a quantized one builds its requantization tables here,
+    before the workers share them. A per-pixel graph (the MLP) runs whole,
+    untiled, over the cube's pixels in blocks of model.PIXEL_BLOCK (see
+    model.map_pixel_blocks), and grid is None. Any other graph runs its
+    per-pixel input prefix (normalization, and on a quantized model the
+    quantization) once over the cube, then its body on every patch of the
+    grid (see model.split_input), and the patches are averaged back
+    (tiling.reconstruct). The patches are read-only views of the prefix's
+    output (see tiling.extract_patches): no patch is copied, and cube is
+    left as it was. Argmax ties break toward the lowest class."""
     _check_bands(model.meta, cube)
     if isinstance(model, quant.QuantizedGraph):
-        body, x = quant.run_input_prefix(model, cube)
+        graph = model.graph
+        body, x = (model, cube) if graph.per_pixel else quant.run_input_prefix(model, cube)
         if not naive:
             body.tables  # built once, here, for every worker to read
         infer = partial(qforward, body, naive=naive)
     elif weights is None:
         raise MissingWeights("float graph needs a weight dict")
     else:
-        model, weights = fold_batchnorm(model, weights)
-        body, x = run_input_prefix(model, cube, weights)
+        graph, weights = fold_batchnorm(model, weights)
+        body, x = (graph, cube) if graph.per_pixel else run_input_prefix(graph, cube, weights)
         infer = partial(forward, body, weights=weights, naive=naive)
-    return map_patches(infer, extract_patches(x, grid), threads)
+    if graph.per_pixel:
+        prob_map = map_pixel_blocks(infer, graph, x, threads)
+        return prob_map, np.argmax(prob_map, axis=-1).astype(np.uint8)
+    return reconstruct(map_patches(infer, extract_patches(x, grid), threads), grid)
 
 
 _PATH = Field(str, default=None)
@@ -149,7 +153,7 @@ MANIFEST = {"cube": Field(str), "model": Field(str), "out": Field(str),
 
 
 def run_segment(manifest: dict, name: str = "manifest") -> dict:
-    """Full image path: cube -> infer_cube -> reconstruction -> outputs.
+    """Full image path: cube -> infer_cube -> outputs.
 
     The manifest holds MANIFEST's keys; name says where it came from. Flags
     from the CLI override manifest entries. Returns the per-output paths
@@ -159,8 +163,8 @@ def run_segment(manifest: dict, name: str = "manifest") -> dict:
     cube = formats.load_cube(manifest["cube"])
     model, weights = _load_model(manifest["model"], manifest["quantized"])
     grid = _grid_for(model.meta, cube.shape[:2], manifest["grid"])
-    prob_map, labels = reconstruct(
-        infer_cube(model, cube, grid, weights=weights, threads=manifest["threads"]), grid)
+    prob_map, labels = infer_cube(model, cube, grid, weights=weights,
+                                  threads=manifest["threads"])
 
     out = {"mask": manifest["out"], "labels": labels}
     formats.save_mask(manifest["out"], labels)
@@ -256,11 +260,8 @@ def _cmd_quantize(args) -> int:
     for c in cubes:
         cube = formats.load_cube(c)
         _check_bands(graph.meta, cube)
-        if graph.meta["kind"] == "unet":
-            grid = _grid_for(graph.meta, cube.shape[:2], args.grid)
-            samples.extend(extract_patches(cube, grid))
-        else:
-            samples.append(cube)
+        grid = _grid_for(graph.meta, cube.shape[:2], args.grid)
+        samples.extend(extract_patches(cube, grid) if grid else [cube])
     qg = quantize_model(graph, weights, samples)
     save_qgraph(args.out, qg)
     print(f"quantized model written to {args.out} ({payload_bytes(qg)} payload bytes)")
@@ -413,24 +414,24 @@ def _cmd_model_info(args) -> int:
     a quantized file alike."""
     model, _ = _load_model(args.model)
     meta = model.meta
-    unet = meta["kind"] == "unet"
     # per image: segment's default grid on the default layout's frame, each
     # patch counted at the grid's side, for a U-Net; each of the frame's
-    # pixels once, for a per-pixel model
+    # pixels once, for a per-pixel model, which runs untiled
     hw = default_layout().cube_shape[:2]
     grid = _grid_for(meta, hw, None)
-    config = {**meta["config"], "patch_size": grid.patch_size} if unet else meta["config"]
-    per_image = grid.n_patches if unet else hw[0] * hw[1]
+    config = {**meta["config"], "patch_size": grid.patch_size} if grid else meta["config"]
+    per_image = grid.n_patches if grid else hw[0] * hw[1]
     rep = count_flops(build_from_meta({**meta, "config": config}), patches_per_image=per_image)
     print(f"kind: {meta['kind']} ({json.dumps(meta['config'])})")
     print(f"params {rep.np_total} ({rep.non_trainable} non-trainable)")
-    unit, units = ("patch", "patches") if unet else ("pixel", "pixels")
+    unit, units = ("patch", "patches") if grid else ("pixel", "pixels")
     print(f"MACs per {unit}: {rep.macs_per_patch:,}")
     print(f"FLOPs per {unit} (2xMAC): {rep.flops_per_patch:,}")
     print(f"FLOPs per image ({rep.patches_per_image} {units}): {rep.flops_per_image:,}")
-    p = grid.patch_size
-    print(f"default grid on the {hw[0]}x{hw[1]} frame: {grid.n_patches} patches of {p}x{p}, "
-          f"{grid.n_patches * p * p / (hw[0] * hw[1]):.2f} evaluations per pixel")
+    if grid:
+        p = grid.patch_size
+        print(f"default grid on the {hw[0]}x{hw[1]} frame: {grid.n_patches} patches of "
+              f"{p}x{p}, {grid.n_patches * p * p / (hw[0] * hw[1]):.2f} evaluations per pixel")
     print(f"float payload bytes: {4 * rep.np_total:,}")
     if isinstance(model, quant.QuantizedGraph):
         q = payload_bytes(model)
@@ -460,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--no-vector", action="store_true")
     s.set_defaults(fn=_cmd_preprocess)
 
-    s = sub.add_parser("segment", help="tile, infer and rebuild a label mask")
+    s = sub.add_parser("segment", help="infer a label mask (a U-Net on tiled patches)")
     for key, f in MANIFEST.items():
         s.add_argument(f"--{key}", **({"action": "store_true"} if f.type is bool
                                        else {"type": f.type}))

@@ -26,20 +26,21 @@ graph with a kind that is not in the table is rejected when it is built.
 A graph whose every layer is per-pixel (the MLP) runs over its input's
 pixels in blocks of PIXEL_BLOCK: forward, quant.qforward and
 quant.calibrate flatten the pixels to (n, C) rows and walk the graph once
-per block, flattening one block at a time, so a patch view (see
-tiling.extract_patches) is never copied whole. The temporaries of one block
-(2048 x 100 values) stay in cache and come from reused allocations, where a
-whole 128x128 patch needs 13 MB float64 buffers that are page-faulted in
-afresh on every layer. The block size is a constant, never derived from the
-thread count, and forward and qforward pad a short last block to the full
-PIXEL_BLOCK rows, so every block runs at one row count: a pixel of an input
-over one block gets the same bits whatever the worker count, the patch
-size or its place in the patch. An input of one block or less runs whole,
-unpadded, so a thin cube's small patches do not each pay for a full
-block. walk does not block: it gives whole-tensor intermediates, layer by
-layer; nor does calibrate pad, so its ranges come from the pixels alone.
-Graphs with a spatial layer (the U-Net's conv3, maxpool2, upconv2) run
-each input whole.
+per block, flattening one block at a time, so a strided view is never
+copied whole. The temporaries of one block (2048 x 100 values) stay in
+cache and come from reused allocations, where a whole frame's would be
+page-faulted in afresh on every layer. segment runs such a graph untiled:
+cli.infer_cube maps forward or qforward over the cube's blocks on its
+workers (map_pixel_blocks), so each call gets one block. The block size is
+a constant, never derived from the thread count, and map_pixel_blocks pads
+a short last block to the full PIXEL_BLOCK rows, so every block runs at
+one row count: a pixel of an input over one block gets the same bits
+whatever the worker count or its place in the input. An input of one
+block or less runs whole, unpadded, so a small cube does not pay for a
+full block. walk does not block: it gives whole-tensor intermediates,
+layer by layer; nor does calibrate pad, so its ranges come from the pixels
+alone. Graphs with a spatial layer (the U-Net's conv3, maxpool2, upconv2)
+run each input whole.
 
 split_input cuts a graph into its input prefix, the leading per-pixel
 layers without an int op (band_norm, zscore), and the body that follows.
@@ -60,6 +61,7 @@ import numpy as np
 from . import kernels
 from .errors import (REQUIRED, Field, InvalidConfig, MissingWeights, ShapeMismatch,
                      StructureError, construct, fields, json_field, json_spec)
+from .tiling import map_patches
 
 
 @dataclass(frozen=True)
@@ -360,7 +362,7 @@ def build_from_meta(meta: dict, name: str = "model description") -> ModelGraph:
 # count, so a short block may sum a pixel's products in another order than
 # a full one; map_pixel_blocks pads a short last block to the full
 # PIXEL_BLOCK rows, and a pixel of an input over one block gets the same
-# float bits whatever block, patch or grid it falls in
+# float bits whatever block it falls in
 PIXEL_BLOCK = 2048
 
 
@@ -427,22 +429,22 @@ def pixel_blocks(graph: ModelGraph, x: np.ndarray):
         yield rows[a // w : -(-b // w)].reshape(-1, c)[a % w : a % w + b - a]
 
 
-def map_pixel_blocks(fn, graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+def map_pixel_blocks(fn, graph: ModelGraph, x: np.ndarray, threads: int = 1) -> np.ndarray:
     """fn(x) for a function that maps (..., C) pixels to (..., K) outputs,
-    run block by block (see pixel_blocks) into one preallocated output. A
-    short last block is padded to PIXEL_BLOCK rows with copies of its last
-    pixel, whose outputs are dropped (see PIXEL_BLOCK)."""
+    run block by block (see pixel_blocks) on `threads` workers
+    (tiling.map_patches). A short last block is padded to PIXEL_BLOCK rows
+    with copies of its last pixel, whose outputs are dropped (see
+    PIXEL_BLOCK)."""
     if not _blocked(graph, x):
         return fn(x)
-    out = None
-    for i, block in enumerate(pixel_blocks(graph, x)):
+
+    def run_block(block):
         n = len(block)
         if n < PIXEL_BLOCK:
             block = np.pad(block, ((0, PIXEL_BLOCK - n), (0, 0)), "edge")
-        y = fn(block)[:n]
-        if out is None:
-            out = np.empty((x.size // x.shape[-1], y.shape[-1]), y.dtype)
-        out[i * PIXEL_BLOCK : i * PIXEL_BLOCK + n] = y
+        return fn(block)[:n]
+
+    out = np.concatenate(map_patches(run_block, pixel_blocks(graph, x), threads))
     return out.reshape(*x.shape[:-1], out.shape[-1])
 
 

@@ -3,10 +3,10 @@
 The paper's grid is centrosymmetric: origins are strided forward from the
 low edge and mirrored back from the high edge, then merged. When the stride
 does not evenly fill the axis, the extra overlap lands in the middle of the
-image, which is where predictions benefit from it most. A grid for a model
-without spatial context needs no overlap: abutting_grid lays the fewest
-patches that cover the image. Overlapping predictions are averaged per pixel
-using the overlap-index matrix (the sum of all patch masks).
+image, which is where predictions benefit from it most. Only a model with
+spatial context (the U-Net) is tiled; a per-pixel model runs untiled (see
+cli.infer_cube). Overlapping predictions are averaged per pixel using the
+overlap-index matrix (the sum of all patch masks).
 
 Coverage is a property of PatchGrid: a grid whose patches leave a pixel of
 its image uncovered raises InvalidGeometry when it is made, however it was
@@ -102,17 +102,6 @@ def build_grid(
     rows = _mirrored_starts(h, patch_size, v_stride)
     cols = _mirrored_starts(w, patch_size, h_stride)
     return PatchGrid(patch_size, rows, cols, (h, w))
-
-
-def abutting_grid(image_size: tuple[int, int], patch_size: int) -> PatchGrid:
-    """The fewest patches of this size that cover the image: back to back
-    from the low edge, the last on each axis flush with the far edge, so
-    only that one overlaps its neighbour."""
-    p = patch_size
-    if not 0 < p <= min(image_size):
-        raise InvalidGeometry(f"patch {p} does not fit image {tuple(image_size)}")
-    rows, cols = (tuple(min(i * p, n - p) for i in range(-(-n // p))) for n in image_size)
-    return PatchGrid(p, rows, cols, tuple(image_size))
 
 
 def overlap_index(grid: PatchGrid) -> np.ndarray:

@@ -399,29 +399,40 @@ def test_grid_file_a_unet_cannot_pool_exit_2(tmp_path, capsys, command):
     """A grid file whose patch is not a multiple of 2^encoder_depth used to
     reach the kernels and exit 2 with maxpool2's message, which names no
     grid and no model. Every command that reads a grid now refuses it before
-    any model runs, naming the file, its patch and the step."""
+    any model runs, naming the file, its patch and the step. A per-pixel
+    model runs untiled, so any grid file given with it, which would change
+    nothing, is refused too, naming the file (it used to be accepted)."""
     g = build_unet(UNetConfig(patch_size=8, encoder_depth=2, initial_filters=2,
                               in_channels=5))
-    model = tmp_path / "u.sdw"
-    save_weights(model, g, generate_weights(g, 1))
+    mlp = build_mlp(5, 3)
+    for name, graph in (("u.sdw", g), ("mlp.sdw", mlp)):
+        save_weights(tmp_path / name, graph, generate_weights(graph, 1))
     (tmp_path / "calib").mkdir()
     cube = tmp_path / "calib" / "c10.hsc"
     formats.save_cube(cube, np.random.default_rng(10).uniform(
         0.05, 0.95, (10, 10, 5)).astype(np.float32))
-    grid = tmp_path / "g.json"
-    grid.write_text(json.dumps({"patch": 6, "rows": [0, 4], "cols": [0, 4]}))
+    bad = tmp_path / "g.json"
+    bad.write_text(json.dumps({"patch": 6, "rows": [0, 4], "cols": [0, 4]}))
+    fits = tmp_path / "g8.json"
+    fits.write_text(json.dumps({"patch": 8, "rows": [0, 2], "cols": [0, 2]}))
     out = tmp_path / "out"
-    (tmp_path / "b.json").write_text(json.dumps({
-        "model": str(model), "cube": str(cube), "grid": str(grid), "iterations": 1}))
-    argv = {"segment": ["segment", "--cube", str(cube), "--out", str(out)],
-            "quantize": ["quantize", "--calib", str(tmp_path / "calib"), "--out", str(out)],
-            "bench infer": ["bench", "infer", "--config", str(tmp_path / "b.json")]}[command]
-    if command != "bench infer":
-        argv += ["--model", str(model), "--grid", str(grid)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"grid {grid} has patch 6" in err and "multiple of 4 (2^encoder_depth)" in err
-    assert not out.exists()
+    for model, grid, said in (
+            ("u.sdw", bad, [f"grid {bad} has patch 6", "multiple of 4 (2^encoder_depth)"]),
+            ("mlp.sdw", fits, [f"grid {fits} would change nothing", "untiled"])):
+        (tmp_path / "b.json").write_text(json.dumps({
+            "model": str(tmp_path / model), "cube": str(cube), "grid": str(grid),
+            "iterations": 1}))
+        argv = {"segment": ["segment", "--cube", str(cube), "--out", str(out)],
+                "quantize": ["quantize", "--calib", str(tmp_path / "calib"),
+                             "--out", str(out)],
+                "bench infer": ["bench", "infer", "--config", str(tmp_path / "b.json")]
+                }[command]
+        if command != "bench infer":
+            argv += ["--model", str(tmp_path / model), "--grid", str(grid)]
+        assert main(argv) == 2, model
+        err = capsys.readouterr().err
+        assert all(text in err for text in said), err
+        assert not out.exists()
 
 
 def test_segment_manifest_not_an_object_exit_2(files, tmp_path, capsys):

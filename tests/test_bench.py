@@ -6,7 +6,6 @@ import pytest
 from specdrive import mosaic
 from specdrive.bench import (
     STAGE_INFER,
-    STAGE_REBUILD,
     BenchConfig,
     bench_inference,
     bench_preprocess,
@@ -89,7 +88,7 @@ def test_bench_inference_float_and_int8(rng):
     cfg = BenchConfig(iterations=2, warmup=1, threads=(1, 2))
 
     rep_f = bench_inference(cfg, g, cube, grid, weights=w, preprocess_ms=50.0)
-    assert set(rep_f.results[0].stages) == {STAGE_INFER, STAGE_REBUILD}
+    assert set(rep_f.results[0].stages) == {STAGE_INFER}
     assert rep_f.determinism == "bitwise"
     assert rep_f.pipeline_fps == pytest.approx(
         1000.0 / max(50.0, rep_f.best().total_mean_ms)

@@ -1,20 +1,18 @@
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from specdrive import cli, formats, kernels
 from specdrive.cli import _grid_for, infer_cube, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
-from specdrive.model import UNetConfig, build_mlp, build_unet, forward
+from specdrive.model import PIXEL_BLOCK, UNetConfig, build_mlp, build_unet, forward
 from specdrive.mosaic import MosaicLayout, preprocess_pipeline
 from specdrive.quant import load_qgraph, payload_bytes, qforward
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
-from specdrive.tiling import (abutting_grid, build_grid, extract_patches, overlap_index,
-                              reconstruct)
+from specdrive.tiling import build_grid, extract_patches, reconstruct
 from specdrive.weights import generate_weights, save_weights
 
 
@@ -229,23 +227,31 @@ def test_model_info_counts_the_default_grid(tmp_path, capsys, patch, patches):
 
 @pytest.mark.parametrize("patch, counts", [
     (128, ["MACs per patch: 141,033,472", "FLOPs per patch (2xMAC): 282,066,944",
-           "FLOPs per image (18 patches): 5,077,204,992"]),
+           "FLOPs per image (18 patches): 5,077,204,992",
+           "default grid on the 216x409 frame: 18 patches of 128x128, "
+           "3.34 evaluations per pixel",
+           "float payload bytes: 126,828"]),
     (256, ["MACs per patch: 401,614,848", "FLOPs per patch (2xMAC): 803,229,696",
-           "FLOPs per image (4 patches): 3,212,918,784"]),
+           "FLOPs per image (4 patches): 3,212,918,784",
+           "default grid on the 216x409 frame: 4 patches of 216x216, "
+           "2.11 evaluations per pixel",
+           "float payload bytes: 126,828"]),
     (None, ["MACs per pixel: 13,425", "FLOPs per pixel (2xMAC): 26,850",
-            "FLOPs per image (88344 pixels): 2,372,036,400"]),
+            "FLOPs per image (88344 pixels): 2,372,036,400",
+            "float payload bytes: 54,612"]),
 ], ids=["unet-128", "unet-256", "mlp"])
 def test_model_info_counts_macs_at_the_grid_patch(tmp_path, capsys, patch, counts):
     """A U-Net's MACs per patch are counted at the side of the patches
     segment runs: on the 216x409 frame a patch-256 U-Net's default grid is
-    4 patches of 216x216, not of 256x256 (564,133,888 MACs each). The
-    default U-Net and the MLP print their counts unchanged."""
+    4 patches of 216x216, not of 256x256 (564,133,888 MACs each), and
+    model-info prints that grid. The MLP, which segments untiled, is
+    counted once per pixel and prints no grid."""
     graph = build_unet(UNetConfig(patch_size=patch)) if patch else build_mlp(25, 3)
     save_weights(tmp_path / "m.sdw", graph, generate_weights(graph, 0))
     assert main(["model-info", str(tmp_path / "m.sdw")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"kind: {graph.meta['kind']} ({json.dumps(graph.meta['config'])})"
-    assert out[2:5] == counts
+    assert out[2:] == counts
     if patch:
         assert _grid_for(graph.meta, (216, 409), None).patch_size == min(patch, 216)
 
@@ -396,29 +402,35 @@ def _quantized(work, name):
 
 
 def _library_segment(cube, model_path):
-    """The per-patch library path: the whole graph on each float patch."""
+    """The library path: the whole graph on the whole cube for a per-pixel
+    model, and on each float patch of the default grid, averaged back, for a
+    U-Net."""
     model, weights = cli._load_model(str(model_path))
+    run = (partial(qforward, model) if weights is None
+           else partial(forward, model, weights=weights))
     grid = _grid_for(model.meta, cube.shape[:2], None)
-    probs = [qforward(model, p) if weights is None else forward(model, p, weights)
-             for p in extract_patches(cube, grid)]
-    return reconstruct(probs, grid)
+    if grid is None:
+        prob_map = run(cube)
+        return prob_map, prob_map.argmax(-1).astype(np.uint8)
+    return reconstruct([run(p) for p in extract_patches(cube, grid)], grid)
 
 
 def test_segment_threads_do_not_change_output(work, tmp_path, monkeypatch):
     """Float and int8 MLP and U-Net masks and probability maps are, at 1, 2
-    and 4 threads, the bits of the per-patch library path, though segment
-    normalizes (and quantizes) the cube once. The crop's 64x64 patches run
-    in two pixel blocks each through the MLP."""
+    and 4 threads, the bits of the library path, though segment normalizes
+    (and quantizes) the cube once for the U-Net and maps the MLP over the
+    crop's three pixel blocks on its workers."""
     for name in ("mlp", "unet"):
         _quantized(work, name)
     cube = formats.load_cube(work / "crop.hsc")
     maps = []
+    real = cli.infer_cube
 
-    def spy(probs, grid):
-        maps.append(reconstruct(probs, grid))
+    def spy(*args, **kw):
+        maps.append(real(*args, **kw))
         return maps[-1]
 
-    monkeypatch.setattr(cli, "reconstruct", spy)
+    monkeypatch.setattr(cli, "infer_cube", spy)
     for model in ("mlp.sdw", "mlp.sdq", "unet.sdw", "unet.sdq"):
         want_map, want_labels = _library_segment(cube, work / model)
         for threads in (1, 2, 4):
@@ -434,25 +446,24 @@ def test_segment_threads_do_not_change_output(work, tmp_path, monkeypatch):
 def test_patch_views_give_the_bits_of_patch_copies(work, monkeypatch, model):
     """infer_cube on read-only patch views gives, at 1, 2 and 4 threads, the
     bits of a reference that copies each patch, and leaves the cube as it
-    was: no model op writes to its input."""
+    was: no model op writes to its input. The MLP runs untiled, on pixel
+    blocks that are views of the cube itself."""
     if model.endswith(".sdq"):
         _quantized(work, model[:-4])
     graph, weights = cli._load_model(str(work / model))
     cube = formats.load_cube(work / "crop.hsc")
     before = cube.copy()
     grid = _grid_for(graph.meta, cube.shape[:2], None)
-    assert grid.n_patches > 1
+    assert grid is None if model.startswith("mlp") else grid.n_patches > 1
 
     def copies(x, g):
         return [p.copy() for p in extract_patches(x, g)]
 
     with monkeypatch.context() as m:
         m.setattr(cli, "extract_patches", copies)
-        want_map, want_labels = reconstruct(infer_cube(graph, cube, grid, weights=weights),
-                                            grid)
+        want_map, want_labels = infer_cube(graph, cube, grid, weights=weights)
     for threads in (1, 2, 4):
-        got_map, got_labels = reconstruct(
-            infer_cube(graph, cube, grid, weights=weights, threads=threads), grid)
+        got_map, got_labels = infer_cube(graph, cube, grid, weights=weights, threads=threads)
         assert np.array_equal(got_map, want_map), threads
         assert np.array_equal(got_labels, want_labels), threads
         assert np.array_equal(cube, before), threads
@@ -514,74 +525,68 @@ def test_segment_thin_cube_default_grid(work, tmp_path, model, hw):
                                   {"kind": "mlp", "config": {}}])
 def test_default_grid_of_full_size_cube(meta):
     """The U-Net gets the paper's 44/57-stride grid of 128-pixel patches;
-    the per-pixel MLP as many abutting patches as 128-pixel ones would
-    need, 2x4, each as small as that count allows."""
+    the per-pixel MLP, which segments untiled, no grid."""
     grid = _grid_for(meta, (216, 409), None)
     if meta["kind"] == "unet":
         assert grid.patch_size == 128
         assert grid.origins() == [(r, c) for r in (0, 44, 88)
                                   for c in (0, 57, 114, 167, 224, 281)]
     else:
-        assert grid.patch_size == 108
-        assert grid.origins() == [(r, c) for r in (0, 108) for c in (0, 108, 216, 301)]
-
-
-@given(h=st.integers(1, 600), w=st.integers(1, 600))
-def test_per_pixel_default_grid_sized_to_the_cube(h, w):
-    """The per-pixel default grid covers the cube with patches of at most
-    128, never more patches or evaluated pixels than the fewest 128-pixel
-    (or cube-thin) patches would take, and is that grid on a cube thinner
-    than 128."""
-    grid = _grid_for({"kind": "mlp", "config": {}}, (h, w), None)
-    full = abutting_grid((h, w), min(128, h, w))
-    assert overlap_index(grid).min() >= 1 and grid.patch_size <= 128
-    assert grid.n_patches <= full.n_patches
-    assert grid.n_patches * grid.patch_size**2 <= full.n_patches * full.patch_size**2
-    if min(h, w) < 128:
-        assert grid == full
-
-
-def test_per_pixel_default_grid_of_thin_cube():
-    """A cube thinner than 128 gets square patches of its thin side, back
-    to back along the long one, the last flush with the far edge."""
-    grid = _grid_for({"kind": "mlp", "config": {}}, (3, 700), None)
-    assert grid.patch_size == 3 and grid.row_starts == (0,)
-    assert grid.col_starts == tuple(range(0, 699, 3)) + (697,)
-
-
-def test_grid_file_overrides_per_pixel_default(work, tmp_path):
-    """--grid gives a per-pixel model the grid in the file, not its default."""
-    cube = formats.load_cube(work / "crop.hsc")
-    paper = build_grid(cube.shape[:2], 32, 16, 16)
-    (tmp_path / "g.json").write_text(json.dumps(
-        {"patch": paper.patch_size, "rows": paper.row_starts, "cols": paper.col_starts}))
-    grid = _grid_for({"kind": "mlp", "config": {}}, cube.shape[:2], str(tmp_path / "g.json"))
-    assert grid == paper
+        assert grid is None
 
 
 @pytest.mark.parametrize("hw", [(216, 409), (140, 77), (3, 700), (129, 1000), (128, 128),
                                 (300, 300), (1, 1)])
 def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
-    """On the MLP, float and int8, the default grid gives the probability map
-    and labels of the paper's 44/57-stride grid bit for bit, at 1, 2 and 4
-    threads, from fewer evaluations: the model reads no neighbours, and the
-    float64 average of equal float32 copies is that value."""
+    """A per-pixel model segments untiled: on the MLP, float and int8, at
+    1, 2 and 4 threads, infer_cube gives the bits of forward or qforward on
+    the whole cube. Those are the probability map and labels of the paper's
+    44/57-stride grid bit for bit, the model reading no neighbours and the
+    float64 average of equal float32 copies being that value: for int8 on
+    every shape, and for float on all but (3, 700), whose 3x3 patches run
+    as unpadded 9-row GEMMs that OpenBLAS sums in another order than a full
+    block. Its labels still agree."""
     _quantized(work, "mlp")
     cube = np.random.default_rng(sum(hw)).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
     patch = min(128, *hw)
     cap = max(1, patch // 2)
     paper = build_grid(hw, patch, min(44, cap), min(57, cap))
-    grid = _grid_for({"kind": "mlp", "config": {}}, hw, None)
-    assert grid.n_patches <= paper.n_patches
     for name in ("mlp.sdw", "mlp.sdq"):
         model, weights = cli._load_model(str(work / name))
-        want_map, want_labels = reconstruct(infer_cube(model, cube, paper, weights=weights),
-                                            paper)
+        assert _grid_for(model.meta, hw, None) is None
+        run = (partial(qforward, model) if weights is None
+               else partial(forward, model, weights=weights))
+        whole = run(cube)
+        paper_map, paper_labels = reconstruct(
+            [run(p) for p in extract_patches(cube, paper)], paper)
         for threads in (1, 2, 4):
-            got_map, got_labels = reconstruct(
-                infer_cube(model, cube, grid, weights=weights, threads=threads), grid)
-            assert np.array_equal(got_map, want_map), (name, threads)
-            assert np.array_equal(got_labels, want_labels), (name, threads)
+            got_map, got_labels = infer_cube(model, cube, None, weights=weights,
+                                             threads=threads)
+            assert np.array_equal(got_map, whole), (name, threads)
+            assert np.array_equal(got_labels, paper_labels), (name, threads)
+            if weights is None or hw != (3, 700):
+                assert np.array_equal(got_map, paper_map), (name, threads)
+
+
+@pytest.mark.parametrize("model", ["mlp.sdw", "mlp.sdq"])
+def test_per_pixel_segment_runs_untiled(work, tmp_path, monkeypatch, model):
+    """A per-pixel segment cuts no patches and reconstructs nothing: on a
+    cube over one block, every input the model gets is one full block of
+    PIXEL_BLOCK pixels, the short last one padded."""
+    path = _quantized(work, "mlp") if model.endswith(".sdq") else work / model
+    cube = np.random.default_rng(9).uniform(0.05, 0.95, (50, 90, 25)).astype(np.float32)
+    formats.save_cube(tmp_path / "c.hsc", cube)
+    calls, rows = [], []
+    for name in ("extract_patches", "reconstruct"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name))
+    for name in ("forward", "qforward"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda g, x, *a, real=real, **kw: rows.append(
+            x.shape) or real(g, x, *a, **kw))
+    assert main(["segment", "--cube", str(tmp_path / "c.hsc"), "--model", str(path),
+                 "--out", str(tmp_path / "m.pgm"), "--threads", "2"]) == 0
+    assert calls == [] and rows == [(PIXEL_BLOCK, 25)] * -(-50 * 90 // PIXEL_BLOCK)
+    assert formats.load_mask(tmp_path / "m.pgm").shape == (50, 90)
 
 
 def test_bench_infer_float_vs_int8(work, tmp_path, capsys):
@@ -604,7 +609,9 @@ def test_segment_and_bench_infer_normalize_each_pixel_once(work, tmp_path, monke
                                                            model):
     """segment and bench infer run one engine, cli.infer_cube, which
     normalizes the cube once: band_norm sees exactly one pixel per cube
-    pixel and engine run, though the crop's two 64x64 patches overlap."""
+    pixel and engine run, though the U-Net's two 64x64 patches of the crop
+    overlap. The MLP maps the crop's 6,144 pixels as three full blocks, so
+    it pads none."""
     name, ext = model.split(".")
     path = _quantized(work, name) if ext == "sdq" else work / model
     normed, runs = [], []

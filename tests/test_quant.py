@@ -664,7 +664,7 @@ def test_tables_built_once_per_infer_cube(monkeypatch, rng, threads):
         len(calls)) or map_patches(*a))
     got = cli.infer_cube(qg, cube, grid, threads=threads)
     assert built_before_map == [1] and len(calls) == 1
-    assert len(got) == grid.n_patches > threads
+    assert grid.n_patches > threads
     want = cli.infer_cube(qg, cube, grid, naive=True)
     assert len(calls) == 1
     assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from specdrive.errors import InvalidGeometry, ShapeMismatch
 from specdrive.tiling import (
     PatchGrid,
-    abutting_grid,
     build_grid,
     extract_patches,
     overlap_index,
@@ -81,30 +80,6 @@ def test_grid_rejects_oversized_patch():
         build_grid((216, 409), 128, 0, 57)
 
 
-@pytest.mark.parametrize("hw, p", [((216, 409), 128), ((140, 77), 77), ((3, 700), 3),
-                                   ((129, 1000), 128), ((128, 128), 128), ((300, 300), 128),
-                                   ((7, 7), 2)])
-def test_abutting_grid_is_the_fewest_covering_patches(hw, p):
-    """ceil(n / p) patches an axis, the fewest that cover it; each starts
-    where the one before ends, except the last, flush with the far edge,
-    so pixels outside the flush patches' strips are covered once."""
-    g = abutting_grid(hw, p)
-    oi = overlap_index(g)
-    assert np.array_equal(oi, brute_force_oi(g))
-    assert oi.min() == 1
-    for starts, n in zip((g.row_starts, g.col_starts), hw):
-        assert len(starts) == -(-n // p)
-        assert starts[-1] == n - p
-        assert all(b - a == p for a, b in zip(starts[:-2], starts[1:-1]))
-    assert (oi[: hw[0] - p, : hw[1] - p] == 1).all()
-
-
-@pytest.mark.parametrize("p", [0, 101])
-def test_abutting_grid_rejects_a_patch_that_does_not_fit(p):
-    with pytest.raises(InvalidGeometry):
-        abutting_grid((100, 200), p)
-
-
 def test_grid_rejects_uncoverable_stride():
     # stride far beyond the patch size leaves central gaps
     with pytest.raises(InvalidGeometry):
@@ -126,21 +101,19 @@ def test_grid_with_a_gap_raises(patch, rows, cols, size, axis):
 
 @given(h=st.integers(1, 160), w=st.integers(1, 160), data=st.data())
 def test_built_grids_cover_their_image_or_raise(h, w, data):
-    """Whatever the image, patch and strides, build_grid and abutting_grid
-    either raise InvalidGeometry or give a grid that covers every pixel.
+    """Whatever the image, patch and strides, build_grid either raises
+    InvalidGeometry or gives a grid that covers every pixel.
     Patches run up to one past the image's thin side, strides up to twice
     the patch and beyond, where gaps open."""
     patch = data.draw(st.integers(0, min(h, w) + 1), "patch")
     v_stride, h_stride = (data.draw(st.integers(0, 2 * patch + 2), name)
                           for name in ("v_stride", "h_stride"))
-    for build in (lambda: build_grid((h, w), patch, v_stride, h_stride),
-                  lambda: abutting_grid((h, w), patch)):
-        try:
-            grid = build()
-        except InvalidGeometry:
-            continue
-        assert grid.image_size == (h, w)
-        assert overlap_index(grid).min() >= 1
+    try:
+        grid = build_grid((h, w), patch, v_stride, h_stride)
+    except InvalidGeometry:
+        return
+    assert grid.image_size == (h, w)
+    assert overlap_index(grid).min() >= 1
 
 
 def test_extract_shapes_and_gather(paper_grid, rng):

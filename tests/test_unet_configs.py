@@ -2,7 +2,7 @@
 default model: any depth, width, kernel, patch, class count and input
 normalization keeps float fast against naive within 1e-5 with the same
 argmax, int8 fast against naive bitwise, the .sdq file bitwise through a
-save and load, and infer_cube plus reconstruct bitwise across worker
+save and load, and infer_cube's reconstructed map bitwise across worker
 counts. The example set is fixed by the hypothesis profile in conftest.py."""
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from specdrive import cli
 from specdrive.model import UNetConfig, build_unet, forward
 from specdrive.quant import load_qgraph, qforward, quantize_model, save_qgraph
-from specdrive.tiling import extract_patches, reconstruct
+from specdrive.tiling import extract_patches
 from specdrive.weights import generate_weights
 
 NORMS = ["band_sum", "zscore", "band_sum+zscore", "none"]
@@ -65,8 +65,7 @@ def test_unet_config_keeps_the_oracles(tmp_path_factory, cfg, seed, extra):
     assert np.array_equal(qforward(loaded, patches[0]), qforward(qg, patches[0]))
 
     for model, w in ((graph, weights), (qg, None)):
-        want = reconstruct(cli.infer_cube(model, cube, grid, weights=w), grid)
+        want = cli.infer_cube(model, cube, grid, weights=w)
         for threads in (2, 3):
-            got = reconstruct(cli.infer_cube(model, cube, grid, weights=w, threads=threads),
-                              grid)
+            got = cli.infer_cube(model, cube, grid, weights=w, threads=threads)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), threads
