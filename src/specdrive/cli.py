@@ -117,18 +117,23 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     cube's (prob_map, labels), on `threads` workers; naive selects reference
     kernels. A float model has its batch norm folded once here, in both
     kernel modes, and a quantized one builds its requantization tables here,
-    before the workers share them. A per-pixel graph (the MLP) runs whole,
-    untiled, over the cube's pixels in blocks of model.PIXEL_BLOCK (see
-    model.map_pixel_blocks), and grid is None. Any other graph runs its
-    per-pixel input prefix (normalization, and on a quantized model the
-    quantization) once over the cube, then its body on every patch of the
-    grid (see model.split_input), and the patches are averaged back
-    (tiling.reconstruct). The patches are read-only views of the prefix's
-    output (see tiling.extract_patches): no patch is copied, and cube is
-    left as it was. Argmax ties break toward the lowest class."""
+    before the workers share them. A per-pixel graph (the MLP) runs untiled:
+    the whole graph is mapped over the cube's pixel blocks on the workers
+    (model.map_pixel_blocks), and grid must be None. Any other graph needs
+    a grid: its per-pixel input prefix (normalization, and on a quantized
+    model the quantization) runs once over the cube, then its body on every
+    patch of the grid (see model.split_input), and the patches are averaged
+    back (tiling.reconstruct). The patches are read-only views of the
+    prefix's output (see tiling.extract_patches): no patch is copied, and
+    cube is left as it was. Argmax ties break toward the lowest class."""
     _check_bands(model.meta, cube)
-    if isinstance(model, quant.QuantizedGraph):
-        graph = model.graph
+    quantized = isinstance(model, quant.QuantizedGraph)
+    graph = model.graph if quantized else model
+    if graph.per_pixel and grid is not None:
+        raise InvalidOption("a grid would change nothing: a per-pixel model runs untiled")
+    if not graph.per_pixel and grid is None:
+        raise InvalidOption("a model with spatial layers (the U-Net) needs a patch grid")
+    if quantized:
         body, x = (model, cube) if graph.per_pixel else quant.run_input_prefix(model, cube)
         if not naive:
             body.tables  # built once, here, for every worker to read
@@ -140,7 +145,7 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
         body, x = (graph, cube) if graph.per_pixel else run_input_prefix(graph, cube, weights)
         infer = partial(forward, body, weights=weights, naive=naive)
     if graph.per_pixel:
-        prob_map = map_pixel_blocks(infer, graph, x, threads)
+        prob_map = map_pixel_blocks(infer, x, threads)
         return prob_map, np.argmax(prob_map, axis=-1).astype(np.uint8)
     return reconstruct(map_patches(infer, extract_patches(x, grid), threads), grid)
 

@@ -23,29 +23,27 @@ counts, both forward walks and the quantizer are derived from it. Adding a
 kind means adding one entry there (and a kernel, if it needs a new one); a
 graph with a kind that is not in the table is rejected when it is built.
 
-A graph whose every layer is per-pixel (the MLP) runs over its input's
-pixels in blocks of PIXEL_BLOCK: forward, quant.qforward and
-quant.calibrate flatten the pixels to (n, C) rows and walk the graph once
-per block, flattening one block at a time, so a strided view is never
-copied whole. The temporaries of one block (2048 x 100 values) stay in
-cache and come from reused allocations, where a whole frame's would be
-page-faulted in afresh on every layer. segment runs such a graph untiled:
-cli.infer_cube maps forward or qforward over the cube's blocks on its
-workers (map_pixel_blocks), so each call gets one block. The block size is
-a constant, never derived from the thread count, and map_pixel_blocks pads
-a short last block to the full PIXEL_BLOCK rows, so every block runs at
-one row count: a pixel of an input over one block gets the same bits
-whatever the worker count or its place in the input. An input of one
-block or less runs whole, unpadded, so a small cube does not pay for a
-full block. walk does not block: it gives whole-tensor intermediates,
-layer by layer; nor does calibrate pad, so its ranges come from the pixels
-alone. Graphs with a spatial layer (the U-Net's conv3, maxpool2, upconv2)
-run each input whole.
+forward and quant.qforward run any input whole, as walk does. The one
+pixel blocker is map_pixel_blocks: it maps a function over pixel_blocks,
+PIXEL_BLOCK-row slices of the input's flattened pixels, on
+tiling.map_patches. A slice is cut one block at a time from a strided
+view, so a patch view is never copied whole, and the temporaries of one
+block (2048 x 100 values) stay in cache and come from reused
+allocations, where a whole frame's would be page-faulted in afresh on
+every layer. A short last block is padded with copies of its last pixel,
+whose outputs are dropped, so every block of an input over one block runs
+at one row count and a pixel gets the same bits whatever the worker count
+or its place in the input. An input of one block or less is handed over
+whole, in its own shape. The block size is a constant, never derived
+from the thread count. The blocker has three users: cli.infer_cube maps a
+per-pixel graph (the MLP) over a cube's blocks on its workers, both
+run_input_prefix functions run the input prefix over them, and
+quant.calibrate walks a per-pixel graph's samples over pixel_blocks.
 
 split_input cuts a graph into its input prefix, the leading per-pixel
 layers without an int op (band_norm, zscore), and the body that follows.
-run_input_prefix runs the prefix once over a whole cube, in pixel blocks,
-so patches cut from its output only pay for the body.
+run_input_prefix runs the prefix once over a whole cube, in pixel blocks
+(map_pixel_blocks), so patches cut from its output only pay for the body.
 
 Naming is stable: encoder blocks are enc0, enc1, ..., the bottom block is
 bridge, decoder blocks dec1, dec0, ... and the classifier is head.
@@ -53,7 +51,9 @@ bridge, decoder blocks dec1, dec0, ... and the classifier is head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -356,13 +356,13 @@ def build_from_meta(meta: dict, name: str = "model description") -> ModelGraph:
     return build_unet(construct(UNetConfig, cfg, name))
 
 
-# pixels per block of a per-pixel graph, chosen by measurement (numpy 2.4,
+# pixels per block of map_pixel_blocks, chosen by measurement (numpy 2.4,
 # OpenBLAS 0.3.31): 4096 moved the float softmax by 1 ulp, and 256 lost the
 # gain to per-block Python overhead. OpenBLAS picks its sgemm path by row
 # count, so a short block may sum a pixel's products in another order than
-# a full one; map_pixel_blocks pads a short last block to the full
-# PIXEL_BLOCK rows, and a pixel of an input over one block gets the same
-# float bits whatever block it falls in
+# a full one; pixel_blocks pads a short last block to the full PIXEL_BLOCK
+# rows, and a pixel of an input over one block gets the same float bits
+# whatever block it falls in
 PIXEL_BLOCK = 2048
 
 
@@ -406,61 +406,45 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False
     yield from run(graph, np.asarray(x, dtype=np.float32), op)
 
 
-def _blocked(graph: ModelGraph, x: np.ndarray) -> bool:
-    """Whether every layer of the graph is per-pixel and x holds more than
-    one block of pixels."""
-    return graph.per_pixel and x.ndim >= 2 and x.size > PIXEL_BLOCK * x.shape[-1]
-
-
-def pixel_blocks(graph: ModelGraph, x: np.ndarray):
-    """Yields x's pixels flattened to (n, C) rows, PIXEL_BLOCK rows a block,
-    when _blocked; x alone otherwise. Each block is cut from the rows of x
-    it spans, so a strided x (a patch view) is copied a block at a time,
-    never whole."""
-    if not _blocked(graph, x):
+def pixel_blocks(x: np.ndarray):
+    """Yields x's pixels flattened to (PIXEL_BLOCK, C) rows, the short last
+    block padded with copies of its last pixel; an x of one block or less
+    unchanged, in its own shape. Each block is cut from the rows of x it
+    spans, so a strided x (a patch view) is copied a block at a time, never
+    whole."""
+    c = x.shape[-1]
+    if x.size <= PIXEL_BLOCK * c:  # one pixel, or one block or less
         yield x
         return
-    c = x.shape[-1]
     rows = x.reshape(-1, x.shape[-2], c)  # a patch view stays a view
     w = rows.shape[1]
     n = len(rows) * w
     for a in range(0, n, PIXEL_BLOCK):
         b = min(a + PIXEL_BLOCK, n)
-        yield rows[a // w : -(-b // w)].reshape(-1, c)[a % w : a % w + b - a]
+        block = rows[a // w : -(-b // w)].reshape(-1, c)[a % w : a % w + b - a]
+        yield block if b - a == PIXEL_BLOCK else np.pad(
+            block, ((0, a + PIXEL_BLOCK - b), (0, 0)), "edge")
 
 
-def map_pixel_blocks(fn, graph: ModelGraph, x: np.ndarray, threads: int = 1) -> np.ndarray:
+def map_pixel_blocks(fn, x: np.ndarray, threads: int = 1) -> np.ndarray:
     """fn(x) for a function that maps (..., C) pixels to (..., K) outputs,
-    run block by block (see pixel_blocks) on `threads` workers
-    (tiling.map_patches). A short last block is padded to PIXEL_BLOCK rows
-    with copies of its last pixel, whose outputs are dropped (see
-    PIXEL_BLOCK)."""
-    if not _blocked(graph, x):
-        return fn(x)
-
-    def run_block(block):
-        n = len(block)
-        if n < PIXEL_BLOCK:
-            block = np.pad(block, ((0, PIXEL_BLOCK - n), (0, 0)), "edge")
-        return fn(block)[:n]
-
-    out = np.concatenate(map_patches(run_block, pixel_blocks(graph, x), threads))
-    return out.reshape(*x.shape[:-1], out.shape[-1])
+    run on pixel_blocks(x) on `threads` workers (tiling.map_patches). The
+    padded rows' outputs are dropped before the blocks are joined, so the
+    result holds exactly x's pixels."""
+    outs = map_patches(fn, pixel_blocks(x), threads)
+    k, last = outs[-1].shape[-1], math.prod(x.shape[:-1]) - PIXEL_BLOCK * (len(outs) - 1)
+    outs[-1] = outs[-1].reshape(-1, k)[:last]
+    return np.concatenate(outs).reshape(*x.shape[:-1], k)
 
 
 def forward(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False):
-    """Float32 inference. Dropout is identity; batch norm uses its stored
-    statistics, folded into the layer before it unless naive (see walk). A
-    per-pixel graph runs in blocks of PIXEL_BLOCK pixels (see the module
-    docstring) and any other graph on the whole input, keeping one layer's
-    working set at a time. walk gives every intermediate tensor."""
-
-    def output(block):
-        for _, out in walk(graph, block, weights, naive=naive):
-            pass
-        return out
-
-    return map_pixel_blocks(output, graph, np.asarray(x, dtype=np.float32))
+    """Float32 inference on the whole input, keeping one layer's working
+    set at a time. Dropout is identity; batch norm uses its stored
+    statistics, folded into the layer before it unless naive (see walk).
+    walk gives every intermediate tensor."""
+    for _, out in walk(graph, x, weights, naive=naive):
+        pass
+    return out
 
 
 def split_input(graph: ModelGraph) -> tuple[ModelGraph, ModelGraph]:
@@ -486,10 +470,12 @@ def split_input(graph: ModelGraph) -> tuple[ModelGraph, ModelGraph]:
 
 def run_input_prefix(graph: ModelGraph, x: np.ndarray, weights: dict):
     """(body, prefix output): graph split by split_input, its prefix run
-    once over x in blocks of PIXEL_BLOCK pixels. forward(body, patch of the
-    output) is the same bits as forward(graph, patch of x)."""
+    once over x in blocks of PIXEL_BLOCK pixels (map_pixel_blocks).
+    forward(body, patch of the output) is the same bits as forward(graph,
+    patch of x)."""
     prefix, body = split_input(graph)
-    return body, forward(prefix, x, weights)
+    return body, map_pixel_blocks(partial(forward, prefix, weights=weights),
+                                  np.asarray(x, np.float32))
 
 
 def fold_layers(graph: ModelGraph) -> list[LayerSpec]:

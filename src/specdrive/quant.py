@@ -33,8 +33,10 @@ The int8 walk runs on model.run, the float walk's layer loop (see _qwalk).
 
 A graph's leading per-pixel float layers (input normalization) and the
 quantization of their output need no neighbours, so run_input_prefix runs
-them once over a whole cube; qforward takes an int8 input as already
-quantized in the scheme of "input".
+them once over a whole cube, in pixel blocks (model.map_pixel_blocks);
+qforward takes an int8 input as already quantized in the scheme of "input".
+qforward, like model.forward, runs any input whole: a caller that runs a
+per-pixel graph over a cube (cli.infer_cube) blocks it with the same map.
 
 Batch norm is folded into the convolutions before quantization, as the
 float walk that calibrates the ranges folds it (see model.walk).
@@ -190,12 +192,14 @@ def calibrate(graph: ModelGraph, weights: dict, calib: list[np.ndarray]) -> dict
     """Record the running min/max of every tensor (input and all layer
     outputs) over the calibration samples. Min/max folding is commutative,
     so sample order does not matter, and a per-pixel graph walks each sample
-    in pixel blocks (see model.pixel_blocks) without changing a range."""
+    in pixel blocks (model.pixel_blocks), whose padded rows repeat a pixel
+    of the sample, without changing a range."""
     if len(calib) == 0:
         raise EmptyCalibration("need at least one calibration sample")
     ranges: dict[str, tuple[float, float]] = {}
     for sample in calib:
-        for block in pixel_blocks(graph, np.asarray(sample, np.float32)):
+        sample = np.asarray(sample, np.float32)
+        for block in pixel_blocks(sample) if graph.per_pixel else [sample]:
             for name, arr in walk(graph, block, weights):
                 lo, hi = float(arr.min()), float(arr.max())
                 if name in ranges:
@@ -441,33 +445,24 @@ def qwalk(qg: QuantizedGraph, x: np.ndarray):
 
 
 def qforward(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
-    """Integer inference. Input normalization runs in float, the body in
-    int8 with int32 accumulators, and the head dequantizes before softmax.
-    An int8 x is taken as already quantized in the scheme of "input" (see
-    run_input_prefix).
-
-    A per-pixel graph runs in blocks of model.PIXEL_BLOCK pixels, as forward
-    does. Its float ops reduce over channels only and its integer ops are
-    exact, so the result is the same bits as qwalk's output. Without naive,
-    relus fold into the requantization before them.
-    """
-    tables = {} if naive else qg.tables
-
-    def output(block):
-        for name, out in _qwalk(qg, block, naive, tables):
-            pass
-        return qg.schemes[name].dequant(out) if out.dtype == np.int8 else out
-
-    return map_pixel_blocks(output, qg.graph, _walk_input(qg, x))
+    """Integer inference on the whole input, as model.forward. Input
+    normalization runs in float, the body in int8 with int32 accumulators,
+    and the head dequantizes before softmax. An int8 x is taken as already
+    quantized in the scheme of "input" (see run_input_prefix). The result is
+    the same bits as qwalk's output; without naive, relus fold into the
+    requantization before them."""
+    for name, out in _qwalk(qg, _walk_input(qg, x), naive, {} if naive else qg.tables):
+        pass
+    return qg.schemes[name].dequant(out) if out.dtype == np.int8 else out
 
 
 def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
     """(body, prefix output) for a quantized graph: model.split_input's
-    float prefix run once over x in blocks of model.PIXEL_BLOCK pixels, each
-    block's output quantized in the scheme the body's layers read it in, so
-    qforward(body, patch of the output) is the same bits as qforward(qg,
-    patch of x). When a float layer of the body reads the prefix's output,
-    it stays float."""
+    float prefix run once over x in blocks of model.PIXEL_BLOCK pixels
+    (model.map_pixel_blocks), each block's output quantized in the scheme
+    the body's layers read it in, so qforward(body, patch of the output) is
+    the same bits as qforward(qg, patch of x). When a float layer of the
+    body reads the prefix's output, it stays float."""
     prefix, body = split_input(qg.graph)
     scheme = qg.schemes.get(prefix.output_name)
     schemes = qg.schemes if scheme is None else {**qg.schemes, "input": scheme}
@@ -479,7 +474,7 @@ def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
         return scheme.quant(y) if to_int else y
 
     body = QuantizedGraph(body, schemes, qg.tensors)
-    return body, map_pixel_blocks(block, prefix, np.asarray(x, np.float32))
+    return body, map_pixel_blocks(block, np.asarray(x, np.float32))
 
 
 @dataclass

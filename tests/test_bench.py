@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from specdrive import mosaic
+from specdrive import cli, mosaic
 from specdrive.bench import (
     STAGE_INFER,
     BenchConfig,
@@ -14,8 +14,8 @@ from specdrive.bench import (
     report_json,
     report_table,
 )
-from specdrive.errors import NonDeterministicOutput
-from specdrive.model import UNetConfig, build_unet
+from specdrive.errors import InvalidOption, NonDeterministicOutput
+from specdrive.model import UNetConfig, build_mlp, build_unet
 from specdrive.mosaic import STAGE_NAMES
 from specdrive.quant import quantize_model
 from specdrive.tiling import build_grid, extract_patches
@@ -102,6 +102,26 @@ def test_bench_inference_float_and_int8(rng):
     assert len(rep_q.results) == 4
     ratio = rep_q.best().total_mean_ms / rep_f.best().total_mean_ms
     assert ratio > 0  # informational: int8-vs-float latency ratio on this host
+
+
+def test_grid_must_match_the_model(rng):
+    """A per-pixel model runs untiled, so a grid given with it is refused;
+    a U-Net cannot run without one. Both raise InvalidOption, from
+    cli.infer_cube and so from bench_inference."""
+    unet = build_unet(UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
+                                 in_channels=5, classes=3))
+    mlp = build_mlp(5, 3)
+    cube = rng.uniform(0, 1, (16, 16, 5)).astype(np.float32)
+    grid = build_grid((16, 16), 16, 8, 8)
+    w_unet, w_mlp = generate_weights(unet, 1), generate_weights(mlp, 2)
+    cases = [(unet, None, w_unet), (mlp, grid, w_mlp),
+             (quantize_model(mlp, w_mlp, [cube]), grid, None)]
+    cfg = BenchConfig(iterations=1, warmup=0)
+    for model, bad_grid, w in cases:
+        with pytest.raises(InvalidOption):
+            cli.infer_cube(model, cube, bad_grid, weights=w)
+        with pytest.raises(InvalidOption):
+            bench_inference(cfg, model, cube, bad_grid, weights=w)
 
 
 def test_report_serializations(tiny_frames):

@@ -539,13 +539,14 @@ def test_default_grid_of_full_size_cube(meta):
                                 (300, 300), (1, 1)])
 def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
     """A per-pixel model segments untiled: on the MLP, float and int8, at
-    1, 2 and 4 threads, infer_cube gives the bits of forward or qforward on
-    the whole cube. Those are the probability map and labels of the paper's
-    44/57-stride grid bit for bit, the model reading no neighbours and the
-    float64 average of equal float32 copies being that value: for int8 on
-    every shape, and for float on all but (3, 700), whose 3x3 patches run
-    as unpadded 9-row GEMMs that OpenBLAS sums in another order than a full
-    block. Its labels still agree."""
+    1, 2 and 4 threads. The int8 map is the bits of qforward on the whole
+    cube, and the probability map and labels of the paper's 44/57-stride
+    grid bit for bit, the model reading no neighbours and the float64
+    average of equal float32 copies being that value. The float map is the
+    bits of forward on the cube's PIXEL_BLOCK-row slices, the last padded
+    with copies of the last pixel (a cube of one block or less whole), and
+    its labels are those of forward on the whole cube: OpenBLAS may sum a
+    pixel's products in another order at another row count."""
     _quantized(work, "mlp")
     cube = np.random.default_rng(sum(hw)).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
     patch = min(128, *hw)
@@ -554,18 +555,34 @@ def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
     for name in ("mlp.sdw", "mlp.sdq"):
         model, weights = cli._load_model(str(work / name))
         assert _grid_for(model.meta, hw, None) is None
-        run = (partial(qforward, model) if weights is None
-               else partial(forward, model, weights=weights))
-        whole = run(cube)
-        paper_map, paper_labels = reconstruct(
-            [run(p) for p in extract_patches(cube, paper)], paper)
+        if weights is None:
+            run = partial(qforward, model)
+            want_map = run(cube)
+            paper_map, want_labels = reconstruct(
+                [run(p) for p in extract_patches(cube, paper)], paper)
+            assert np.array_equal(want_map, paper_map)
+        else:
+            run = partial(forward, model, weights=weights)
+            want_map = _blocked_reference(run, cube)
+            want_labels = run(cube).argmax(-1)
         for threads in (1, 2, 4):
             got_map, got_labels = infer_cube(model, cube, None, weights=weights,
                                              threads=threads)
-            assert np.array_equal(got_map, whole), (name, threads)
-            assert np.array_equal(got_labels, paper_labels), (name, threads)
-            if weights is None or hw != (3, 700):
-                assert np.array_equal(got_map, paper_map), (name, threads)
+            assert np.array_equal(got_map, want_map), (name, threads)
+            assert np.array_equal(got_labels, want_labels), (name, threads)
+
+
+def _blocked_reference(run, cube):
+    """run on PIXEL_BLOCK-row slices of cube's pixels, the last slice padded
+    with copies of the last pixel and its rows dropped; a cube of one block
+    or less whole."""
+    flat = cube.reshape(-1, cube.shape[-1])
+    n = len(flat)
+    if n <= PIXEL_BLOCK:
+        return run(cube)
+    flat = np.concatenate([flat, np.repeat(flat[-1:], -n % PIXEL_BLOCK, axis=0)])
+    out = np.concatenate([run(flat[a : a + PIXEL_BLOCK]) for a in range(0, n, PIXEL_BLOCK)])
+    return out[:n].reshape(*cube.shape[:-1], -1)
 
 
 @pytest.mark.parametrize("model", ["mlp.sdw", "mlp.sdq"])

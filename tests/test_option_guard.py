@@ -1,6 +1,7 @@
 """Options stay few. A parameter default that no command, demo or perfbench
 workload overrides is a configuration nothing runs, so it belongs in the
-code as a constant; and every segment flag must reach run_segment."""
+code as a constant; and every segment flag must reach run_segment. Pixels
+are blocked by one blocker, the only reader of its block size."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,27 @@ def test_segment_flags_are_the_manifest_keys():
 def test_segment_flags_parse_as_their_manifest_types():
     args = build_parser().parse_args(["segment", "--threads", "2", "--quantized"])
     assert (args.threads, args.quantized) == (2, True)
+
+
+def _reads_block_size(node):
+    return (isinstance(node, ast.Name) and node.id == "PIXEL_BLOCK"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "PIXEL_BLOCK")
+
+
+def test_only_the_pixel_blocker_reads_the_block_size():
+    """Pixels are blocked in one place: in src/, only model.pixel_blocks and
+    model.map_pixel_blocks read PIXEL_BLOCK, so no other function (or
+    module-level code) cuts a cube into blocks of its own."""
+    readers, reads = set(), set()
+    for path, tree in _trees("src"):
+        reads |= {id(n) for n in ast.walk(tree) if _reads_block_size(n)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = {id(n) for n in ast.walk(fn) if _reads_block_size(n)}
+                reads -= inner
+                if inner:
+                    readers.add((path.name, getattr(fn, "name", "<lambda>")))
+    assert not reads, "PIXEL_BLOCK read outside any function"
+    assert readers and readers <= {("model.py", "pixel_blocks"),
+                                   ("model.py", "map_pixel_blocks")}, readers

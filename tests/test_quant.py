@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -393,48 +395,68 @@ def _spy_rows(monkeypatch, owner, key):
     return rows
 
 
+def _shapes_of(fn, shapes):
+    """fn, recording the shape of every input it is handed in shapes."""
+    return lambda x: shapes.append(x.shape) or fn(x)
+
+
 @pytest.mark.parametrize("lead", BLOCK_SHAPES, ids=str)
 def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
-    """Blocks of PIXEL_BLOCK pixels, a short last one padded to full
-    length, or one block or less whole: qforward gives the bits of its
-    whole-tensor qwalk, forward the bits or agreement within 1e-5 with the
-    same labels (BLAS may sum a 2048-row block in another order)."""
+    """forward and qforward run their input whole. map_pixel_blocks hands
+    them blocks of PIXEL_BLOCK pixels, a short last one padded to full
+    length, or an input of one block or less whole, in its own shape: the
+    blocked qforward gives the bits of its whole-tensor qwalk, the blocked
+    forward the bits or agreement within 1e-5 with the same labels (BLAS may
+    sum a 2048-row block in another order)."""
     g, w, qg = mlp_models
     n = int(np.prod(lead))
     x = np.random.default_rng(n).uniform(0.05, 0.95, (*lead, 25)).astype(np.float32)
-    blocks = [PIXEL_BLOCK] * -(-n // PIXEL_BLOCK) if n > PIXEL_BLOCK else [n]
-    want_rows = [rows for rows in blocks for _ in range(4)]  # four dense layers
+    blocked = n > PIXEL_BLOCK
+    blocks = [PIXEL_BLOCK] * -(-n // PIXEL_BLOCK) if blocked else [n]
+    shapes_in = [(PIXEL_BLOCK, 25)] * len(blocks) if blocked else [x.shape]
+
+    def dense_rows(counts):
+        return [rows for rows in counts for _ in range(4)]  # four dense layers
 
     rows = _spy_rows(monkeypatch, kernels.FAST_KERNELS, "dense")
-    y = forward(g, x, w)
-    assert rows == want_rows
+    shapes = []
+    y = model.map_pixel_blocks(_shapes_of(partial(forward, g, weights=w), shapes), x)
+    assert rows == dense_rows(blocks) and shapes == shapes_in
+    del rows[:]
     ref = dict(walk(g, x, w))[g.output_name]
+    assert np.array_equal(forward(g, x, w), ref) and rows == dense_rows([n]) * 2
     assert y.shape == ref.shape == (*lead, 3) and y.dtype == np.float32
     if not np.array_equal(y, ref):
         assert np.abs(y - ref).max() <= 1e-5
         assert np.array_equal(y.argmax(-1), ref.argmax(-1))
 
     rows = _spy_rows(monkeypatch, kernels, "dense_int")
-    yq = qforward(qg, x)
-    assert rows == want_rows
+    shapes = []
+    yq = model.map_pixel_blocks(_shapes_of(partial(qforward, qg), shapes), x)
+    assert rows == dense_rows(blocks) and shapes == shapes_in
+    del rows[:]
+    whole = qforward(qg, x)
+    assert rows == dense_rows([n])
     qref = dict(qwalk(qg, x))[qg.graph.output_name]
     assert yq.shape == (*lead, 3) and yq.dtype == np.float32
-    assert np.array_equal(yq, qref)
+    assert np.array_equal(yq, qref) and np.array_equal(whole, qref)
 
 
 def test_mlp_pixel_bits_do_not_depend_on_their_block(mlp_models):
-    """Every block of an input over one block runs at PIXEL_BLOCK rows, so
-    a pixel gets the same bits from forward and qforward whatever block it
-    lands in: dropping the first k pixels moves every other pixel to
-    another block, or to another row of its block. Without the padding,
-    BLAS summed a short last block in another order: 192 of the offsets
-    from 1 to 3951 changed float bits."""
+    """map_pixel_blocks runs every block of an input over one block at
+    PIXEL_BLOCK rows, so a pixel gets the same bits from the blocked
+    forward and qforward whatever block it lands in: dropping the first k
+    pixels moves every other pixel to another block, or to another row of
+    its block. Without the padding, BLAS summed a short last block in
+    another order: 192 of the offsets from 1 to 3951 changed float bits."""
     g, w, qg = mlp_models
+    run = partial(model.map_pixel_blocks, partial(forward, g, weights=w))
+    qrun = partial(model.map_pixel_blocks, partial(qforward, qg))
     x = np.random.default_rng(9).uniform(0.05, 0.95, (6000, 25)).astype(np.float32)
-    y, yq = forward(g, x, w), qforward(qg, x)
+    y, yq = run(x), qrun(x)
     for k in range(1, len(x) - PIXEL_BLOCK, 97):
-        assert np.array_equal(forward(g, x[k:], w), y[k:]), k
-        assert np.array_equal(qforward(qg, x[k:]), yq[k:]), k
+        assert np.array_equal(run(x[k:]), y[k:]), k
+        assert np.array_equal(qrun(x[k:]), yq[k:]), k
 
 
 def test_mlp_blocks_keep_the_naive_gate(mlp_models):
@@ -449,23 +471,35 @@ def test_mlp_blocks_keep_the_naive_gate(mlp_models):
 def test_pixel_blocks_of_a_patch_view_copy_only_their_rows(rng):
     """A strided patch view is flattened a block at a time: each block holds
     its pixels of the flattened patch and copies only the patch rows it
-    spans (77-pixel rows, so blocks start mid-row)."""
+    spans (77-pixel rows, so blocks start mid-row); the short last block is
+    padded to PIXEL_BLOCK rows with copies of the patch's last pixel."""
     cube = rng.uniform(0, 1, (100, 120, 5)).astype(np.float32)
     patch = cube[3:80, 10:87]
     flat = patch.reshape(-1, 5)
-    blocks = list(model.pixel_blocks(build_mlp(5, 3), patch))
-    assert len(blocks) == 3
-    for i, block in enumerate(blocks):
+    blocks = list(model.pixel_blocks(patch))
+    assert len(blocks) == 3 and all(b.shape == (PIXEL_BLOCK, 5) for b in blocks)
+    for i, block in enumerate(blocks[:2]):
         assert np.array_equal(block, flat[i * PIXEL_BLOCK : (i + 1) * PIXEL_BLOCK])
         assert block.base.size <= (PIXEL_BLOCK + 2 * 77) * 5
+    tail = len(flat) - 2 * PIXEL_BLOCK
+    assert np.array_equal(blocks[2][:tail], flat[2 * PIXEL_BLOCK :])
+    assert (blocks[2][tail:] == flat[-1]).all()
 
 
 def test_calibrate_walks_pixel_blocks(monkeypatch, rng):
-    """Ranges from a block-by-block walk match the whole-sample walk's."""
+    """Ranges from a block-by-block walk, the short last block padded,
+    match the whole-sample walk's; a sample of one block or less is walked
+    whole, in its own shape, and gives the whole walk's ranges bit for
+    bit."""
     g = build_mlp(25, 3)
     w = generate_weights(g, 32)
     sample = rng.uniform(0.05, 0.95, (40, 128, 25)).astype(np.float32)
-    whole = {n: (float(a.min()), float(a.max())) for n, a in walk(g, sample, w)}
+    small = rng.uniform(0.05, 0.95, (45, 45, 25)).astype(np.float32)
+
+    def ranges_of(x):
+        return {n: (float(a.min()), float(a.max())) for n, a in walk(g, x, w)}
+
+    whole, whole_small = ranges_of(sample), ranges_of(small)
     shapes = []
 
     def spy(graph, x, weights):
@@ -474,11 +508,12 @@ def test_calibrate_walks_pixel_blocks(monkeypatch, rng):
 
     monkeypatch.setattr(quant, "walk", spy)
     ranges = calibrate(g, w, [sample])
-    assert shapes == [(PIXEL_BLOCK, 25), (PIXEL_BLOCK, 25), (1024, 25)]
+    assert shapes == [(PIXEL_BLOCK, 25)] * 3
     assert ranges.keys() == whole.keys()
     assert ranges["input"] == whole["input"]
     for name in whole:
         np.testing.assert_allclose(ranges[name], whole[name], rtol=1e-6)
+    assert calibrate(g, w, [small]) == whole_small and shapes[3:] == [small.shape]
 
 
 def _epilogue_values() -> np.ndarray:
@@ -599,7 +634,7 @@ def test_relu_folds_into_requantization(monkeypatch, rng, mlp_models):
     calls = _spy_calls(monkeypatch, kernels, "lookup_int")
     fast = qforward(qg, x)
     assert calls == []
-    assert np.array_equal(qforward(qg, x, naive=True), fast) and len(calls) == 2 * 3
+    assert np.array_equal(qforward(qg, x, naive=True), fast) and len(calls) == 3
     assert np.array_equal(dict(qwalk(qg, x))[qg.graph.output_name], fast)
 
 
