@@ -13,7 +13,7 @@ import json
 import sys
 import traceback
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import formats, quant
 from .complexity import count_flops
 from .errors import (Field, InvalidGeometry, InvalidOption, InvalidSpec, MissingWeights,
                      ShapeMismatch, SpecdriveError, construct, decode, fields, json_spec,
-                     value)
+                     naming, value)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
 from .model import (UNetConfig, build_from_meta, fold_batchnorm, forward, map_pixel_blocks,
                     run_input_prefix)
@@ -136,7 +136,7 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     if quantized:
         body, x = (model, cube) if graph.per_pixel else quant.run_input_prefix(model, cube)
         if not naive:
-            body.tables  # built once, here, for every worker to read
+            body.steps  # resolved once, here, for every worker to read
         infer = partial(qforward, body, naive=naive)
     elif weights is None:
         raise MissingWeights("float graph needs a weight dict")
@@ -162,14 +162,16 @@ def run_segment(manifest: dict, name: str = "manifest") -> dict:
 
     The manifest holds MANIFEST's keys; name says where it came from. Flags
     from the CLI override manifest entries. Returns the per-output paths
-    plus the label mask.
+    plus the label mask. A refusal from a check across two inputs names
+    both of their files.
     """
     manifest = fields(manifest, MANIFEST, name)
     cube = formats.load_cube(manifest["cube"])
     model, weights = _load_model(manifest["model"], manifest["quantized"])
     grid = _grid_for(model.meta, cube.shape[:2], manifest["grid"])
-    prob_map, labels = infer_cube(model, cube, grid, weights=weights,
-                                  threads=manifest["threads"])
+    with naming(manifest["cube"], manifest["model"]):
+        prob_map, labels = infer_cube(model, cube, grid, weights=weights,
+                                      threads=manifest["threads"])
 
     out = {"mask": manifest["out"], "labels": labels}
     formats.save_mask(manifest["out"], labels)
@@ -178,8 +180,8 @@ def run_segment(manifest: dict, name: str = "manifest") -> dict:
         out["render"] = manifest["render"]
     if manifest["gt"]:
         gt = formats.load_mask(manifest["gt"])
-        classes = prob_map.shape[-1]
-        cm = accumulate(gt, labels, classes, IGNORE_LABEL)
+        with naming(manifest["gt"], manifest["cube"]):
+            cm = accumulate(gt, labels, prob_map.shape[-1], IGNORE_LABEL)
         report = compute_metrics(cm)
         out["report"] = report
         if manifest["metrics"]:
@@ -224,10 +226,11 @@ def _read_frames(raw, dark, white, layout):
 
 def _cmd_preprocess(args) -> int:
     frame, dark, white, layout = _read_frames(args.raw, args.dark, args.white, args.layout)
-    res = preprocess_pipeline(
-        frame, dark, white, layout,
-        threads=args.threads, vectorized=not args.no_vector,
-    )
+    with naming(args.raw, args.dark, args.white, args.layout):
+        res = preprocess_pipeline(
+            frame, dark, white, layout,
+            threads=args.threads, vectorized=not args.no_vector,
+        )
     # the file stores band-major planes: write the result's as they are
     formats.save_cube(args.out, res.planes.transpose(1, 2, 0))
     for name, ms in res.timings_ms.items():
@@ -264,7 +267,8 @@ def _cmd_quantize(args) -> int:
     samples = []
     for c in cubes:
         cube = formats.load_cube(c)
-        _check_bands(graph.meta, cube)
+        with naming(c, args.model):
+            _check_bands(graph.meta, cube)
         grid = _grid_for(graph.meta, cube.shape[:2], args.grid)
         samples.extend(extract_patches(cube, grid) if grid else [cube])
     qg = quantize_model(graph, weights, samples)
@@ -324,12 +328,15 @@ def _cmd_bench(args) -> int:
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
         grid = _grid_for(model.meta, cube.shape[:2], cfg["grid"])
-        report = bench_mod.bench_inference(
-            bcfg, model, cube, grid, weights=weights, preprocess_ms=cfg["preprocess_ms"])
+        source = cfg["cube"] or f"{args.config}: 'scene'"
+        with naming(source, cfg["model"]):
+            report = bench_mod.bench_inference(
+                bcfg, model, cube, grid, weights=weights, preprocess_ms=cfg["preprocess_ms"])
         if cfg["quantized_model"]:
             qmodel, _ = _load_model(cfg["quantized_model"], True)
-            qreport = bench_mod.bench_inference(
-                bcfg, qmodel, cube, grid, preprocess_ms=cfg["preprocess_ms"])
+            with naming(source, cfg["quantized_model"]):
+                qreport = bench_mod.bench_inference(
+                    bcfg, qmodel, cube, grid, preprocess_ms=cfg["preprocess_ms"])
             f_ms = report.best().total_mean_ms
             q_ms = qreport.best().total_mean_ms
             print(bench_mod.report_table(qreport))
@@ -357,11 +364,13 @@ def _frequencies(text: str) -> np.ndarray:
             f"frequencies must be comma-separated numbers, got {text!r}") from None
 
 
-def _labels_for(cube: np.ndarray, path) -> np.ndarray:
-    """The label mask at path; it must cover the cube pixel for pixel."""
+def _labels_for(cube: np.ndarray, path, cube_path) -> np.ndarray:
+    """The label mask at path; it must cover the cube (at cube_path) pixel
+    for pixel."""
     labels = formats.load_mask(path)
     if labels.shape != cube.shape[:2]:
-        raise ShapeMismatch(f"labels {labels.shape} vs cube pixels {cube.shape[:2]}")
+        raise ShapeMismatch(f"{path}, {cube_path}: labels {labels.shape} vs cube "
+                            f"pixels {cube.shape[:2]}")
     return labels
 
 
@@ -369,7 +378,8 @@ def _cmd_metrics(args) -> int:
     classes = value(args.classes, CLASSES, "--classes")
     gt = formats.load_mask(args.gt)
     pred = formats.load_mask(args.pred)
-    cm = accumulate(gt, pred, classes, args.ignore)
+    with naming(args.gt, args.pred):
+        cm = accumulate(gt, pred, classes, args.ignore)
     freqs = _frequencies(args.frequencies) if args.frequencies else None
     report = compute_metrics(cm, frequencies=freqs)
     for text in report.warnings:
@@ -391,7 +401,7 @@ def _cmd_spectral(args) -> int:
         if not args.gt:
             raise InvalidSpec("jm needs --gt labels")
         classes = value(args.classes, CLASSES, "--classes")
-        stats = class_stats(cube, _labels_for(cube, args.gt), classes, args.ignore)
+        stats = class_stats(cube, _labels_for(cube, args.gt, args.cube), classes, args.ignore)
         rep = separability(stats)
         names = [f"class{i}" for i in range(classes)]
         text = matrix_csv(rep.jm, names)
@@ -401,7 +411,7 @@ def _cmd_spectral(args) -> int:
     else:  # select-bands
         data = cube.reshape(-1, cube.shape[-1])
         if args.gt:
-            data = data[_labels_for(cube, args.gt).ravel() != args.ignore]
+            data = data[_labels_for(cube, args.gt, args.cube).ravel() != args.ignore]
         bands = select_bands(data, args.k)
         text = "slot,band\n" + "".join(
             f"{i},{b}\n" for i, b in enumerate(bands)
@@ -514,10 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's tree, built once per process: parsing reads it and
+    changes nothing in it, and every default it holds is immutable."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as e:  # argparse usage errors routed to exit 1
         return int(e.code or 0)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, the one reader every JSON
-input goes through, and construct, the one constructor of the objects JSON
-describes: an error from a class's own checks names the source too.
+input goes through, and naming, the one way an error is made to name its
+sources: construct, the one constructor of the objects JSON describes,
+names the source of an error from a class's own checks, and the CLI names
+the files a check across its inputs compared.
 
 The CLI maps these onto exit codes: usage problems exit 1, data/input
 problems exit 2, anything unexpected exits 3.
@@ -11,6 +13,7 @@ import json
 import math
 import reprlib
 import sys
+from contextlib import contextmanager
 from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
@@ -180,13 +183,21 @@ def fields(obj, spec: dict[str, Field], name: str, error=InvalidOption) -> dict:
     return value(obj, Field(spec), name, error)
 
 
+@contextmanager
+def naming(*names):
+    """A SpecdriveError from the block is raised again as its type, its
+    message prefixed with names (those that are not None)."""
+    try:
+        yield
+    except SpecdriveError as e:
+        raise type(e)(f"{', '.join(str(n) for n in names if n is not None)}: {e}") from None
+
+
 def construct(cls, kwargs: dict, name: str):
     """cls(**kwargs) on fields already read; a SpecdriveError from cls's
     own checks (across keys) is raised again as its type, naming name."""
-    try:
+    with naming(name):
         return cls(**kwargs)
-    except SpecdriveError as e:
-        raise type(e)(f"{name}: {e}") from None
 
 
 def decode(text, name: str, error=InvalidOption):

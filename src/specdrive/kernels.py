@@ -5,12 +5,20 @@ weights are (kh, kw, C_in, C_out), dense weights (N_in, N_out). The naive
 variants are deliberately plain loops; they exist as oracles for the
 optimized ones and as the non-vectorized path of the benchmark harness.
 
-Integer kernels accumulate in 32 bits. The optimized integer path runs the
-accumulation through float BLAS: float32 when the worst-case sum of a layer
-(terms x 255 x 127 plus the largest bias) stays below 2^24, float64 otherwise.
-Every partial product and sum is then an integer the dtype represents exactly
-(below 2^24 in float32, far below 2^53 in float64), in any summation order,
-so the result is bit-identical to true int32 accumulation.
+Integer kernels accumulate in 32 bits. The naive ones (*_int_naive) take
+int8 data, the input's zero point, an int8 weight and an int32 bias, and
+return the int32 accumulator in int64 loops: they are the oracle. The
+optimized ones (conv2d_int, upconv2_int, dense_int) run the accumulation
+through float BLAS in the dtype _check_acc_bound picks for the layer:
+float32 when its worst-case sum (terms x 255 x 127 plus the largest bias)
+stays below 2^24, float64 otherwise. Every partial product and sum is then
+an integer the dtype represents exactly (below 2^24 in float32, far below
+2^53 in float64), in any summation order, so the result is bit-identical to
+true int32 accumulation. They take the input centered, as the float array
+xq - zero point, and the weight and bias already in that dtype (quant
+resolves them once per layer), so an input in the dtype is used as it is,
+and they return the exact accumulator in the dtype, not cast to int32. A
+bias of None leaves it out, for a caller that adds it later.
 """
 
 from __future__ import annotations
@@ -32,14 +40,15 @@ def _same_pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return xp
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 convolution: the bias plus one matmul per kernel
-    tap, each over the input shifted by that tap."""
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """Same-padded stride-1 convolution: the bias (None: none) plus one
+    matmul per kernel tap, each over the input shifted by that tap."""
     kh, kw, cin, cout = w.shape
     if x.shape[-1] != cin:
         raise ShapeMismatch(f"conv input has {x.shape[-1]} channels, weight wants {cin}")
     h, wd = x.shape[:2]
     xp = _same_pad(x, kh, kw)
+    b = 0 if b is None else b
     out = np.empty((h, wd, cout), np.result_type(x, w, b))
     out[...] = b
     for i in range(kh):
@@ -62,8 +71,9 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def upconv2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Transposed convolution, kernel 2, stride 2: exactly doubles H and W."""
+def upconv2(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """Transposed convolution, kernel 2, stride 2: exactly doubles H and W;
+    b is the bias, or None for none."""
     kh, kw, cin, cout = w.shape
     if (kh, kw) != (2, 2):
         raise ShapeMismatch("up-convolution kernel must be 2x2")
@@ -71,8 +81,8 @@ def upconv2(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"upconv input has {x.shape[-1]} channels, weight wants {cin}")
     h, wd = x.shape[:2]
     out = np.einsum("ijc,abco->iajbo", x, w, optimize=True)
-    out = out.reshape(2 * h, 2 * wd, cout) + b
-    return out
+    out = out.reshape(2 * h, 2 * wd, cout)
+    return out if b is None else out + b
 
 
 def upconv2_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,11 +120,12 @@ def maxpool2_naive(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map over the last axis; leading axes are batch/spatial."""
+def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """Affine map over the last axis (b None: linear); leading axes are
+    batch/spatial."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeMismatch(f"dense input width {x.shape[-1]} != weight rows {w.shape[0]}")
-    return x @ w + b
+    return x @ w if b is None else x @ w + b
 
 
 def dense_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,7 +174,7 @@ def zscore(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# integer kernels (int8 data, int32 accumulators)
+# integer kernels (int32 accumulators: see the module docstring)
 
 _ACC_LIMIT = 2**31
 _FLOAT32_EXACT = 2**24  # float32 holds every integer of smaller magnitude
@@ -183,43 +194,38 @@ def _check_acc_bound(n_terms: int, bias: np.ndarray | None) -> type:
     return np.float32 if worst < _FLOAT32_EXACT else np.float64
 
 
-def _operands(xq, x_zp: int, wq, bias_q, dtype):
-    """Operands of an integer kernel as dtype: the input minus its zero
-    point, the weight and the bias. The float kernels then accumulate them
-    exactly, in int64 loops or in the float BLAS calls of the dtype that
-    _check_acc_bound picks (float32 below 2^24, float64 below 2^31), so the
-    fast and naive paths are bit-identical. The zero point is subtracted in
-    the same pass that widens the input."""
-    return np.subtract(xq, x_zp, dtype=dtype), wq.astype(dtype), bias_q.astype(dtype)
+def _operands(xq, x_zp: int, wq, bias_q):
+    """The naive kernels' operands as int64: the input minus its zero point,
+    the weight and the bias."""
+    return (np.subtract(xq, x_zp, dtype=np.int64), wq.astype(np.int64),
+            bias_q.astype(np.int64))
 
 
-def conv2d_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    """Integer convolution: sum((xq - x_zp) * wq) + bias, int32 accumulation."""
-    kh, kw, cin, _ = wq.shape
-    acc = _check_acc_bound(kh * kw * cin, bias_q)
-    return conv2d(*_operands(xq, x_zp, wq, bias_q, acc)).astype(np.int32)
+def conv2d_int(xc, w, b) -> np.ndarray:
+    """Integer convolution on a centered input xc = xq - x_zp: sum(xc * w) +
+    b, accumulated exactly in w's dtype (see the module docstring)."""
+    return conv2d(xc.astype(w.dtype, copy=False), w, b)
 
 
 def conv2d_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    return conv2d_naive(*_operands(xq, x_zp, wq, bias_q, np.int64)).astype(np.int32)
+    """Integer convolution: sum((xq - x_zp) * wq) + bias, int32 accumulation."""
+    return conv2d_naive(*_operands(xq, x_zp, wq, bias_q)).astype(np.int32)
 
 
-def upconv2_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    acc = _check_acc_bound(wq.shape[2], bias_q)
-    return upconv2(*_operands(xq, x_zp, wq, bias_q, acc)).astype(np.int32)
+def upconv2_int(xc, w, b) -> np.ndarray:
+    return upconv2(xc.astype(w.dtype, copy=False), w, b)
 
 
 def upconv2_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    return upconv2_naive(*_operands(xq, x_zp, wq, bias_q, np.int64)).astype(np.int32)
+    return upconv2_naive(*_operands(xq, x_zp, wq, bias_q)).astype(np.int32)
 
 
-def dense_int(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    acc = _check_acc_bound(wq.shape[0], bias_q)
-    return dense(*_operands(xq, x_zp, wq, bias_q, acc)).astype(np.int32)
+def dense_int(xc, w, b) -> np.ndarray:
+    return dense(xc.astype(w.dtype, copy=False), w, b)
 
 
 def dense_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
-    return dense_naive(*_operands(xq, x_zp, wq, bias_q, np.int64)).astype(np.int32)
+    return dense_naive(*_operands(xq, x_zp, wq, bias_q)).astype(np.int32)
 
 
 def relu_int(xq: np.ndarray, zp: int) -> np.ndarray:

@@ -124,8 +124,11 @@ class LayerKind:
     gives the float output. int_op(layer, int8 inputs, input schemes, own
     scheme, stored tensors, naive) gives the int8 output, or the int32
     accumulator for kinds with a weight; the stored tensors are the ones
-    quant.stored_tensors names. None means the kind runs in float on either
-    side of the quantization boundary."""
+    quant.stored_tensors names. A weighted kind's int op without naive runs
+    the fast kernel on the fast walk's operands instead: a centered float
+    input and the weight and bias quant resolves for it, giving the exact
+    float accumulator. None means the kind runs in float on either side of
+    the quantization boundary."""
 
     float_op: Callable
     int_op: Callable | None = None
@@ -157,13 +160,15 @@ def _concat(layer, xs, *_):
 
 def _weighted(kernel: str, shape, **kw) -> LayerKind:
     """A kind with a weight and a bias. Its float op is the kernel table's
-    <kernel>; its int op is kernels.<kernel>_int (or _int_naive) on the
-    quantized weight and bias, giving the int32 accumulator. Both are
+    <kernel>; its int op is kernels.<kernel>_int_naive on the int8 input,
+    its zero point and the stored weight and bias, or kernels.<kernel>_int
+    on the centered input and the resolved ones (see LayerKind). Both are
     looked up at call time."""
 
     def int_op(layer, xs, ins, out, ts, naive):
-        fn = getattr(kernels, f"{kernel}_int_naive" if naive else f"{kernel}_int")
-        return fn(xs[0], ins[0].zero_point, *ts)
+        if naive:
+            return getattr(kernels, f"{kernel}_int_naive")(xs[0], ins[0].zero_point, *ts)
+        return getattr(kernels, f"{kernel}_int")(xs[0], *ts)
 
     return LayerKind(lambda l, xs, ts, k: k[kernel](xs[0], *ts), int_op,
                      (Tensor("weight", shape), Tensor("bias", _vec)), **kw)
@@ -213,8 +218,7 @@ LAYER_KINDS: dict[str, LayerKind] = {
     # the int op first re-expresses both halves in the concat's own scheme
     "concat": LayerKind(
         _concat,
-        lambda l, xs, ins, out, _, naive: _concat(
-            l, [out.requant(q, s, naive) for q, s in zip(xs, ins)]),
+        lambda l, xs, ins, out, *_: _concat(l, [out.requant(q, s) for q, s in zip(xs, ins)]),
         arity=2,
     ),
     "softmax": LayerKind(lambda l, xs, *_: kernels.softmax(xs[0]), per_pixel=True),

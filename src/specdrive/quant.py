@@ -10,26 +10,39 @@ dequantization.
 
 The reference tail of a kernel layer (requantize) multiplies its int32
 accumulator into float64 in units of the output scale, rounds half away
-from zero, adds the zero point and clips to int8. It is monotone in the
-accumulator, so the fast walk requantizes through a table instead: one int8
-entry per accumulator from the last one the tail saturates at -128 to the
-first one it saturates at 127, with every accumulator clamped into that
-range before the lookup (see requant_table). A table is filled from the
-reference tail, so fast and naive keep the same bits. When a kernel layer's
-only reader is a relu or a tanh (COMPOSABLE), the reader's int op is
-applied to the table and the reader passes its input through. A layer
-whose table would pass MAX_TABLE entries runs the reference tail. The
-tables are built once per QuantizedGraph, on first use, and kept with it
-(cli.infer_cube builds them before its workers start). The naive walk runs
-the reference tail and every relu and tanh, as the oracle of the tables,
-and qwalk walks without tables so every tensor is its own layer's output.
-concat's requantization is a 256-entry table of the reference form in the
-fast walk, built per call.
+from zero, adds the zero point and clips to int8. The naive walk holds
+every int8 tensor as int8, runs the naive kernels' int32 accumulators
+through that tail and every relu and tanh on its own: it is the oracle.
+
+The fast walk holds every int8 tensor q centered, as the float32 array
+q - zero point (QuantScheme.center): exact small integers, the operand a
+fast integer kernel reads as it is (see kernels). The reference tail is
+monotone in the accumulator, so the fast walk requantizes through a table
+instead: one entry per accumulator from the last one the tail saturates at
+-128 to the first one it saturates at 127 (see requant_table), each entry
+the output centered in the scheme it is read in, so one take yields the
+next kernel's input. A table is filled from the reference tail, so fast
+and naive keep the same bits. A kernel layer's lookup is one index pass,
+the exact float accumulator plus bias - lo added straight into intp, and
+one take that clamps to the table's ends (_fold, _lookup). When a kernel
+layer's only reader is a relu or a tanh (COMPOSABLE), the reader's int op
+is applied to the table and the reader passes its input through. A layer
+whose table would pass MAX_TABLE entries runs the reference tail and
+centers its output. A tanh that no table absorbs, and a concat's input in
+another scheme than the concat's, look their centered input up in a
+256-entry centered table. Every layer's operands (its table or reference
+tail, composed reader, weight in the dtype it accumulates exactly in,
+bias, zero points) are resolved once per QuantizedGraph, on first use,
+and kept with it (QuantizedGraph.steps; cli.infer_cube resolves them
+before its workers start). qwalk walks without tables, so every tensor is
+its own layer's output.
 
 Every int8 value the package makes (a quantized weight, input or tanh
 table, a kernel layer's or a concat's reference requantization) ends in one
-tail, QuantScheme._to_int8: round half away, add the zero point, clip, cast.
-The int8 walk runs on model.run, the float walk's layer loop (see _qwalk).
+tail, QuantScheme._to_int8: round half away, clip to the int8 range less
+the zero point, add the zero point; the fast walk's quantized input stops
+before the add (quant_centered). Both int8 walks run on model.run, the
+float walk's layer loop (see _qwalk).
 
 A graph's leading per-pixel float layers (input normalization) and the
 quantization of their output need no neighbours, so run_input_prefix runs
@@ -90,10 +103,11 @@ from .model import (
 MAGIC = b"SDQ1"
 # degenerate calibration ranges are widened to at least this half-span
 MIN_HALF_SPAN = 1e-3
-# the longest requantization table built, in one-byte entries: it bounds a
-# table's memory at 4 MiB, where the widest layer of the benchmark's seeded
-# U-Net spans 0.31M accumulators. A layer whose unsaturated accumulator
-# range is wider runs the reference tail.
+# the longest requantization table built, in float32 entries: it bounds a
+# table's memory at 16 MiB, where the widest layer of a benchmark U-Net
+# (seed 4242) spans 0.64M accumulators. A layer whose unsaturated accumulator
+# range is wider runs the reference tail. It keeps |lo| below 2^23 and every
+# table shorter than 2^24, which the fast lookup's exactness needs (_lookup).
 MAX_TABLE = 2**22
 # kinds whose int op maps each int8 value on its own, so a requantization
 # table can absorb one that is its kernel layer's only reader
@@ -116,28 +130,45 @@ class QuantScheme:
     scale: float
     zero_point: int
 
+    def _clipped(self, v: np.ndarray) -> np.ndarray:
+        """round(v) saturated to the int8 range less the zero point,
+        [-128 - zp, 127 - zp], for an owned float64 buffer v in units of
+        this scale: round half away, clip."""
+        v = round_half_away(v)
+        return np.clip(v, -128 - self.zero_point, 127 - self.zero_point, out=v)
+
     def _to_int8(self, v: np.ndarray) -> np.ndarray:
         """int8 of round(v) + zero point, saturating, for an owned float64
-        buffer v in units of this scale: round half away, add the zero
-        point, clip, cast."""
-        v = round_half_away(v)
-        v += self.zero_point
-        return np.clip(v, -128, 127, out=v).astype(np.int8)
+        buffer v in units of this scale: _clipped, then the zero point added
+        straight into the int8 output. Clipping before the add is exact:
+        the add only moves integers, and a value it would round clips to
+        the same end."""
+        return np.add(self._clipped(v), self.zero_point, out=np.empty(v.shape, np.int8),
+                      casting="unsafe")
 
     def quant(self, x: np.ndarray) -> np.ndarray:
         return self._to_int8(np.divide(x, self.scale, dtype=np.float64))
 
-    def dequant(self, q: np.ndarray) -> np.ndarray:
-        return ((q.astype(np.float64) - self.zero_point) * self.scale).astype(np.float32)
+    def center(self, q: np.ndarray) -> np.ndarray:
+        """int8 values q as the fast walk carries them: q - zero point, the
+        exact small integers a fast integer kernel reads, in float32."""
+        return np.subtract(q, self.zero_point, dtype=np.float32)
 
-    def requant(self, q: np.ndarray, src: "QuantScheme", naive: bool = False) -> np.ndarray:
-        """Re-express int8 values held in scheme src in this scheme. The
-        naive form is requantize of q - zp_src at the ratio of the scales;
-        the fast form looks q up in its outputs for all 256 int8 values."""
+    def quant_centered(self, x: np.ndarray) -> np.ndarray:
+        """center(quant(x)), without the int8 step."""
+        return self._clipped(np.divide(x, self.scale, dtype=np.float64)).astype(np.float32)
+
+    def dequant(self, q: np.ndarray) -> np.ndarray:
+        """The float32 values of int8 q, or of centered values (see center)."""
+        if q.dtype == np.int8:
+            q = np.subtract(q, self.zero_point, dtype=np.float64)
+        return np.multiply(q, self.scale, dtype=np.float64).astype(np.float32)
+
+    def requant(self, q: np.ndarray, src: "QuantScheme") -> np.ndarray:
+        """Re-express int8 values held in scheme src in this scheme:
+        requantize of q - zp_src at the ratio of the scales."""
         if src == self:
             return q
-        if not naive:
-            return kernels.lookup_int(q, self.requant(_INT8, src, naive=True))
         return requantize(np.subtract(q, src.zero_point, dtype=np.int32),
                           src.scale / self.scale, self)
 
@@ -176,6 +207,12 @@ class QuantizedGraph:
         built on first use and kept with this graph, whose schemes and
         tensors are not changed after."""
         return requant_tables(self)
+
+    @cached_property
+    def steps(self) -> dict:
+        """The fast walk's layer ops on these tables (see _steps), resolved
+        on first use and kept, as the tables are."""
+        return _steps(self, self.tables)
 
 
 @dataclass(frozen=True)
@@ -304,10 +341,12 @@ def quantize_model(
 
 class RequantTable(NamedTuple):
     """A kernel layer's requantization as a lookup: table[a - lo] is the
-    int8 output of accumulator a for a in [lo, lo + len(table)), and
-    accumulators beyond either end give the end's entry."""
+    output of accumulator a for a in [lo, lo + len(table)), and
+    accumulators beyond either end give the end's entry. An entry is the
+    output as the fast walk carries it, centered (QuantScheme.center) in
+    the scheme it is read in: the composed reader's, else the layer's."""
     lo: int
-    table: np.ndarray
+    table: np.ndarray  # float32
     composes: bool  # the layer's one reader (a COMPOSABLE kind) is in the table
 
 
@@ -365,7 +404,9 @@ def requant_tables(qg: QuantizedGraph) -> dict[str, RequantTable]:
         built = requant_table(_ratio(qg, layer), qg.schemes[layer.name],
                               _unary_int_op(qg, reader[0]) if composes else None)
         if built is not None:
-            tables[layer.name] = RequantTable(*built, composes)
+            lo, table = built
+            read = qg.schemes[reader[0].name if composes else layer.name]
+            tables[layer.name] = RequantTable(lo, read.center(table), composes)
     return tables
 
 
@@ -381,46 +422,131 @@ def _stored(qg: QuantizedGraph, layer: LayerSpec) -> list[np.ndarray]:
     return [_weight(qg.tensors, t) for t, _, _ in stored_tensors(layer)]
 
 
-def _lookup(acc: np.ndarray, t: RequantTable) -> np.ndarray:
-    """t's entry for each accumulator: clamp into the table, in acc's
-    buffer, subtract its low end, take."""
-    np.clip(acc, t.lo, t.lo + len(t.table) - 1, out=acc)
-    acc -= t.lo
-    return t.table.take(acc)
+def _lookup(a: np.ndarray, addend, table: np.ndarray, out=None) -> np.ndarray:
+    """table's entry at a + addend for every value of a, clamped into the
+    table, into out if given: one index pass, added in a's dtype straight
+    into intp, and one take. a and addend hold integers exact in their
+    dtype, so the add rounds only where the sum's magnitude is 2^24 or more
+    (in float32), and a rounded sum stays that large, so it clamps to the
+    same end entry as the exact one: a table has at most MAX_TABLE < 2^24
+    entries."""
+    index = np.add(a, addend, out=np.empty(a.shape, np.intp), casting="unsafe")
+    return table.take(index, mode="clip", out=out)
 
 
-def _qwalk(qg: QuantizedGraph, x: np.ndarray, naive: bool,
-           tables: dict[str, RequantTable]):
+def _fold(bias: np.ndarray, lo: int, dtype) -> tuple:
+    """(the bias a kernel adds, the addend of its lookup's index pass) for
+    a kernel layer accumulating in dtype with a table from lo: the bias
+    folds into the index pass, (None, bias - lo), wherever bias - lo is
+    exact in dtype; elsewhere (bias, -lo), and -lo is exact in float32,
+    since MAX_TABLE bounds |lo| below 2^23 (see requant_table)."""
+    shift = bias.astype(np.int64) - lo
+    if np.array_equal(shift.astype(dtype), shift):
+        return None, shift.astype(dtype)
+    return bias.astype(dtype), dtype(-lo)
+
+
+# the scheme an int op reads the fast walk's centered values in: q - zp
+# behaves as an int8 value of zero point 0 for an op that commutes with the
+# shift, as relu, maxpool2, dropout and a concat of inputs in its own scheme do
+_CENTERED = QuantScheme(1.0, 0)
+
+
+def _steps(qg: QuantizedGraph, tables: dict[str, RequantTable] | None) -> dict:
+    """Every layer's op in one int8 walk of qg, by name, resolved once: a
+    function of the layer's inputs, already in its domain (see _qwalk). A
+    float layer runs its float op on its stored tensors. With tables None,
+    the naive walk's ops: each int op on int8 inputs and stored tensors,
+    and a kernel layer's int32 accumulator through the reference tail.
+    Otherwise the fast walk's, on centered inputs (QuantScheme.center),
+    giving centered outputs:
+    - a reader composed into its producer's table passes its input through;
+    - a kernel layer runs its fast kernel on its weight, resolved once in the
+      dtype its accumulation is exact in, then one lookup in its table
+      (_fold, _lookup) or, without one in tables, the reference tail;
+    - a table-lookup kind (tanh) looks its input up in its int op tabulated
+      over the 256 int8 values, centered;
+    - any other int kind re-expresses each input held in another scheme in
+      its own through such a table of requant, then runs its int op at
+      _CENTERED."""
+    return {layer.name: _step(qg, layer, tables) for layer in qg.graph.layers}
+
+
+def _step(qg: QuantizedGraph, layer: LayerSpec, tables: dict[str, RequantTable] | None):
+    """One layer's op of _steps."""
+    kind = LAYER_KINDS[layer.kind]
+    ts = _stored(qg, layer)
+    if kind.int_op is None:
+        kset = kernels.NAIVE_KERNELS if tables is None else kernels.FAST_KERNELS
+        return lambda xs: kind.float_op(layer, xs, ts, kset)
+    ins, out = [qg.schemes[src] for src in layer.inputs], qg.schemes[layer.name]
+    if tables is None:
+        if not _accumulates(kind):
+            return lambda xs: kind.int_op(layer, xs, ins, out, ts, True)
+        ratio = _ratio(qg, layer)
+        return lambda xs: requantize(kind.int_op(layer, xs, ins, out, ts, True), ratio, out)
+    producer = tables.get(layer.inputs[0])
+    if producer is not None and producer.composes:  # ran in that table
+        return lambda xs: xs[0]
+    if _accumulates(kind):
+        wq, bq = ts
+        # the products one output sums: the weight's axes but the last, less
+        # the taps a resizing kind spends on other outputs (3 of upconv2's 4)
+        terms = int(np.prod(wq.shape[:-1])) // round(kind.resize**2)
+        dtype = kernels._check_acc_bound(terms, bq)
+        w, table = wq.astype(dtype), tables.get(layer.name)
+        if table is None:
+            ts, ratio = (w, bq.astype(dtype)), _ratio(qg, layer)
+            return lambda xs: out.center(requantize(
+                kind.int_op(layer, xs, ins, out, ts, False), ratio, out))
+        b, addend = _fold(bq, table.lo, dtype)
+
+        def step(xs):
+            acc = kind.int_op(layer, xs, ins, out, (w, b), False)
+            # a float32 accumulator's own buffer takes the entries
+            return _lookup(acc, addend, table.table, acc if dtype is np.float32 else None)
+
+        return step
+    # 256-entry tables from q = -128, indexed by the centered value + zp + 128
+    if kind.int_op is table_lookup:
+        lut = out.center(_unary_int_op(qg, layer)(_INT8))
+        shift = np.float32(ins[0].zero_point + 128)
+        return lambda xs: _lookup(xs[0], shift, lut)
+    rex = [None if s == out else (np.float32(s.zero_point + 128),
+                                  out.center(out.requant(_INT8, s))) for s in ins]
+    centered = [_CENTERED] * len(ins)
+    return lambda xs: kind.int_op(
+        layer, [v if r is None else _lookup(v, *r) for v, r in zip(xs, rex)],
+        centered, _CENTERED, ts, False)
+
+
+def _qwalk(qg: QuantizedGraph, x, naive: bool, steps: dict):
     """One walk of the quantized graph over x (float, or int8 already in the
-    scheme of "input"), on model.run: an int8 tensor is quantized, any other
-    is float. A layer of the other domain reads a tensor quantized or
-    dequantized through the tensor's scheme. A kernel layer with a table in
-    tables requantizes through it, and a reader composed into the table
-    passes its input through; any other kernel layer runs the reference
-    tail."""
-    kset = kernels.NAIVE_KERNELS if naive else kernels.FAST_KERNELS
+    scheme of "input"), on model.run with steps (see _steps): yields (name,
+    value, whether it is quantized). A layer with an int op gives a
+    quantized tensor, and so does x when it is int8; the naive walk holds
+    one as int8, the fast walk centered (an int8 x is centered once, here).
+    A layer of the other domain reads a tensor quantized or dequantized
+    through the tensor's scheme."""
+    x = _walk_input(qg, x)
     schemes = qg.schemes
+    to_int = QuantScheme.quant if naive else QuantScheme.quant_centered
+    quantized = {l.name for l in qg.graph.layers if LAYER_KINDS[l.kind].int_op}
+    if x.dtype == np.int8:
+        quantized.add("input")
+        x = x if naive else schemes["input"].center(x)
 
     def op(layer, xs):
-        kind = LAYER_KINDS[layer.kind]
-        if kind.int_op is None:
-            xs = [schemes[src].dequant(v) if v.dtype == np.int8 else v
+        if layer.name in quantized:
+            xs = [v if src in quantized else to_int(schemes[src], v)
                   for src, v in zip(layer.inputs, xs)]
-            return kind.float_op(layer, xs, _stored(qg, layer), kset)
-        producer = tables.get(layer.inputs[0])
-        if producer is not None and producer.composes:  # ran in that table
-            return xs[0]
-        ins = [schemes[src] for src in layer.inputs]
-        xs = [v if v.dtype == np.int8 else s.quant(v) for v, s in zip(xs, ins)]
-        q = kind.int_op(layer, xs, ins, schemes[layer.name], _stored(qg, layer), naive)
-        if not _accumulates(kind):
-            return q
-        # int32 accumulator, at the bias's scale, back to int8
-        table = tables.get(layer.name)
-        return (_lookup(q, table) if table is not None
-                else requantize(q, _ratio(qg, layer), schemes[layer.name]))
+        else:
+            xs = [schemes[src].dequant(v) if src in quantized else v
+                  for src, v in zip(layer.inputs, xs)]
+        return steps[layer.name](xs)
 
-    return run(qg.graph, x, op)
+    for name, v in run(qg.graph, x, op):
+        yield name, v, name in quantized
 
 
 def _walk_input(qg: QuantizedGraph, x) -> np.ndarray:
@@ -439,21 +565,22 @@ def qwalk(qg: QuantizedGraph, x: np.ndarray):
     the float walk (model.walk): yields ("input", x), then (layer name,
     output) for every layer, from one whole-tensor walk on the fast kernels
     without requantization tables, so every tensor is its own layer's
-    output. Each int8 tensor is dequantized through its scheme."""
-    for name, v in _qwalk(qg, _walk_input(qg, x), False, {}):
-        yield name, qg.schemes[name].dequant(v) if v.dtype == np.int8 else v
+    output. Each quantized tensor is dequantized through its scheme."""
+    for name, v, quantized in _qwalk(qg, x, False, _steps(qg, {})):
+        yield name, qg.schemes[name].dequant(v) if quantized else v
 
 
 def qforward(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
     """Integer inference on the whole input, as model.forward. Input
-    normalization runs in float, the body in int8 with int32 accumulators,
-    and the head dequantizes before softmax. An int8 x is taken as already
-    quantized in the scheme of "input" (see run_input_prefix). The result is
-    the same bits as qwalk's output; without naive, relus fold into the
-    requantization before them."""
-    for name, out in _qwalk(qg, _walk_input(qg, x), naive, {} if naive else qg.tables):
+    normalization runs in float, the body in int8 with int32 accumulators
+    (held centered in the fast walk, see _qwalk), and the head dequantizes
+    before softmax. An int8 x is taken as already quantized in the scheme of
+    "input" (see run_input_prefix). The result is the same bits as qwalk's
+    output; without naive, relus and tanhs fold into the requantization
+    before them."""
+    for name, out, quantized in _qwalk(qg, x, naive, _steps(qg, None) if naive else qg.steps):
         pass
-    return qg.schemes[name].dequant(out) if out.dtype == np.int8 else out
+    return qg.schemes[name].dequant(out) if quantized else out
 
 
 def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):

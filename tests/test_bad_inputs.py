@@ -779,3 +779,57 @@ def test_compute_metrics_rejects_bad_frequencies(freqs, error):
 def test_class_stats_rejects_labels_of_another_shape():
     with pytest.raises(ShapeMismatch):
         class_stats(np.zeros((4, 5, 3)), np.zeros((5, 4), np.uint8), 2)
+
+
+def _cross_input_files(files, tmp_path):
+    """Inputs that are each valid but do not fit together: a 3-band cube
+    for 5-band models, a calibration directory holding it, a dark frame
+    smaller than the layout's active window, and a bench infer config
+    joining the cube to a 5-band model."""
+    cube = formats.load_cube(files / "cube.hsc")
+    formats.save_cube(tmp_path / "three.hsc", cube[..., :3].copy())
+    (tmp_path / "calib").mkdir()
+    formats.save_cube(tmp_path / "calib" / "three.hsc", cube[..., :3].copy())
+    formats.save_raw(tmp_path / "dark.u16", np.zeros((100, 100), np.uint16))
+    (tmp_path / "infer.json").write_text(json.dumps({
+        "model": str(files / "mlp.sdw"), "cube": str(tmp_path / "three.hsc"),
+        "iterations": 1, "warmup": 0}))
+
+
+# (argv with {f} for the fixture's files and {t} for tmp_path, compared paths)
+CROSS_INPUT = {
+    "segment bands": (["segment", "--cube", "{t}/three.hsc", "--model", "{f}/mlp.sdw",
+                       "--out", "{t}/m.pgm"], ["{t}/three.hsc", "{f}/mlp.sdw"]),
+    "segment bands int8": (["segment", "--cube", "{t}/three.hsc", "--model", "{f}/unet.sdq",
+                            "--quantized", "--out", "{t}/m.pgm"],
+                           ["{t}/three.hsc", "{f}/unet.sdq"]),
+    "segment --gt": (["segment", "--cube", "{f}/cube.hsc", "--model", "{f}/mlp.sdw",
+                      "--out", "{t}/m.pgm", "--gt", "{f}/mask.pgm"],
+                     ["{f}/mask.pgm", "{f}/cube.hsc"]),
+    "metrics": (["metrics", "--gt", "{f}/mask.pgm", "--pred", "{f}/labels.pgm",
+                 "--classes", "3"], ["{f}/mask.pgm", "{f}/labels.pgm"]),
+    "quantize bands": (["quantize", "--model", "{f}/mlp.sdw", "--calib", "{t}/calib",
+                        "--out", "{t}/q.sdq"], ["{t}/calib/three.hsc", "{f}/mlp.sdw"]),
+    "spectral jm --gt": (["spectral", "jm", "--cube", "{f}/cube.hsc", "--gt", "{f}/mask.pgm"],
+                         ["{f}/mask.pgm", "{f}/cube.hsc"]),
+    "preprocess dark": (["preprocess", "--raw", "{f}/raw.u16", "--dark", "{t}/dark.u16",
+                         "--white", "{f}/white.u16", "--layout", "{f}/layout.json",
+                         "--out", "{t}/c.hsc"], ["{t}/dark.u16", "{f}/layout.json"]),
+    "bench infer bands": (["bench", "infer", "--config", "{t}/infer.json"],
+                          ["{t}/three.hsc", "{f}/mlp.sdw"]),
+}
+
+
+@pytest.mark.parametrize("case", CROSS_INPUT)
+def test_cross_input_refusal_names_its_files(files, tmp_path, capsys, case):
+    """A check across two inputs exits 2 naming the file of each input it
+    compared. The segment band and --gt refusals and metrics' used to name
+    none."""
+    _cross_input_files(files, tmp_path)
+    argv, paths = CROSS_INPUT[case]
+    fill = {"f": files, "t": tmp_path}
+    assert main([a.format(**fill) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("specdrive: error: ")
+    for path in paths:
+        assert path.format(**fill) in err, (path, err)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from functools import partial
@@ -655,3 +656,46 @@ def test_segment_and_bench_infer_normalize_each_pixel_once(work, tmp_path, monke
         runs.clear()
         assert main(argv) == 0
         assert runs and sum(normed) / (len(runs) * h * w) == 1.0, argv[0]
+
+
+def _parser_defaults(parser):
+    """Every default of parser and of its subparsers, set_defaults included."""
+    for action in parser._actions:
+        yield action.default
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parser_defaults(sub)
+    yield from parser._defaults.values()
+
+
+def test_main_parses_with_one_parser_and_calls_stay_independent(monkeypatch):
+    """main builds its argparse tree once per process, whose defaults are
+    all immutable, and successive calls with other subcommands and flags
+    see only their own flags."""
+    assert all(d is None or isinstance(d, (bool, int, float, str)) or callable(d)
+               for d in _parser_defaults(cli.build_parser()))
+    cli._parser.cache_clear()
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    manifests, scored = [], []
+
+    def score(gt, pred, classes, ignore):
+        scored.append((classes, ignore))
+        raise cli.ShapeMismatch("scored")  # ends metrics before it writes
+
+    monkeypatch.setattr(cli, "run_segment", lambda m, name: manifests.append(m) or {"mask": "m"})
+    monkeypatch.setattr(cli, "accumulate", score)
+    monkeypatch.setattr(cli.formats, "load_mask", lambda path: np.zeros((2, 2), np.uint8))
+    seg = ["segment", "--cube", "c.hsc", "--model", "m.sdq", "--out", "o.pgm"]
+    assert main(seg + ["--quantized", "--threads", "2", "--gt", "g.pgm"]) == 0
+    assert main(["metrics", "--gt", "a.pgm", "--pred", "b.pgm", "--classes", "3",
+                 "--ignore", "7"]) == 2
+    assert main(seg) == 0
+    assert main(["metrics", "--gt", "a.pgm", "--pred", "b.pgm", "--classes", "4"]) == 2
+    assert main(seg + ["--threads", "3"]) == 0
+    assert builds == [1]
+    base = {"cube": "c.hsc", "model": "m.sdq", "out": "o.pgm"}
+    assert manifests == [{**base, "quantized": True, "threads": 2, "gt": "g.pgm"}, base,
+                         {**base, "threads": 3}]
+    assert scored == [(3, 7), (4, IGNORE_LABEL)]

@@ -120,15 +120,22 @@ def test_band_norm_sums_to_one_and_guards_zero(rng):
     assert np.abs(sums - 1).max() <= 1e-6
 
 
+def _fast_int(kernel, xq, zp, wq, bias, dtype):
+    """kernels.<kernel>_int on the fast walk's operands: the input centered
+    as float32 xq - zp, the weight and the bias in the accumulation dtype."""
+    return getattr(kernels, f"{kernel}_int")(
+        np.subtract(xq, zp, dtype=np.float32), wq.astype(dtype), bias.astype(dtype))
+
+
 def test_int_conv_fast_equals_naive_bitwise(rng):
     for _ in range(10):
         xq = rng.integers(-128, 128, (5, 6, 3)).astype(np.int8)
         wq = rng.integers(-127, 128, (3, 3, 3, 4)).astype(np.int8)
         bias = rng.integers(-1000, 1000, 4).astype(np.int32)
         zp = int(rng.integers(-100, 100))
-        fast = kernels.conv2d_int(xq, zp, wq, bias)
+        fast = _fast_int("conv2d", xq, zp, wq, bias, np.float32)
         slow = kernels.conv2d_int_naive(xq, zp, wq, bias)
-        assert fast.dtype == np.int32
+        assert fast.dtype == np.float32 and slow.dtype == np.int32
         assert np.array_equal(fast, slow)
 
 
@@ -136,15 +143,28 @@ def test_int_upconv_and_dense_bitwise(rng):
     xq = rng.integers(-128, 128, (3, 4, 5)).astype(np.int8)
     wq = rng.integers(-127, 128, (2, 2, 5, 3)).astype(np.int8)
     bias = rng.integers(-500, 500, 3).astype(np.int32)
-    assert np.array_equal(
-        kernels.upconv2_int(xq, 7, wq, bias), kernels.upconv2_int_naive(xq, 7, wq, bias)
-    )
+    assert np.array_equal(_fast_int("upconv2", xq, 7, wq, bias, np.float32),
+                          kernels.upconv2_int_naive(xq, 7, wq, bias))
     dq = rng.integers(-128, 128, (9, 12)).astype(np.int8)
     dw = rng.integers(-127, 128, (12, 5)).astype(np.int8)
     db = rng.integers(-500, 500, 5).astype(np.int32)
-    assert np.array_equal(
-        kernels.dense_int(dq, -3, dw, db), kernels.dense_int_naive(dq, -3, dw, db)
-    )
+    assert np.array_equal(_fast_int("dense", dq, -3, dw, db, np.float32),
+                          kernels.dense_int_naive(dq, -3, dw, db))
+
+
+@pytest.mark.parametrize("kernel, xshape, wshape", [
+    ("conv2d", (5, 6, 3), (3, 3, 3, 4)), ("upconv2", (3, 4, 5), (2, 2, 5, 3)),
+    ("dense", (9, 12), (12, 5))])
+def test_int_kernels_without_bias_leave_it_out(rng, kernel, xshape, wshape):
+    """A fast integer kernel given no bias returns the accumulator without
+    it, for a caller that adds the bias in its own pass."""
+    xq = rng.integers(-128, 128, xshape).astype(np.int8)
+    wq = rng.integers(-127, 128, wshape).astype(np.int8)
+    bias = rng.integers(-500, 500, wshape[-1]).astype(np.int32)
+    fn = getattr(kernels, f"{kernel}_int")
+    bare = fn(np.subtract(xq, 9, dtype=np.float32), wq.astype(np.float32), None)
+    assert bare.dtype == np.float32
+    assert np.array_equal(bare + bias, getattr(kernels, f"{kernel}_int_naive")(xq, 9, wq, bias))
 
 
 def test_accumulator_bound_guard():
@@ -178,7 +198,7 @@ def test_int_kernels_exact_at_float32_bound(kernel, xshape, wshape, over, acc):
     wq[..., 0], wq[..., 1] = -127, 127
     bq = np.array([bias, -bias], np.int32)
     assert kernels._check_acc_bound(n_terms, bq) is acc
-    fast = getattr(kernels, f"{kernel}_int")(xq, 127, wq, bq)
+    fast = _fast_int(kernel, xq, 127, wq, bq, acc)
     slow = getattr(kernels, f"{kernel}_int_naive")(xq, 127, wq, bq)
-    assert fast.dtype == np.int32 and np.array_equal(fast, slow)
+    assert fast.dtype == acc and np.array_equal(fast, slow)
     assert fast.max() == 2**24 - 1 + over and fast.min() == -(2**24 - 1 + over)

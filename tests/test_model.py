@@ -316,7 +316,7 @@ def test_per_pixel_kind_reads_only_its_pixel(rng, kind):
         stored = [(rng.permutation(256) - 128).astype(np.int8)]
 
     def run_int(v):
-        return op.int_op(layer, [v], ins, QuantScheme(0.05, -7), stored, False)
+        return op.int_op(layer, [v], ins, QuantScheme(0.05, -7), stored, True)
 
     assert np.array_equal(_changed_pixels(run_int(xq), run_int(xq2)), only)
 

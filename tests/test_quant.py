@@ -542,6 +542,19 @@ def test_requantization_epilogue_matches_reference():
         assert got.dtype == np.int8 and np.array_equal(got, _reference_int8(v, zp)), zp
 
 
+def test_centered_quantization_is_the_int8_tail_less_its_zero_point():
+    """The fast walk's quantization, quant_centered, gives quant's int8
+    value less the zero point, as float32, for every zero point."""
+    v = _epilogue_values()
+    for zp in range(-128, 128):
+        scheme = QuantScheme(1.0, zp)
+        got = scheme.quant_centered(v)
+        want = _reference_int8(v, zp).astype(np.int64) - zp
+        assert got.dtype == np.float32 and np.array_equal(got, want), zp
+        assert np.array_equal(scheme.center(scheme.quant(v)), got)
+        assert np.array_equal(scheme.dequant(got), scheme.dequant(scheme.quant(v)))
+
+
 def test_tanh_table_is_the_reference_tail(mlp_models):
     """A quantized MLP's tanh tables hold tanh of every int8 input, read in
     the input's scheme, through the reference tail in the output's scheme."""
@@ -558,14 +571,41 @@ def test_tanh_table_is_the_reference_tail(mlp_models):
 
 def test_concat_reference_requant_is_requantize():
     """The naive walk re-expresses a concat's input through requantize of
-    q - zp_src at the ratio of the two scales, and the fast walk's table
-    gives the same bits, for zero points at both ends and between."""
+    q - zp_src at the ratio of the two scales, for zero points at both ends
+    and between."""
     q = np.arange(-128, 128, dtype=np.int8)
     for zp_src, zp in [(-128, 127), (127, -128), (3, -5), (0, 0)]:
         src, dst = QuantScheme(0.02, zp_src), QuantScheme(0.013, zp)
         want = quant.requantize(q.astype(np.int64) - zp_src, 0.02 / 0.013, dst)
-        assert np.array_equal(dst.requant(q, src, naive=True), want)
         assert np.array_equal(dst.requant(q, src), want)
+
+
+@pytest.mark.parametrize("scales, step", [((0.02, 0.013), 1), ((0.013, 0.02), 5),
+                                          ((0.02, 0.02), 5)], ids=["down", "up", "same-scale"])
+def test_concat_centered_tables_match_requant(scales, step):
+    """The fast walk's concat re-expresses each centered input through a
+    256-entry table and gives requant's bits, centered in the concat's
+    scheme: for every pair of source and target zero points at one ratio
+    of scales, every fifth at two others. An input already in the concat's
+    scheme passes through unchanged."""
+    layers = [LayerSpec("a", "relu", ("input",), 2, 2),
+              LayerSpec("cat", "concat", ("input", "a"), 4, 4)]
+    g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
+    q = np.arange(-128, 128, dtype=np.int8).reshape(16, 8, 2)
+    s_src, s_dst = scales
+    for zp_src in range(-128, 128, step):
+        src = QuantScheme(s_src, zp_src)
+        c = src.center(q)
+        for zp in range(-128, 128, step):
+            dst = QuantScheme(s_dst, zp)
+            qg = QuantizedGraph(g, {"input": src, "a": src, "cat": dst}, {})
+            got = quant._step(qg, layers[1], {})([c, c])
+            want = dst.center(dst.requant(q, src))
+            assert got.dtype == np.float32, (zp_src, zp)
+            assert np.array_equal(got, np.concatenate([want, want], axis=-1)), (zp_src, zp)
+        same = QuantizedGraph(g, {"input": src, "a": src, "cat": src}, {})
+        assert np.array_equal(quant._step(same, layers[1], {})([c, c]),
+                              np.concatenate([c, c], axis=-1))
 
 
 # dyadic ratios put acc * ratio exactly on the ties k + 0.5; the others step
@@ -576,27 +616,43 @@ INT32_ENDS = [-2**31, -2**31 + 1, 2**31 - 2, 2**31 - 1]
 
 @pytest.mark.parametrize("after", ["plain", "relu", "tanh"])
 def test_requant_table_matches_reference_tail(after):
-    """A requantization table, looked up with the accumulator clamped into
-    it, gives the reference tail's bits (then relu_int, or a tanh table) for
-    every zero point, on accumulators past both of its ends and at the int32
-    extremes. Its ends are the last accumulator saturated at -128 and the
-    first saturated at 127."""
+    """A requantization table, looked up by one index pass of the kernel's
+    accumulator plus _fold's addend and a clamping take, gives the
+    reference tail's bits (then relu_int, or a tanh table), centered in the
+    scheme it is read in, for every zero point: on accumulators past both
+    of its ends, at +-(2^24 - 1) in float32 and at +-2^24 and the int32
+    ends in float64, with the bias folded into the index pass and, where
+    bias - lo is not exact in float32, added by the kernel. Its ends are
+    the last accumulator saturated at -128 and the first at 127."""
     lut = np.random.default_rng(5).integers(-128, 128, 256).astype(np.int8)
     for ratio in TABLE_RATIOS:
         for zp in range(-128, 128):
             scheme = QuantScheme(1.0, zp)
-            op = {"plain": None, "relu": lambda q: kernels.relu_int(q, zp),
-                  "tanh": lambda q: kernels.lookup_int(q, lut)}[after]
+            op, read = {"plain": (None, scheme),
+                        "relu": (lambda q: kernels.relu_int(q, zp), scheme),
+                        "tanh": (lambda q: kernels.lookup_int(q, lut), QuantScheme(0.5, 7))}[after]
             lo, table = quant.requant_table(ratio, scheme, op)
             hi = lo + len(table) - 1
-            acc = np.array([*range(lo - 40, hi + 41), *INT32_ENDS], np.int32)
-            want = quant.requantize(acc, ratio, scheme)
+            near = np.arange(lo - 40, hi + 41)
+            want = quant.requantize(near, ratio, scheme)
             assert want[40] == -128 and want[41] > -128, (ratio, zp)
-            assert want[-45] == 127 and want[-46] < 127, (ratio, zp)
-            if op is not None:
-                want = op(want)
-            got = quant._lookup(acc.copy(), quant.RequantTable(lo, table, False))
-            assert got.dtype == np.int8 and np.array_equal(got, want), (ratio, zp)
+            assert want[-41] == 127 and want[-42] < 127, (ratio, zp)
+            centered = read.center(table)
+            # (dtype, kernel outputs at the ends of its exact range, bias)
+            cases = [(np.float32, [2**24 - 1, -(2**24 - 1)], 1000),
+                     (np.float64, [2**24, -2**24, *INT32_ENDS], 1000)]
+            if lo < -1:  # bias - lo = 2^24 + 1, not a float32, with |bias| < 2^24
+                cases.append((np.float32, [2**24 - 1, -(2**24 - 1)], 2**24 + 1 + lo))
+            for dtype, ends, bias in cases:
+                b, addend = quant._fold(np.array([bias], np.int32), lo, dtype)
+                added = bias if b is None else 0  # by the index pass
+                assert (b is None) == (bias - lo != 2**24 + 1), (ratio, zp, bias)
+                assert addend.dtype == dtype
+                acc = np.array([*(near - added), *ends], np.int64)[:, None]  # one channel
+                want = quant.requantize(acc + added, ratio, scheme)
+                want = read.center(want if op is None else op(want))
+                got = quant._lookup(acc.astype(dtype), addend, centered)
+                assert got.dtype == np.float32 and np.array_equal(got, want), (ratio, zp, bias)
 
 
 def _spy_calls(monkeypatch, owner, name):
@@ -661,8 +717,11 @@ def test_over_cap_layer_runs_the_reference_tail(monkeypatch, rng):
     qg, x = _big_bias_mlp(rng)
     assert set(qg.tables) == {"fc1"} and not qg.tables["fc1"].composes
     want = qforward(qg, x, naive=True)
-    calls = _spy_calls(monkeypatch, kernels, "lookup_int")
-    assert np.array_equal(qforward(qg, x), want) and len(calls) == 1
+    qg.steps  # resolved before the spies
+    calls = _spy_calls(monkeypatch, quant, "_lookup")
+    tails = _spy_calls(monkeypatch, quant, "requantize")
+    assert np.array_equal(qforward(qg, x), want)
+    assert len(calls) == 2 and len(tails) == 1  # fc1's table and act0's; fc0's tail
     monkeypatch.setattr(quant, "MAX_TABLE", 0)
     uncapped = QuantizedGraph(qg.graph, qg.schemes, qg.tensors)
     assert uncapped.tables == {} and np.array_equal(qforward(uncapped, x), want)
@@ -756,3 +815,80 @@ def test_mlp_input_prefix_runs_in_pixel_blocks(monkeypatch, mlp_models):
     assert np.array_equal(qforward(body, q8), qforward(qg, cube))
     with pytest.raises(RangeMissing):  # the whole graph reads float "input"
         qforward(qg, q8)
+
+
+@pytest.mark.parametrize("norm", ["band_sum", "zscore", "band_sum+zscore", "none"])
+def test_unet_fast_walk_equals_naive(norm, rng):
+    """The fast walk on centered operands gives the naive walk's bits on a
+    U-Net under every input_norm, on float patches and on the int8 prefix
+    output, and infer_cube gives the same maps at 1 and 2 threads."""
+    g = build_unet(UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
+                              in_channels=5, classes=3, input_norm=norm))
+    w = generate_weights(g, 36)
+    cube = rng.uniform(0.05, 0.95, (24, 40, 5)).astype(np.float32)
+    qg = quantize_model(g, w, [cube[:16, :16], cube[8:24, 24:40]])
+    patch = cube[4:20, 10:26]
+    assert np.array_equal(qforward(qg, patch), qforward(qg, patch, naive=True))
+    body, q8 = run_input_prefix(qg, cube)
+    patch = q8[8:24, 0:16]
+    assert np.array_equal(qforward(body, patch), qforward(body, patch, naive=True))
+    grid = build_grid((24, 40), 16, 8, 12)
+    one, two = (cli.infer_cube(qg, cube, grid, threads=t) for t in (1, 2))
+    naive = cli.infer_cube(qg, cube, grid, naive=True)
+    assert all(np.array_equal(a, b) and np.array_equal(a, c)
+               for a, b, c in zip(one, two, naive))
+
+
+def test_mlp_fast_walk_equals_naive_at_any_thread_count(mlp_models):
+    """The int8 MLP's fast walk gives the naive walk's bits, and infer_cube
+    the same maps at 1 and 2 threads."""
+    _, _, qg = mlp_models
+    cube = np.random.default_rng(12).uniform(0.05, 0.95, (50, 90, 25)).astype(np.float32)
+    assert np.array_equal(qforward(qg, cube), qforward(qg, cube, naive=True))
+    one, two = (cli.infer_cube(qg, cube, None, threads=t) for t in (1, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(one, two))
+    assert np.array_equal(one[0], qforward(qg, cube))
+
+
+def test_fast_walk_resolves_each_layer_once(monkeypatch, mlp_models):
+    """The fast walk's kernel operands are resolved once per graph: a walk
+    proves no accumulator bound and casts no weight; every dense_int call
+    gets the same float32 weight object and a centered float32 input."""
+    _, _, qg = mlp_models
+    qg.steps
+    bounds = _spy_calls(monkeypatch, kernels, "_check_acc_bound")
+    seen = []
+    dense_int = kernels.dense_int
+
+    def spy(x, w, b):
+        seen.append((x.dtype, w.dtype, id(w), b is None))
+        return dense_int(x, w, b)
+
+    monkeypatch.setattr(kernels, "dense_int", spy)
+    x = np.random.default_rng(13).uniform(0.05, 0.95, (300, 25)).astype(np.float32)
+    qforward(qg, x)
+    first = list(seen)
+    qforward(qg, x)
+    assert bounds == [] and len(first) == 4 and seen == first * 2
+    assert all(xd == wd == np.float32 and folded for xd, wd, _, folded in first)
+
+
+def test_upconv_accumulates_in_float32_below_its_own_bound(monkeypatch, rng):
+    """An upconv2 output sums C_in products, one of its 2x2 taps, so the
+    fast walk picks float32 for it while C_in x 255 x 127 stays below 2^24,
+    though its weight's other axes would count four times as many; the
+    result keeps the naive walk's bits."""
+    layers = [LayerSpec("up", "upconv2", ("input",), 300, 2, kernel=2),
+              LayerSpec("out", "softmax", ("up",), 2, 2)]
+    g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
+    x = rng.uniform(-1, 1, (3, 4, 300)).astype(np.float32)
+    w = generate_weights(g, 11)
+    w["up.bias"] = np.zeros(2, np.float32)
+    qg = quantize_model(g, w, [x])
+    assert 4 * 300 * 255 * 127 >= 2**24 > 300 * 255 * 127
+    dtypes = []
+    upconv2_int = kernels.upconv2_int
+    monkeypatch.setattr(kernels, "upconv2_int", lambda xc, w, b: dtypes.append(w.dtype) or
+                        upconv2_int(xc, w, b))
+    assert np.array_equal(qforward(qg, x), qforward(qg, x, naive=True))
+    assert dtypes == [np.float32]
