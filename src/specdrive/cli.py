@@ -25,8 +25,7 @@ from .errors import (Field, InvalidGeometry, InvalidOption, InvalidSpec, Missing
                      ShapeMismatch, SpecdriveError, construct, decode, fields, json_spec,
                      naming, value)
 from .metrics import IGNORE_LABEL, accumulate, compute_metrics, report_csv
-from .model import (UNetConfig, build_from_meta, fold_batchnorm, forward, map_pixel_blocks,
-                    run_input_prefix)
+from .model import UNetConfig, build_from_meta, fold_batchnorm, forward, map_pixel_blocks
 from .mosaic import default_layout, preprocess_pipeline
 from .quant import (
     load_qgraph,
@@ -34,6 +33,7 @@ from .quant import (
     qforward,
     quant_report,
     quantize_model,
+    run_input_prefix,
     save_qgraph,
 )
 from .spectral import (
@@ -119,13 +119,14 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     kernel modes, and a quantized one builds its requantization tables here,
     before the workers share them. A per-pixel graph (the MLP) runs untiled:
     the whole graph is mapped over the cube's pixel blocks on the workers
-    (model.map_pixel_blocks), and grid must be None. Any other graph needs
-    a grid: its per-pixel input prefix (normalization, and on a quantized
-    model the quantization) runs once over the cube, then its body on every
-    patch of the grid (see model.split_input), and the patches are averaged
-    back (tiling.reconstruct). The patches are read-only views of the
-    prefix's output (see tiling.extract_patches): no patch is copied, and
-    cube is left as it was. Argmax ties break toward the lowest class."""
+    (model.map_pixel_blocks), and grid must be None. Any other graph (the
+    U-Net) needs a grid: one call of quant.run_input_prefix, for a float
+    model and a quantized one alike, runs its input prefix (normalization,
+    and on a quantized model the quantization) once over the cube, then its
+    body runs on every patch of the grid, and the patches are averaged back
+    (tiling.reconstruct). The patches are read-only views of the prefix's
+    output (see tiling.extract_patches): no patch is copied, and cube is
+    left as it was. Argmax ties break toward the lowest class."""
     _check_bands(model.meta, cube)
     quantized = isinstance(model, quant.QuantizedGraph)
     graph = model.graph if quantized else model
@@ -134,16 +135,16 @@ def infer_cube(model, cube, grid, *, weights=None, threads=1, naive=False):
     if not graph.per_pixel and grid is None:
         raise InvalidOption("a model with spatial layers (the U-Net) needs a patch grid")
     if quantized:
-        body, x = (model, cube) if graph.per_pixel else quant.run_input_prefix(model, cube)
-        if not naive:
-            body.steps  # resolved once, here, for every worker to read
-        infer = partial(qforward, body, naive=naive)
+        infer = partial(qforward, naive=naive)
     elif weights is None:
         raise MissingWeights("float graph needs a weight dict")
     else:
-        graph, weights = fold_batchnorm(model, weights)
-        body, x = (graph, cube) if graph.per_pixel else run_input_prefix(graph, cube, weights)
-        infer = partial(forward, body, weights=weights, naive=naive)
+        model, weights = fold_batchnorm(model, weights)
+        infer = partial(forward, weights=weights, naive=naive)
+    body, x = (model, cube) if graph.per_pixel else run_input_prefix(model, cube, weights)
+    if quantized and not naive:
+        body.steps  # resolved once, here, for every worker to read
+    infer = partial(infer, body)
     if graph.per_pixel:
         prob_map = map_pixel_blocks(infer, x, threads)
         return prob_map, np.argmax(prob_map, axis=-1).astype(np.uint8)
@@ -168,8 +169,8 @@ def run_segment(manifest: dict, name: str = "manifest") -> dict:
     manifest = fields(manifest, MANIFEST, name)
     cube = formats.load_cube(manifest["cube"])
     model, weights = _load_model(manifest["model"], manifest["quantized"])
-    grid = _grid_for(model.meta, cube.shape[:2], manifest["grid"])
     with naming(manifest["cube"], manifest["model"]):
+        grid = _grid_for(model.meta, cube.shape[:2], manifest["grid"])
         prob_map, labels = infer_cube(model, cube, grid, weights=weights,
                                       threads=manifest["threads"])
 
@@ -269,7 +270,7 @@ def _cmd_quantize(args) -> int:
         cube = formats.load_cube(c)
         with naming(c, args.model):
             _check_bands(graph.meta, cube)
-        grid = _grid_for(graph.meta, cube.shape[:2], args.grid)
+            grid = _grid_for(graph.meta, cube.shape[:2], args.grid)
         samples.extend(extract_patches(cube, grid) if grid else [cube])
     qg = quantize_model(graph, weights, samples)
     save_qgraph(args.out, qg)
@@ -302,22 +303,26 @@ BENCH_INPUTS = {
 
 
 def _scene_or_files(cfg: dict, name: str):
+    """((raw, dark, white, layout), the sources a refusal of their join
+    names): the config's scene, or its frame and layout files."""
     if cfg["scene"] is not None:
         scene = synth_scene(construct(SceneSpec, cfg["scene"], f"{name}: 'scene'"))
-        return scene.raw, scene.dark, scene.white, scene.layout
+        return (scene.raw, scene.dark, scene.white, scene.layout), [f"{name}: 'scene'"]
     missing = [k for k in ("raw", "dark", "white") if cfg[k] is None]
     if missing:
         raise InvalidSpec("bench preprocess config has no 'scene' and lacks "
                           + ", ".join(missing))
-    return _read_frames(cfg["raw"], cfg["dark"], cfg["white"], cfg["layout"])
+    files = [cfg[k] for k in ("raw", "dark", "white", "layout")]
+    return _read_frames(*files), files
 
 
 def _cmd_bench(args) -> int:
     bcfg, cfg = bench_mod.read_config(decode(Path(args.config).read_bytes(), args.config),
                                       args.config, BENCH_INPUTS[args.target])
     if args.target == "preprocess":
-        frame, dark, white, layout = _scene_or_files(cfg, args.config)
-        report = bench_mod.bench_preprocess(bcfg, frame, dark, white, layout)
+        frames, sources = _scene_or_files(cfg, args.config)
+        with naming(*sources):
+            report = bench_mod.bench_preprocess(bcfg, *frames)
     else:
         model, weights = _load_model(cfg["model"])
         if cfg["cube"]:
@@ -327,9 +332,9 @@ def _cmd_bench(args) -> int:
                                           f"{args.config}: 'scene'"))
             cube = preprocess_pipeline(scene.raw, scene.dark, scene.white,
                                        scene.layout).cube
-        grid = _grid_for(model.meta, cube.shape[:2], cfg["grid"])
         source = cfg["cube"] or f"{args.config}: 'scene'"
         with naming(source, cfg["model"]):
+            grid = _grid_for(model.meta, cube.shape[:2], cfg["grid"])
             report = bench_mod.bench_inference(
                 bcfg, model, cube, grid, weights=weights, preprocess_ms=cfg["preprocess_ms"])
         if cfg["quantized_model"]:
@@ -401,8 +406,9 @@ def _cmd_spectral(args) -> int:
         if not args.gt:
             raise InvalidSpec("jm needs --gt labels")
         classes = value(args.classes, CLASSES, "--classes")
-        stats = class_stats(cube, _labels_for(cube, args.gt, args.cube), classes, args.ignore)
-        rep = separability(stats)
+        labels = _labels_for(cube, args.gt, args.cube)
+        with naming(args.gt, args.cube):
+            rep = separability(class_stats(cube, labels, classes, args.ignore))
         names = [f"class{i}" for i in range(classes)]
         text = matrix_csv(rep.jm, names)
         text += "mean," + ",".join(
@@ -412,7 +418,8 @@ def _cmd_spectral(args) -> int:
         data = cube.reshape(-1, cube.shape[-1])
         if args.gt:
             data = data[_labels_for(cube, args.gt, args.cube).ravel() != args.ignore]
-        bands = select_bands(data, args.k)
+        with naming(args.gt, args.cube):
+            bands = select_bands(data, args.k)
         text = "slot,band\n" + "".join(
             f"{i},{b}\n" for i, b in enumerate(bands)
         )

@@ -55,6 +55,10 @@ class RangeMissing(SpecdriveError):
     """No recorded activation range for a tensor that needs one."""
 
 
+class NonFinite(SpecdriveError):
+    """A NaN or infinity where only finite values have a meaning."""
+
+
 class EmptyMatrix(SpecdriveError):
     """Confusion matrix holds no scored pixels."""
 

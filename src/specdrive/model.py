@@ -36,14 +36,15 @@ at one row count and a pixel gets the same bits whatever the worker count
 or its place in the input. An input of one block or less is handed over
 whole, in its own shape. The block size is a constant, never derived
 from the thread count. The blocker has three users: cli.infer_cube maps a
-per-pixel graph (the MLP) over a cube's blocks on its workers, both
-run_input_prefix functions run the input prefix over them, and
+per-pixel graph (the MLP) over a cube's blocks on its workers,
+quant.run_input_prefix runs a U-Net's input prefix over them, and
 quant.calibrate walks a per-pixel graph's samples over pixel_blocks.
 
 split_input cuts a graph into its input prefix, the leading per-pixel
 layers without an int op (band_norm, zscore), and the body that follows.
-run_input_prefix runs the prefix once over a whole cube, in pixel blocks
-(map_pixel_blocks), so patches cut from its output only pay for the body.
+The one runner of a prefix is quant.run_input_prefix, for a float U-Net
+and an int8 one alike: it runs the prefix once over a whole cube, in pixel
+blocks, so patches cut from its output only pay for the body.
 
 Naming is stable: encoder blocks are enc0, enc1, ..., the bottom block is
 bridge, decoder blocks dec1, dec0, ... and the classifier is head.
@@ -53,14 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import (REQUIRED, Field, InvalidConfig, MissingWeights, ShapeMismatch,
-                     StructureError, construct, fields, json_field, json_spec)
+from .errors import (REQUIRED, CorruptContainer, Field, InvalidConfig, MissingWeights,
+                     ShapeMismatch, StructureError, construct, fields, json_field, json_spec)
 from .tiling import map_patches
 
 
@@ -223,6 +223,15 @@ LAYER_KINDS: dict[str, LayerKind] = {
     ),
     "softmax": LayerKind(lambda l, xs, *_: kernels.softmax(xs[0]), per_pixel=True),
 }
+
+
+def check_divisors(graph: ModelGraph, tensors: dict, name: str) -> None:
+    """Raise CorruptContainer, naming name and the tensor, where a zscore
+    std in tensors is not > 0: zscore divides by it."""
+    for layer in graph.layers:
+        std = f"{layer.name}.std"
+        if layer.kind == "zscore" and not (tensors[std] > 0).all():
+            raise CorruptContainer(f"{name}: {std} must be > 0, as zscore divides by it")
 
 
 def layer_tensors(layer: LayerSpec) -> list[tuple[str, tuple[int, ...], str]]:
@@ -457,29 +466,19 @@ def split_input(graph: ModelGraph) -> tuple[ModelGraph, ModelGraph]:
     of the graph, which reads the prefix's output under the name "input".
     The prefix runs on any grouping of pixels, so it can run once over a
     whole cube and the body per patch. The body keeps at least the last
-    layer and reads no prefix tensor but the prefix's output."""
+    layer; one that reads a prefix tensor other than its output, the raw
+    input included, raises StructureError, as reading a tensor the body
+    does not produce."""
     n, prev = 0, "input"
     for layer in graph.layers[:-1]:
         kind = LAYER_KINDS[layer.kind]
         if not (kind.per_pixel and kind.int_op is None and layer.inputs == (prev,)):
             break
         n, prev = n + 1, layer.name
-    names = ["input"] + [l.name for l in graph.layers[:n]]
-    while n and any(src in names[:n] for l in graph.layers[n:] for src in l.inputs):
-        n -= 1
-    body = [replace(l, inputs=tuple("input" if s == names[n] else s for s in l.inputs))
+    rename = {"input": "input before the prefix", prev: "input"}
+    body = [replace(l, inputs=tuple(rename.get(s, s) for s in l.inputs))
             for l in graph.layers[n:]]
     return ModelGraph(graph.layers[:n], graph.meta), ModelGraph(body, graph.meta)
-
-
-def run_input_prefix(graph: ModelGraph, x: np.ndarray, weights: dict):
-    """(body, prefix output): graph split by split_input, its prefix run
-    once over x in blocks of PIXEL_BLOCK pixels (map_pixel_blocks).
-    forward(body, patch of the output) is the same bits as forward(graph,
-    patch of x)."""
-    prefix, body = split_input(graph)
-    return body, map_pixel_blocks(partial(forward, prefix, weights=weights),
-                                  np.asarray(x, np.float32))
 
 
 def fold_layers(graph: ModelGraph) -> list[LayerSpec]:

@@ -41,13 +41,17 @@ Every int8 value the package makes (a quantized weight, input or tanh
 table, a kernel layer's or a concat's reference requantization) ends in one
 tail, QuantScheme._to_int8: round half away, clip to the int8 range less
 the zero point, add the zero point; the fast walk's quantized input stops
-before the add (quant_centered). Both int8 walks run on model.run, the
+before the add (quant_centered). A NaN or infinity has no int8 value:
+_clipped, which both tails share, refuses one (NonFinite), so the two
+walks cannot map it differently. Both int8 walks run on model.run, the
 float walk's layer loop (see _qwalk).
 
-A graph's leading per-pixel float layers (input normalization) and the
-quantization of their output need no neighbours, so run_input_prefix runs
-them once over a whole cube, in pixel blocks (model.map_pixel_blocks);
-qforward takes an int8 input as already quantized in the scheme of "input".
+A U-Net's input prefix, its leading per-pixel float layers (input
+normalization), needs no neighbours. run_input_prefix, its one runner for
+a float U-Net and an int8 one alike, runs it once over a whole cube, in
+pixel blocks (model.map_pixel_blocks), and for an int8 model quantizes its
+output there too; qforward takes an int8 input as already quantized in
+the scheme of "input".
 qforward, like model.forward, runs any input whole: a caller that runs a
 per-pixel graph over a cube (cli.infer_cube) blocks it with the same map.
 
@@ -66,7 +70,7 @@ checks the layers against the model description's folded graph.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +81,10 @@ from .errors import (
     CorruptContainer,
     EmptyCalibration,
     Field,
+    NonFinite,
     RangeMissing,
     ShapeMismatch,
+    StructureError,
     fields,
 )
 from .formats import read_container, write_container
@@ -88,6 +94,7 @@ from .model import (
     ModelGraph,
     _weight,
     build_from_meta,
+    check_divisors,
     fold_batchnorm,
     fold_layers,
     forward,
@@ -133,7 +140,11 @@ class QuantScheme:
     def _clipped(self, v: np.ndarray) -> np.ndarray:
         """round(v) saturated to the int8 range less the zero point,
         [-128 - zp, 127 - zp], for an owned float64 buffer v in units of
-        this scale: round half away, clip."""
+        this scale: round half away, clip. Every float value enters int8
+        here, so a NaN or infinity, which has no int8 value, raises
+        NonFinite here, for both walks alike."""
+        if not np.isfinite(v).all():
+            raise NonFinite(f"a non-finite value cannot be quantized (scale {self.scale:g})")
         v = round_half_away(v)
         return np.clip(v, -128 - self.zero_point, 127 - self.zero_point, out=v)
 
@@ -521,18 +532,22 @@ def _step(qg: QuantizedGraph, layer: LayerSpec, tables: dict[str, RequantTable] 
 
 
 def _qwalk(qg: QuantizedGraph, x, naive: bool, steps: dict):
-    """One walk of the quantized graph over x (float, or int8 already in the
-    scheme of "input"), on model.run with steps (see _steps): yields (name,
-    value, whether it is quantized). A layer with an int op gives a
-    quantized tensor, and so does x when it is int8; the naive walk holds
-    one as int8, the fast walk centered (an int8 x is centered once, here).
-    A layer of the other domain reads a tensor quantized or dequantized
-    through the tensor's scheme."""
-    x = _walk_input(qg, x)
-    schemes = qg.schemes
+    """One walk of the quantized graph over x, on model.run with steps (see
+    _steps): yields (name, value, whether it is quantized). x is float, read
+    as float32, or int8 already quantized in the scheme of "input" (see
+    run_input_prefix), which qg must then hold. A layer with an int op
+    gives a quantized tensor, and so does x when it is int8; the naive walk
+    holds one as int8, the fast walk centered (an int8 x is centered once,
+    here). A layer of the other domain reads a tensor quantized or
+    dequantized through the tensor's scheme."""
+    x, schemes = np.asarray(x), qg.schemes
     to_int = QuantScheme.quant if naive else QuantScheme.quant_centered
     quantized = {l.name for l in qg.graph.layers if LAYER_KINDS[l.kind].int_op}
-    if x.dtype == np.int8:
+    if x.dtype != np.int8:
+        x = x.astype(np.float32, copy=False)
+    elif "input" not in schemes:
+        raise RangeMissing('an int8 input needs a scheme for "input"')
+    else:
         quantized.add("input")
         x = x if naive else schemes["input"].center(x)
 
@@ -547,17 +562,6 @@ def _qwalk(qg: QuantizedGraph, x, naive: bool, steps: dict):
 
     for name, v in run(qg.graph, x, op):
         yield name, v, name in quantized
-
-
-def _walk_input(qg: QuantizedGraph, x) -> np.ndarray:
-    """x as the walk reads it: an int8 x as already quantized in the scheme
-    of "input" (see run_input_prefix), anything else as float32."""
-    x = np.asarray(x)
-    if x.dtype != np.int8:
-        return x.astype(np.float32, copy=False)
-    if "input" not in qg.schemes:
-        raise RangeMissing('an int8 input needs a scheme for "input"')
-    return x
 
 
 def qwalk(qg: QuantizedGraph, x: np.ndarray):
@@ -583,25 +587,27 @@ def qforward(qg: QuantizedGraph, x: np.ndarray, *, naive: bool = False):
     return qg.schemes[name].dequant(out) if quantized else out
 
 
-def run_input_prefix(qg: QuantizedGraph, x: np.ndarray):
-    """(body, prefix output) for a quantized graph: model.split_input's
-    float prefix run once over x in blocks of model.PIXEL_BLOCK pixels
-    (model.map_pixel_blocks), each block's output quantized in the scheme
-    the body's layers read it in, so qforward(body, patch of the output) is
-    the same bits as qforward(qg, patch of x). When a float layer of the
-    body reads the prefix's output, it stays float."""
-    prefix, body = split_input(qg.graph)
-    scheme = qg.schemes.get(prefix.output_name)
-    schemes = qg.schemes if scheme is None else {**qg.schemes, "input": scheme}
-    to_int = scheme is not None and all(
-        LAYER_KINDS[l.kind].int_op for l in body.layers if "input" in l.inputs)
-
-    def block(b):
-        y = forward(prefix, b, qg.tensors)
-        return scheme.quant(y) if to_int else y
-
-    body = QuantizedGraph(body, schemes, qg.tensors)
-    return body, map_pixel_blocks(block, np.asarray(x, np.float32))
+def run_input_prefix(model, x: np.ndarray, weights: dict | None = None):
+    """(body, prefix output) for a U-Net, its float graph with weights or a
+    QuantizedGraph: model.split_input's prefix, the input normalization,
+    run once over x in blocks of model.PIXEL_BLOCK pixels
+    (model.map_pixel_blocks). A quantized model's body reads the prefix
+    output in int8, so each block's output is quantized in the scheme of
+    the layers that read it; a float layer of the body reading it raises
+    StructureError. forward(body, patch of the output, weights), or
+    qforward(body, ...), is the same bits as the whole model on the patch
+    of x."""
+    quantized = isinstance(model, QuantizedGraph)
+    prefix, body = split_input(model.graph if quantized else model)
+    norm = partial(forward, prefix, weights=model.tensors if quantized else weights)
+    if not quantized:
+        return body, map_pixel_blocks(norm, x)
+    if any(LAYER_KINDS[l.kind].int_op is None for l in body.layers if "input" in l.inputs):
+        raise StructureError(f"a float layer of the body reads {prefix.output_name!r}, the "
+                             "prefix output, which a quantized body reads in int8")
+    scheme = model.schemes[prefix.output_name]
+    body = QuantizedGraph(body, {**model.schemes, "input": scheme}, model.tensors)
+    return body, map_pixel_blocks(lambda b: scheme.quant(norm(b)), x)
 
 
 @dataclass
@@ -689,7 +695,8 @@ def load_qgraph(path) -> QuantizedGraph:
     """Read a quantized container back. The model description and the
     schemes must be valid, the layers must be the description's graph with
     its batch norm folded, and the file must hold exactly the tensors
-    stored_tensors names, in any order, with int8 weights in [-127, 127]."""
+    stored_tensors names, in any order, with int8 weights in [-127, 127]
+    and every zscore std > 0."""
     header, arrays = read_container(path, MAGIC, {t: t for t in ("<i1", "<i4", "<f4")},
                                     HEADER, ENTRY)
     model = build_from_meta(header["model"], f"{path}: 'model'")
@@ -723,4 +730,5 @@ def load_qgraph(path) -> QuantizedGraph:
                 raise CorruptContainer(f"{path}: {layer.name}: {e}") from None
     if len(header["tensors"]) != len(tensors):
         raise CorruptContainer(f"{path}: tensors other than the model's stored set")
+    check_divisors(graph, tensors, path)
     return QuantizedGraph(graph, schemes, tensors)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CorruptContainer, Field
 from .formats import read_container, write_container
-from .model import ModelGraph, build_from_meta, layer_tensors
+from .model import ModelGraph, build_from_meta, check_divisors, layer_tensors
 
 MAGIC = b"SDW1"
 # the header's keys besides its tensor manifest
@@ -72,9 +72,12 @@ def save_weights(path, graph: ModelGraph, weights: dict[str, np.ndarray]) -> Non
 
 def load_weights(path) -> tuple[ModelGraph, dict[str, np.ndarray]]:
     """Read a container back into a graph plus weight dict. The tensors must
-    be exactly the ones the model's graph reads, in order and shape."""
+    be exactly the ones the model's graph reads, in order and shape, and
+    every zscore std > 0."""
     header, arrays = read_container(path, MAGIC, {"f32le": "<f4"}, HEADER)
     graph = build_from_meta(header["model"], f"{path}: 'model'")
     if [(n, a.shape) for n, (a, _) in arrays.items()] != tensor_specs(graph):
         raise CorruptContainer(f"{path}: tensors do not match the model")
-    return graph, {n: a for n, (a, _) in arrays.items()}
+    weights = {n: a for n, (a, _) in arrays.items()}
+    check_divisors(graph, weights, path)
+    return graph, weights

@@ -2,12 +2,16 @@
 the CLI exits 2, never 3 (an internal error) and never 0 with a wrong
 answer."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from specdrive import cli, formats
+from specdrive import cli, formats, kernels
 from specdrive.cli import main
 from specdrive.errors import (
     CorruptContainer,
@@ -353,6 +357,43 @@ def test_sdw_with_nan_weight_exit_2(files, tmp_path):
     with pytest.raises(CorruptContainer):
         load_weights(bad)
     assert segment(files, tmp_path, model=bad) == 2
+
+
+@pytest.mark.parametrize("fmt, std", [("sdw", 0.0), ("sdw", -1.0), ("sdq", 0.0),
+                                      ("sdq", -1.0)])
+def test_zscore_std_not_positive_refused_at_load(files, tmp_path, capsys, monkeypatch,
+                                                 fmt, std):
+    """A zscore std that is not > 0 makes a corrupt model file, refused
+    when it loads, before zscore divides by it, naming the file and the
+    tensor. A std of 0 used to segment with exit 0 into an all-class-0
+    mask, and quantize wrote an .sdq of infinite scale."""
+    g = build_unet(UNetConfig(patch_size=8, encoder_depth=1, initial_filters=2,
+                              in_channels=5, input_norm="zscore"))
+    w = generate_weights(g, 1)
+    qg = quantize_model(g, w, [formats.load_cube(files / "cube.hsc")[:8, :8]])
+    bad = tmp_path / f"std.{fmt}"
+    if fmt == "sdw":
+        w["norm.zscore.std"][2] = std
+        save_weights(bad, g, w)
+    else:
+        qg.tensors["norm.zscore.std"][2] = std
+        save_qgraph(bad, qg)
+
+    def no_division(*a):
+        raise AssertionError("zscore ran on a std that is not > 0")
+
+    monkeypatch.setattr(kernels, "zscore", no_division)
+    with pytest.raises(CorruptContainer, match="norm.zscore.std"):
+        (load_weights if fmt == "sdw" else load_qgraph)(bad)
+    runs = [segment_argv(files, tmp_path, model=bad), ["model-info", bad]]
+    if fmt == "sdw":
+        runs.append(["quantize", "--model", bad, "--calib", files,
+                     "--out", tmp_path / "q.sdq"])
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{bad}: norm.zscore.std" in err, err
+    assert not (tmp_path / "mask.pgm").exists() and not (tmp_path / "q.sdq").exists()
 
 
 @pytest.mark.parametrize("run, option", [
@@ -784,8 +825,10 @@ def test_class_stats_rejects_labels_of_another_shape():
 def _cross_input_files(files, tmp_path):
     """Inputs that are each valid but do not fit together: a 3-band cube
     for 5-band models, a calibration directory holding it, a dark frame
-    smaller than the layout's active window, and a bench infer config
-    joining the cube to a 5-band model."""
+    smaller than the layout's active window, a bench infer config joining
+    the cube to a 5-band model, a bench preprocess config joining that
+    dark frame to the layout, and labels giving class 1 one pixel of the
+    cube, too few for its covariance or for two bands to select."""
     cube = formats.load_cube(files / "cube.hsc")
     formats.save_cube(tmp_path / "three.hsc", cube[..., :3].copy())
     (tmp_path / "calib").mkdir()
@@ -793,6 +836,13 @@ def _cross_input_files(files, tmp_path):
     formats.save_raw(tmp_path / "dark.u16", np.zeros((100, 100), np.uint16))
     (tmp_path / "infer.json").write_text(json.dumps({
         "model": str(files / "mlp.sdw"), "cube": str(tmp_path / "three.hsc"),
+        "iterations": 1, "warmup": 0}))
+    one = np.zeros((12, 12), np.uint8)
+    one[5, 5] = 1
+    formats.save_mask(tmp_path / "one.pgm", one)
+    (tmp_path / "pre.json").write_text(json.dumps({
+        "raw": str(files / "raw.u16"), "dark": str(tmp_path / "dark.u16"),
+        "white": str(files / "white.u16"), "layout": str(files / "layout.json"),
         "iterations": 1, "warmup": 0}))
 
 
@@ -817,6 +867,15 @@ CROSS_INPUT = {
                          "--out", "{t}/c.hsc"], ["{t}/dark.u16", "{f}/layout.json"]),
     "bench infer bands": (["bench", "infer", "--config", "{t}/infer.json"],
                           ["{t}/three.hsc", "{f}/mlp.sdw"]),
+    "bench preprocess dark": (["bench", "preprocess", "--config", "{t}/pre.json"],
+                              ["{t}/dark.u16", "{f}/layout.json"]),
+    "spectral jm one-pixel class": (["spectral", "jm", "--cube", "{f}/cube.hsc", "--gt",
+                                     "{t}/one.pgm", "--classes", "2"],
+                                    ["{t}/one.pgm", "{f}/cube.hsc"]),
+    "spectral select-bands one pixel": (["spectral", "select-bands", "--cube",
+                                         "{f}/cube.hsc", "--gt", "{t}/one.pgm",
+                                         "--ignore", "0", "-k", "2"],
+                                        ["{t}/one.pgm", "{f}/cube.hsc"]),
 }
 
 
@@ -833,3 +892,48 @@ def test_cross_input_refusal_names_its_files(files, tmp_path, capsys, case):
     assert err.startswith("specdrive: error: ")
     for path in paths:
         assert path.format(**fill) in err, (path, err)
+
+
+@given(d=st.data())
+def test_valid_inputs_that_do_not_fit_exit_0_or_2_naming_a_file(tmp_path_factory, d):
+    """Pairs of small inputs, each valid on its own, of drawn shapes, band
+    counts and class counts: a cube and a label mask, and a float and an
+    int8 model. Every command that joins two of them exits 0, or exits 2
+    naming one of its input files; never 3."""
+    root = tmp_path_factory.mktemp("pair")
+    side = st.sampled_from([1, 2, 3, 8, 12])
+    h, w, bands = d.draw(side), d.draw(side), d.draw(side)
+    in_ch = d.draw(st.sampled_from([bands, d.draw(side)]))
+    pixels = np.random.default_rng(h * w).uniform(0.05, 0.95, (h, w, bands)).astype(np.float32)
+    formats.save_cube(root / "cube.hsc", pixels)
+    gh, gw = d.draw(st.sampled_from([(h, w), (d.draw(side), d.draw(side))]))
+    gk, classes = d.draw(st.integers(1, 4)), d.draw(st.integers(2, 4))
+    formats.save_mask(root / "gt.pgm", np.arange(gh * gw, dtype=np.uint8).reshape(gh, gw) % gk)
+    graph = (build_mlp(in_ch, classes) if d.draw(st.booleans()) else build_unet(
+        UNetConfig(patch_size=8, encoder_depth=1, initial_filters=2, in_channels=in_ch,
+                   classes=classes)))
+    weights = generate_weights(graph, 3)
+    save_weights(root / "m.sdw", graph, weights)
+    calib = np.random.default_rng(4).uniform(0.05, 0.95, (8, 8, in_ch)).astype(np.float32)
+    save_qgraph(root / "m.sdq", quantize_model(graph, weights, [calib]))
+    (root / "calib").mkdir()
+    formats.save_cube(root / "calib" / "c.hsc", pixels)
+    (root / "b.json").write_text(json.dumps({"model": str(root / "m.sdw"),
+                                             "cube": str(root / "cube.hsc"),
+                                             "quantized_model": str(root / "m.sdq"),
+                                             "iterations": 1, "warmup": 0}))
+    formats.save_mask(root / "pred.pgm", np.zeros((h, w), np.uint8))
+    cube, gt, sdw, sdq = (str(root / n) for n in ("cube.hsc", "gt.pgm", "m.sdw", "m.sdq"))
+    out = str(root / "out.pgm")
+    for argv in (
+            ["segment", "--cube", cube, "--model", sdw, "--out", out, "--gt", gt],
+            ["segment", "--cube", cube, "--model", sdq, "--out", out],
+            ["quantize", "--model", sdw, "--calib", str(root / "calib"),
+             "--out", str(root / "q.sdq")],
+            ["bench", "infer", "--config", str(root / "b.json")],
+            ["metrics", "--gt", gt, "--pred", str(root / "pred.pgm"), "--classes",
+             str(classes)]):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        assert rc == 0 or (rc == 2 and any(str(f) in err.getvalue()
+                                           for f in root.rglob("*"))), (argv, rc, err.getvalue())

@@ -13,7 +13,6 @@ from specdrive.model import (
     fold_batchnorm,
     forward,
     layer_tensors,
-    run_input_prefix,
     split_input,
     walk,
 )
@@ -381,9 +380,10 @@ def test_split_input_takes_the_normalization_prefix(graph, prefix):
         l.inputs for l in graph.layers[len(prefix) + 1:]]
 
 
-def test_split_input_keeps_what_the_body_reads(rng):
-    """The prefix stops before a tensor a later layer reads, and before the
-    last layer; running prefix then body is the graph's forward."""
+def test_split_input_refuses_a_body_reading_a_prefix_tensor():
+    """A body that reads a prefix tensor other than the prefix's output,
+    the raw input included, is refused: it would read a tensor the body
+    does not produce. A one-layer graph keeps its layer in the body."""
     layers = [
         LayerSpec("a", "band_norm", ("input",), 4, 4),
         LayerSpec("b", "zscore", ("a",), 4, 4),
@@ -391,14 +391,11 @@ def test_split_input_keeps_what_the_body_reads(rng):
         LayerSpec("d", "concat", ("c", "a"), 8, 8),
         LayerSpec("e", "softmax", ("d",), 8, 8),
     ]
-    g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
-    head, body = split_input(g)
-    assert _names(head) == ["a"]
-    assert _layer(body, "b").inputs == ("input",) and _layer(body, "d").inputs == ("c", "input")
-    w = generate_weights(g, 3)
-    x = rng.uniform(0.1, 0.9, (6, 7, 4)).astype(np.float32)
-    body, y = run_input_prefix(g, x, w)
-    assert np.array_equal(forward(body, y, w), forward(g, x, w))
+    with pytest.raises(StructureError, match="consumes 'a' before it is produced"):
+        split_input(ModelGraph(layers, meta={"kind": "custom", "config": {}}))
+    raw = [*layers[:3], LayerSpec("d", "concat", ("c", "input"), 8, 8), layers[4]]
+    with pytest.raises(StructureError, match="before it is produced"):
+        split_input(ModelGraph(raw, meta={"kind": "custom", "config": {}}))
 
     only = ModelGraph(layers[:1], meta={"kind": "custom", "config": {}})
     head, body = split_input(only)

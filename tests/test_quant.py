@@ -5,7 +5,7 @@ import pytest
 
 from specdrive import cli, kernels, quant
 from specdrive.errors import (CorruptContainer, EmptyCalibration, MissingWeights,
-                              RangeMissing)
+                              NonFinite, RangeMissing, StructureError)
 from specdrive.formats import read_container, write_container
 from specdrive import model
 from specdrive.model import (
@@ -766,8 +766,11 @@ def test_tables_built_once_per_infer_cube(monkeypatch, rng, threads):
 
 @pytest.mark.parametrize("norm", ["band_sum", "zscore", "band_sum+zscore", "none"])
 def test_input_prefix_once_equals_per_patch(norm, rng):
-    """Normalizing and quantizing a cube once, then cutting patches from it,
-    gives the bits of running the whole graph on each float patch."""
+    """Normalizing a cube once, and quantizing it once for an int8 model,
+    then cutting patches from it, gives the bits of running the whole graph
+    on each float patch, through the one prefix function for both model
+    kinds. An int8 input to a graph whose "input" has no scheme (a
+    normalization reads it in float) is refused."""
     g = build_unet(UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
                               in_channels=5, classes=3, input_norm=norm))
     w = generate_weights(g, 26)
@@ -776,17 +779,24 @@ def test_input_prefix_once_equals_per_patch(norm, rng):
     qg = quantize_model(g, w, [cube[:16, :16], cube[20:36, 50:66]])
     body, q8 = run_input_prefix(qg, cube)
     assert q8.dtype == np.int8 and q8.shape == cube.shape
-    fbody, normed = model.run_input_prefix(g, cube, w)
+    fbody, normed = run_input_prefix(g, cube, w)
+    assert normed.dtype == np.float32 and normed.shape == cube.shape
     for r, c in ((0, 0), (3, 1), (24, 56), (11, 30)):
         patch = cube[r : r + 16, c : c + 16]
         assert np.array_equal(qforward(body, q8[r : r + 16, c : c + 16]), qforward(qg, patch))
         assert np.array_equal(forward(fbody, normed[r : r + 16, c : c + 16], w),
                               forward(g, patch, w))
+    if norm == "none":
+        assert np.array_equal(qforward(qg, q8[:16, :16]), qforward(body, q8[:16, :16]))
+    else:
+        with pytest.raises(RangeMissing):  # the whole graph reads float "input"
+            qforward(qg, q8[:16, :16])
 
 
-def test_input_prefix_stays_float_for_a_float_reader(rng):
-    """When a float layer of the body reads the prefix's output, the prefix
-    output is not quantized, and the body still gives the graph's bits."""
+def test_input_prefix_refuses_a_float_reader(rng):
+    """A quantized body reads the prefix output in int8, so a float layer
+    of the body reading it is refused. The float model of the same graph
+    runs its prefix once and keeps the whole graph's bits."""
     layers = [
         LayerSpec("a", "band_norm", ("input",), 4, 4),
         LayerSpec("b", "dense", ("a",), 4, 4),
@@ -796,25 +806,30 @@ def test_input_prefix_stays_float_for_a_float_reader(rng):
     ]
     g = ModelGraph(layers, meta={"kind": "custom", "config": {}})
     x = rng.uniform(0.05, 0.95, (6, 9, 4)).astype(np.float32)
-    qg = quantize_model(g, generate_weights(g, 4), [x])
-    body, y = run_input_prefix(qg, x)
-    assert y.dtype == np.float32 and body.schemes["input"] == qg.schemes["a"]
-    assert np.array_equal(qforward(body, y), qforward(qg, x))
+    w = generate_weights(g, 4)
+    with pytest.raises(StructureError, match="float layer of the body reads 'a'"):
+        run_input_prefix(quantize_model(g, w, [x]), x)
+    body, y = run_input_prefix(g, x, w)
+    assert np.array_equal(forward(body, y, w), forward(g, x, w))
 
 
-def test_mlp_input_prefix_runs_in_pixel_blocks(monkeypatch, mlp_models):
-    """The MLP's prefix runs over a cube in PIXEL_BLOCK blocks, the last
-    padded to full length, and the int8 cube's pixel blocks through the
-    body match the float patch walk."""
-    g, w, qg = mlp_models
-    cube = np.random.default_rng(8).uniform(0.05, 0.95, (48, 100, 25)).astype(np.float32)
-    rows = _spy_rows(monkeypatch, kernels, "band_norm")
-    body, q8 = run_input_prefix(qg, cube)
-    assert rows == [PIXEL_BLOCK] * 3
-    assert [l.kind for l in body.graph.layers[:1]] == ["dense"]
-    assert np.array_equal(qforward(body, q8), qforward(qg, cube))
-    with pytest.raises(RangeMissing):  # the whole graph reads float "input"
-        qforward(qg, q8)
+def test_non_finite_input_refused_in_both_walks(rng):
+    """A NaN or infinity has no int8 value: both walks, and the int8
+    prefix, refuse it where float enters int8, where the fast walk used to
+    carry a NaN into the convolutions and the naive walk cast it to one
+    int8 value, so the two gave different labels."""
+    g = build_unet(UNetConfig(patch_size=16, encoder_depth=2, initial_filters=4,
+                              in_channels=5, classes=3, input_norm="zscore"))
+    cube = rng.uniform(0.05, 0.95, (24, 40, 5)).astype(np.float32)
+    qg = quantize_model(g, generate_weights(g, 36), [cube[:16, :16]])
+    for bad in (np.nan, np.inf):
+        patch = cube[4:20, 10:26].copy()
+        patch[7, 9, 2] = bad
+        for naive in (False, True):
+            with pytest.raises(NonFinite):
+                qforward(qg, patch, naive=naive)
+        with pytest.raises(NonFinite):
+            run_input_prefix(qg, patch)
 
 
 @pytest.mark.parametrize("norm", ["band_sum", "zscore", "band_sum+zscore", "none"])
