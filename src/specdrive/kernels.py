@@ -9,9 +9,11 @@ Integer kernels accumulate in 32 bits. The naive ones (*_int_naive) take
 int8 data, the input's zero point, an int8 weight and an int32 bias, and
 return the int32 accumulator in int64 loops: they are the oracle. The
 optimized ones (conv2d_int, upconv2_int, dense_int) run the accumulation
-through float BLAS in the dtype _check_acc_bound picks for the layer:
-float32 when its worst-case sum (terms x 255 x 127 plus the largest bias)
-stays below 2^24, float64 otherwise. Every partial product and sum is then
+through float BLAS in the dtype _check_acc_bound picks for the layer, from
+the products one output sums (quant._acc_dtype counts them, for the
+quantizer, the loader and the fast walk alike): float32 when its
+worst-case sum (terms x 255 x 127 plus the largest bias) stays below 2^24,
+float64 otherwise. Every partial product and sum is then
 an integer the dtype represents exactly (below 2^24 in float32, far below
 2^53 in float64), in any summation order, so the result is bit-identical to
 true int32 accumulation. They take the input centered, as the float array
@@ -19,6 +21,11 @@ xq - zero point, and the weight and bias already in that dtype (quant
 resolves them once per layer), so an input in the dtype is used as it is,
 and they return the exact accumulator in the dtype, not cast to int32. A
 bias of None leaves it out, for a caller that adds it later.
+
+relu_int and lookup_int are the int ops of relu and tanh. relu_int keeps
+its input's dtype, int8 or the fast walk's centered float32. lookup_int
+reads int8: in the naive walk, and where quant tabulates an op over the 256
+int8 values; the fast walk reads those tables through quant._lookup.
 """
 
 from __future__ import annotations
@@ -229,16 +236,14 @@ def dense_int_naive(xq, x_zp: int, wq, bias_q) -> np.ndarray:
 
 
 def relu_int(xq: np.ndarray, zp: int) -> np.ndarray:
-    """ReLU in the quantized domain: real zero sits at the zero point."""
-    return np.maximum(xq, np.int8(zp) if xq.dtype == np.int8 else zp)
+    """ReLU in the quantized domain: real zero sits at the zero point. The
+    output keeps xq's dtype: int8, or the fast walk's centered float32."""
+    return np.maximum(xq, zp)
 
 
 def lookup_int(xq: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """lut[xq + 128] for int8 xq and a 256-entry table from -128 up. Rolled
-    by 128, the table is indexed by xq's bytes read as uint8; the roll is a
-    concatenation and the lookup np.take, which cost less per call than
-    np.roll and fancy indexing."""
-    return np.take(np.concatenate((lut[128:], lut[:128])), xq.view(np.uint8))
+    """lut[xq + 128] for int8 xq and a 256-entry table from -128 up."""
+    return lut[xq.astype(np.intp) + 128]
 
 
 FAST_KERNELS = {

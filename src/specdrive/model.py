@@ -31,14 +31,14 @@ view, so a patch view is never copied whole, and the temporaries of one
 block (2048 x 100 values) stay in cache and come from reused
 allocations, where a whole frame's would be page-faulted in afresh on
 every layer. A short last block is padded with copies of its last pixel,
-whose outputs are dropped, so every block of an input over one block runs
-at one row count and a pixel gets the same bits whatever the worker count
-or its place in the input. An input of one block or less is handed over
-whole, in its own shape. The block size is a constant, never derived
-from the thread count. The blocker has three users: cli.infer_cube maps a
-per-pixel graph (the MLP) over a cube's blocks on its workers,
-quant.run_input_prefix runs a U-Net's input prefix over them, and
-quant.calibrate walks a per-pixel graph's samples over pixel_blocks.
+whose outputs are dropped, so every block of every input runs at one row
+count and a pixel gets the same bits whatever the input's size, the
+worker count or its place in the input. The block size is a constant,
+never derived from the thread count. The blocker has three users:
+cli.infer_cube maps a per-pixel graph (the MLP) over a cube's blocks on
+its workers, quant.run_input_prefix runs a U-Net's input prefix over
+them, and quant.calibrate walks a per-pixel graph's samples over
+pixel_blocks.
 
 split_input cuts a graph into its input prefix, the leading per-pixel
 layers without an int op (band_norm, zscore), and the body that follows.
@@ -227,11 +227,17 @@ LAYER_KINDS: dict[str, LayerKind] = {
 
 def check_divisors(graph: ModelGraph, tensors: dict, name: str) -> None:
     """Raise CorruptContainer, naming name and the tensor, where a zscore
-    std in tensors is not > 0: zscore divides by it."""
+    std in tensors is not > 0, as zscore divides by it, or a batch-norm
+    variance + BN_EPS is not > 0 in float64, as fold_batchnorm takes its
+    square root."""
     for layer in graph.layers:
-        std = f"{layer.name}.std"
+        std, var = f"{layer.name}.std", f"{layer.name}.variance"
         if layer.kind == "zscore" and not (tensors[std] > 0).all():
             raise CorruptContainer(f"{name}: {std} must be > 0, as zscore divides by it")
+        if layer.kind == "batchnorm" and not (
+                tensors[var].astype(np.float64) + kernels.BN_EPS > 0).all():
+            raise CorruptContainer(f"{name}: {var} + {kernels.BN_EPS:g} must be > 0, as "
+                                   "batch norm takes its square root")
 
 
 def layer_tensors(layer: LayerSpec) -> list[tuple[str, tuple[int, ...], str]]:
@@ -374,8 +380,8 @@ def build_from_meta(meta: dict, name: str = "model description") -> ModelGraph:
 # gain to per-block Python overhead. OpenBLAS picks its sgemm path by row
 # count, so a short block may sum a pixel's products in another order than
 # a full one; pixel_blocks pads a short last block to the full PIXEL_BLOCK
-# rows, and a pixel of an input over one block gets the same float bits
-# whatever block it falls in
+# rows, so a pixel gets the same float bits in any input and whatever block
+# it falls in
 PIXEL_BLOCK = 2048
 
 
@@ -421,15 +427,13 @@ def walk(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False
 
 def pixel_blocks(x: np.ndarray):
     """Yields x's pixels flattened to (PIXEL_BLOCK, C) rows, the short last
-    block padded with copies of its last pixel; an x of one block or less
-    unchanged, in its own shape. Each block is cut from the rows of x it
-    spans, so a strided x (a patch view) is copied a block at a time, never
-    whole."""
+    block padded with copies of its last pixel. Each block is cut from the
+    rows of x it spans, so a strided x (a patch view) is copied a block at a
+    time, never whole. One pixel may be (C,); an x without pixels yields
+    no block."""
+    x = np.atleast_2d(x)
     c = x.shape[-1]
-    if x.size <= PIXEL_BLOCK * c:  # one pixel, or one block or less
-        yield x
-        return
-    rows = x.reshape(-1, x.shape[-2], c)  # a patch view stays a view
+    rows = x.reshape(-1, max(x.shape[-2], 1), c)  # a patch view stays a view
     w = rows.shape[1]
     n = len(rows) * w
     for a in range(0, n, PIXEL_BLOCK):
@@ -442,12 +446,12 @@ def pixel_blocks(x: np.ndarray):
 def map_pixel_blocks(fn, x: np.ndarray, threads: int = 1) -> np.ndarray:
     """fn(x) for a function that maps (..., C) pixels to (..., K) outputs,
     run on pixel_blocks(x) on `threads` workers (tiling.map_patches). The
-    padded rows' outputs are dropped before the blocks are joined, so the
-    result holds exactly x's pixels."""
-    outs = map_patches(fn, pixel_blocks(x), threads)
-    k, last = outs[-1].shape[-1], math.prod(x.shape[:-1]) - PIXEL_BLOCK * (len(outs) - 1)
-    outs[-1] = outs[-1].reshape(-1, k)[:last]
-    return np.concatenate(outs).reshape(*x.shape[:-1], k)
+    padded rows' outputs are dropped after the blocks are joined, so the
+    result holds exactly x's pixels. An x without pixels has no block: fn
+    runs on x itself, which gives the empty result its shape."""
+    n = math.prod(x.shape[:-1])
+    outs = map_patches(fn, pixel_blocks(x) if n else [x], threads)
+    return np.concatenate(outs)[:n].reshape(*x.shape[:-1], outs[0].shape[-1])
 
 
 def forward(graph: ModelGraph, x: np.ndarray, weights: dict, *, naive: bool = False):

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, Field, value
-from .tiling import THREADS, map_patches
+from .tiling import map_patches
 
 STAGE_CROP = "Image cropping"
 STAGE_REFLECTANCE = "Reflectance correction"
@@ -405,19 +405,21 @@ def preprocess_pipeline(
 ) -> PreprocessResult:
     """Run the four preprocessing stages and time each one.
 
-    Crop, reflectance and extraction are whole-array passes; the crops are
+    frame, dark and white are full frames, each cropped to the layout's
+    active window (crop_clip, which names the one too small). Crop,
+    reflectance and extraction are whole-array passes; the crops are
     views, and no stage writes to frame, dark or white. Reflectance treats
     white-dark spans at or below DEFAULT_EPS as degenerate (see
     reflectance_correct). Translation
     computes one band plane per task and splits the bands across `threads`
-    workers through tiling.map_patches. A plane reads only the lattice and
+    workers through tiling.map_patches, which refuses a worker count outside
+    tiling.THREADS. A plane reads only the lattice and
     its own band's coefficients and is written to its band's slot of the
     result's planes, so they are bitwise identical for any worker count and
     for both kernel variants.
     """
     if layout is None:
         layout = default_layout()
-    value(threads, THREADS, "threads")
     if vectorized:
         refl_fn, extract_fn, band_fn = _reflectance, _extract, _translate_band
     else:
@@ -433,8 +435,7 @@ def preprocess_pipeline(
 
     active = timed(STAGE_CROP, crop_clip, frame, layout)
     # reference frames are corrected over the same active window
-    dark_a = crop_clip(dark, layout, "dark") if dark.shape != active.shape else dark
-    white_a = crop_clip(white, layout, "white") if white.shape != active.shape else white
+    dark_a, white_a = crop_clip(dark, layout, "dark"), crop_clip(white, layout, "white")
     refl, n_bad = timed(STAGE_REFLECTANCE, refl_fn, active, dark_a, white_a)
     lattice = timed(STAGE_EXTRACT, extract_fn, refl, layout)
     planes = timed(STAGE_TRANSLATE, _translate, lattice, layout, band_fn, threads)

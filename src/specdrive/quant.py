@@ -239,9 +239,10 @@ class SizeReport:
 def calibrate(graph: ModelGraph, weights: dict, calib: list[np.ndarray]) -> dict:
     """Record the running min/max of every tensor (input and all layer
     outputs) over the calibration samples. Min/max folding is commutative,
-    so sample order does not matter, and a per-pixel graph walks each sample
-    in pixel blocks (model.pixel_blocks), whose padded rows repeat a pixel
-    of the sample, without changing a range."""
+    so sample order does not matter, and a per-pixel graph walks every
+    sample, whatever its size, in full pixel blocks (model.pixel_blocks),
+    whose padded rows repeat a pixel of the sample, without changing a
+    range."""
     if len(calib) == 0:
         raise EmptyCalibration("need at least one calibration sample")
     ranges: dict[str, tuple[float, float]] = {}
@@ -300,11 +301,14 @@ def _assign_schemes(graph: ModelGraph, ranges: dict) -> dict[str, QuantScheme]:
     return schemes
 
 
-def _check_acc_bound(wq: np.ndarray, bias_q: np.ndarray) -> None:
-    """Prove a kernel layer's worst-case int32 accumulator safe up front:
-    every input term of an output (all axes of the weight but the last)
-    at its largest magnitude, plus the largest bias."""
-    kernels._check_acc_bound(int(np.prod(wq.shape[:-1])), bias_q)
+def _acc_dtype(layer: LayerSpec, wq: np.ndarray, bias_q: np.ndarray) -> type:
+    """The dtype a kernel layer's fast kernel accumulates exactly in, once
+    its worst-case int32 accumulator is proven safe (kernels._check_acc_bound):
+    every product one output sums at its largest magnitude, plus the largest
+    bias. An output sums the weight's axes but the last, less the taps a
+    resizing kind spends on other outputs (3 of upconv2's 4)."""
+    terms = int(np.prod(wq.shape[:-1])) // round(LAYER_KINDS[layer.kind].resize**2)
+    return kernels._check_acc_bound(terms, bias_q)
 
 
 def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedGraph:
@@ -335,7 +339,7 @@ def quantize_graph(graph: ModelGraph, weights: dict, ranges: dict) -> QuantizedG
             bias_q = round_half_away(b.astype(np.float64) / bscheme.scale)
             if np.abs(bias_q).max(initial=0) >= 2**31:
                 raise ShapeMismatch(f"bias of {layer.name} overflows int32")
-            _check_acc_bound(wq, bias_q.astype(np.int64))
+            _acc_dtype(layer, wq, bias_q.astype(np.int64))
             schemes[wname], schemes[bname] = wscheme, bscheme
             tensors[wname], tensors[bname] = wq, bias_q.astype(np.int32)
     return QuantizedGraph(graph, schemes, tensors)
@@ -501,10 +505,7 @@ def _step(qg: QuantizedGraph, layer: LayerSpec, tables: dict[str, RequantTable] 
         return lambda xs: xs[0]
     if _accumulates(kind):
         wq, bq = ts
-        # the products one output sums: the weight's axes but the last, less
-        # the taps a resizing kind spends on other outputs (3 of upconv2's 4)
-        terms = int(np.prod(wq.shape[:-1])) // round(kind.resize**2)
-        dtype = kernels._check_acc_bound(terms, bq)
+        dtype = _acc_dtype(layer, wq, bq)
         w, table = wq.astype(dtype), tables.get(layer.name)
         if table is None:
             ts, ratio = (w, bq.astype(dtype)), _ratio(qg, layer)
@@ -725,7 +726,7 @@ def load_qgraph(path) -> QuantizedGraph:
             if w.min(initial=0) < -127:  # the kernels' exactness bound needs it
                 raise CorruptContainer(f"{path}: {layer.name} weight below -127")
             try:
-                _check_acc_bound(w, b)
+                _acc_dtype(layer, w, b)
             except ShapeMismatch as e:
                 raise CorruptContainer(f"{path}: {layer.name}: {e}") from None
     if len(header["tensors"]) != len(tensors):

@@ -34,8 +34,12 @@ class ClassStats:
 
     @property
     def cov(self) -> np.ndarray:
-        if self.count < 2:
-            raise InsufficientData("covariance needs at least 2 samples")
+        """The sample covariance. With no more samples than bands it is
+        singular, and no Gaussian distance read from it means anything."""
+        d = len(self.mean)
+        if self.count <= d:
+            raise InsufficientData(f"covariance of {d} bands needs more than {d} samples, "
+                                   f"got {self.count}")
         return self.scatter / (self.count - 1)
 
 

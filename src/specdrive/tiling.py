@@ -133,12 +133,13 @@ def extract_patches(cube: np.ndarray, grid: PatchGrid) -> list[np.ndarray]:
 
 def map_patches(fn, items, threads: int) -> list:
     """fn applied to every item (patches, band indices, any sequence) on
-    `threads` workers, serially when 1.
+    `threads` workers, serially when 1. A worker count outside THREADS
+    raises InvalidOption before any worker starts.
 
     Results come back in item order, so reconstruction or stacking sees the
     same sequence whatever the worker count.
     """
-    if threads == 1:
+    if value(threads, THREADS, "threads") == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

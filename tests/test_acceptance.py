@@ -248,8 +248,10 @@ def test_08_metrics_correctness():
 
 
 def _gauss(mean, cov):
-    """The statistics of two samples with this mean and covariance."""
-    return ClassStats(2, np.asarray(mean, np.float64), np.asarray(cov, np.float64))
+    """The statistics of d + 1 samples, the fewest a covariance of d bands
+    takes, with this mean and covariance (exact for d of 1 or 2)."""
+    d = len(mean)
+    return ClassStats(d + 1, np.asarray(mean, np.float64), np.asarray(cov, np.float64) * d)
 
 
 def test_09_jm_properties():

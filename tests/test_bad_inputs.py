@@ -396,6 +396,29 @@ def test_zscore_std_not_positive_refused_at_load(files, tmp_path, capsys, monkey
     assert not (tmp_path / "mask.pgm").exists() and not (tmp_path / "q.sdq").exists()
 
 
+@pytest.mark.parametrize("variance", [-1.0, -2e-5])
+def test_batchnorm_variance_below_minus_eps_refused_at_load(files, tmp_path, capsys, variance):
+    """A batch-norm variance whose sum with BN_EPS is not > 0, in float64 as
+    fold_batchnorm computes it, makes a corrupt .sdw, refused when it
+    loads, naming the file and the tensor. -2e-5 used to load and fold into
+    NaN weights. A float32 -1e-5 still loads: its sum is 2.5e-13."""
+    g, w = load_weights(files / "unet.sdw")
+    bad = tmp_path / "var.sdw"
+    w["enc0.bn0.variance"][0] = variance
+    save_weights(bad, g, w)
+    with pytest.raises(CorruptContainer, match="enc0.bn0.variance"):
+        load_weights(bad)
+    for argv in (segment_argv(files, tmp_path, model=bad), ["model-info", bad],
+                 ["quantize", "--model", bad, "--calib", files, "--out", tmp_path / "q.sdq"]):
+        assert main([str(a) for a in argv]) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{bad}: enc0.bn0.variance" in err, err
+    assert not (tmp_path / "mask.pgm").exists() and not (tmp_path / "q.sdq").exists()
+    w["enc0.bn0.variance"][0] = -1e-5
+    save_weights(bad, g, w)
+    load_weights(bad)
+
+
 @pytest.mark.parametrize("run, option", [
     (bench, {"iterations": 0}),
     (bench, {"iterations": "x"}),
@@ -827,8 +850,10 @@ def _cross_input_files(files, tmp_path):
     for 5-band models, a calibration directory holding it, a dark frame
     smaller than the layout's active window, a bench infer config joining
     the cube to a 5-band model, a bench preprocess config joining that
-    dark frame to the layout, and labels giving class 1 one pixel of the
-    cube, too few for its covariance or for two bands to select."""
+    dark frame to the layout, labels giving class 1 one pixel of the
+    cube, too few for its covariance or for two bands to select, and a
+    1x12x12 cube whose labels give each of 4 classes 3 pixels, no more
+    than its 12 bands."""
     cube = formats.load_cube(files / "cube.hsc")
     formats.save_cube(tmp_path / "three.hsc", cube[..., :3].copy())
     (tmp_path / "calib").mkdir()
@@ -840,6 +865,9 @@ def _cross_input_files(files, tmp_path):
     one = np.zeros((12, 12), np.uint8)
     one[5, 5] = 1
     formats.save_mask(tmp_path / "one.pgm", one)
+    formats.save_cube(tmp_path / "twelve.hsc", np.random.default_rng(12).uniform(
+        0.05, 0.95, (1, 12, 12)).astype(np.float32))
+    formats.save_mask(tmp_path / "fourths.pgm", (np.arange(12) % 4).astype(np.uint8)[None])
     (tmp_path / "pre.json").write_text(json.dumps({
         "raw": str(files / "raw.u16"), "dark": str(tmp_path / "dark.u16"),
         "white": str(files / "white.u16"), "layout": str(files / "layout.json"),
@@ -872,6 +900,9 @@ CROSS_INPUT = {
     "spectral jm one-pixel class": (["spectral", "jm", "--cube", "{f}/cube.hsc", "--gt",
                                      "{t}/one.pgm", "--classes", "2"],
                                     ["{t}/one.pgm", "{f}/cube.hsc"]),
+    "spectral jm classes of no more pixels than bands": (
+        ["spectral", "jm", "--cube", "{t}/twelve.hsc", "--gt", "{t}/fourths.pgm",
+         "--classes", "4"], ["{t}/fourths.pgm", "{t}/twelve.hsc"]),
     "spectral select-bands one pixel": (["spectral", "select-bands", "--cube",
                                          "{f}/cube.hsc", "--gt", "{t}/one.pgm",
                                          "--ignore", "0", "-k", "2"],
@@ -932,7 +963,8 @@ def test_valid_inputs_that_do_not_fit_exit_0_or_2_naming_a_file(tmp_path_factory
              "--out", str(root / "q.sdq")],
             ["bench", "infer", "--config", str(root / "b.json")],
             ["metrics", "--gt", gt, "--pred", str(root / "pred.pgm"), "--classes",
-             str(classes)]):
+             str(classes)],
+            ["spectral", "jm", "--cube", cube, "--gt", gt, "--classes", str(classes)]):
         with contextlib.redirect_stderr(io.StringIO()) as err:
             rc = main(argv)
         assert rc == 0 or (rc == 2 and any(str(f) in err.getvalue()

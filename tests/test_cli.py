@@ -6,10 +6,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from specdrive import cli, formats, kernels
+from specdrive import cli, formats, kernels, tiling
 from specdrive.cli import _grid_for, infer_cube, main, run_segment
 from specdrive.metrics import IGNORE_LABEL
-from specdrive.model import PIXEL_BLOCK, UNetConfig, build_mlp, build_unet, forward
+from specdrive.errors import InvalidOption
+from specdrive.model import (PIXEL_BLOCK, UNetConfig, build_mlp, build_unet, forward,
+                             map_pixel_blocks)
 from specdrive.mosaic import MosaicLayout, preprocess_pipeline
 from specdrive.quant import load_qgraph, payload_bytes, qforward
 from specdrive.synth import SceneSpec, separating_mlp_weights, synth_scene
@@ -545,9 +547,9 @@ def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
     grid bit for bit, the model reading no neighbours and the float64
     average of equal float32 copies being that value. The float map is the
     bits of forward on the cube's PIXEL_BLOCK-row slices, the last padded
-    with copies of the last pixel (a cube of one block or less whole), and
-    its labels are those of forward on the whole cube: OpenBLAS may sum a
-    pixel's products in another order at another row count."""
+    with copies of the last pixel (a one-pixel cube too), and its labels
+    are those of forward on the whole cube: OpenBLAS may sum a pixel's
+    products in another order at another row count."""
     _quantized(work, "mlp")
     cube = np.random.default_rng(sum(hw)).uniform(0.05, 0.95, (*hw, 25)).astype(np.float32)
     patch = min(128, *hw)
@@ -575,12 +577,9 @@ def test_per_pixel_default_grid_is_bitwise_the_paper_grid(work, hw):
 
 def _blocked_reference(run, cube):
     """run on PIXEL_BLOCK-row slices of cube's pixels, the last slice padded
-    with copies of the last pixel and its rows dropped; a cube of one block
-    or less whole."""
+    with copies of the last pixel and its rows dropped."""
     flat = cube.reshape(-1, cube.shape[-1])
     n = len(flat)
-    if n <= PIXEL_BLOCK:
-        return run(cube)
     flat = np.concatenate([flat, np.repeat(flat[-1:], -n % PIXEL_BLOCK, axis=0)])
     out = np.concatenate([run(flat[a : a + PIXEL_BLOCK]) for a in range(0, n, PIXEL_BLOCK)])
     return out[:n].reshape(*cube.shape[:-1], -1)
@@ -605,6 +604,29 @@ def test_per_pixel_segment_runs_untiled(work, tmp_path, monkeypatch, model):
                  "--out", str(tmp_path / "m.pgm"), "--threads", "2"]) == 0
     assert calls == [] and rows == [(PIXEL_BLOCK, 25)] * -(-50 * 90 // PIXEL_BLOCK)
     assert formats.load_mask(tmp_path / "m.pgm").shape == (50, 90)
+
+
+@pytest.mark.parametrize("threads", [0, 257, 2.5, True], ids=repr)
+def test_worker_count_refused_before_a_worker_starts(monkeypatch, threads):
+    """tiling.map_patches checks its worker count against THREADS before a
+    worker starts, so infer_cube (the MLP and the U-Net) and
+    map_pixel_blocks raise InvalidOption: 0 and 257 used to reach
+    ThreadPoolExecutor, 2.5 ran on it and True ran serially."""
+    def no_pool(*a, **kw):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(tiling, "ThreadPoolExecutor", no_pool)
+    cube = np.random.default_rng(3).uniform(0.05, 0.95, (24, 40, 5)).astype(np.float32)
+    mlp = build_mlp(5, 2)
+    unet = build_unet(UNetConfig(patch_size=8, encoder_depth=1, initial_filters=2,
+                                 in_channels=5))
+    runs = [partial(infer_cube, mlp, cube, None, weights=generate_weights(mlp, 1)),
+            partial(infer_cube, unet, cube, build_grid((24, 40), 8, 8, 8),
+                    weights=generate_weights(unet, 1)),
+            partial(map_pixel_blocks, np.negative, cube)]
+    for run in runs:
+        with pytest.raises(InvalidOption, match="threads"):
+            run(threads=threads)
 
 
 def test_bench_infer_float_vs_int8(work, tmp_path, capsys):

@@ -55,10 +55,9 @@ def test_cube_roundtrip(tmp_path, rng):
 ], ids=["float32", "transposed", "band-major", "strided", "big-endian", "float64"])
 @pytest.mark.parametrize("height", [1, 7, 8, 21])
 def test_cube_payload_is_band_major_planes(tmp_path, rng, height, make):
-    """The cube write gives the whole-cube transpose's bytes for heights
-    below, at and off the 8-row block and for any input layout: a view of
-    little-endian band-major planes is written as it is, anything else in
-    row blocks."""
+    """The cube write gives the whole-cube transpose's bytes for any height
+    and any input layout: a channel-last cube ("float32") and a band-major
+    view of its planes ("band-major") write the same bytes."""
     cube = make(rng.uniform(0, 1, (height, 6, 5)).astype(np.float32))
     path = tmp_path / "c.hsc"
     formats.save_cube(path, cube)

@@ -295,6 +295,20 @@ def test_pipeline_leaves_inputs_unchanged(rng):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("role", ["dark", "white"])
+def test_reference_frames_are_cropped_like_the_raw_frame(rng, role):
+    """Dark and white are full frames, cropped to the active window as the
+    raw frame is: one already of the window's shape is too small for a
+    window off the origin, and is refused naming its role."""
+    lay = MosaicLayout(tile=np.arange(25).reshape(5, 5), active_origin=(1, 2),
+                       active_size=(20, 25))
+    frames = {name: rng.integers(200, 60000, (23, 29)).astype(np.uint16)
+              for name in ("frame", "dark", "white")}
+    frames[role] = crop_clip(frames[role], lay).copy()
+    with pytest.raises(DimensionMismatch, match=f"{role} frame"):
+        preprocess_pipeline(frames["frame"], frames["dark"], frames["white"], lay)
+
+
 def test_crop_is_a_view_of_the_frame():
     lay = MosaicLayout(tile=np.arange(25).reshape(5, 5), active_origin=(3, 2),
                        active_size=(10, 15))

@@ -404,16 +404,15 @@ def _shapes_of(fn, shapes):
 def test_mlp_runs_in_pixel_blocks(monkeypatch, mlp_models, lead):
     """forward and qforward run their input whole. map_pixel_blocks hands
     them blocks of PIXEL_BLOCK pixels, a short last one padded to full
-    length, or an input of one block or less whole, in its own shape: the
-    blocked qforward gives the bits of its whole-tensor qwalk, the blocked
-    forward the bits or agreement within 1e-5 with the same labels (BLAS may
-    sum a 2048-row block in another order)."""
+    length, whatever the input's size (one pixel too): the blocked qforward
+    gives the bits of its whole-tensor qwalk, the blocked forward the bits
+    or agreement within 1e-5 with the same labels (BLAS may sum a 2048-row
+    block in another order than the whole input)."""
     g, w, qg = mlp_models
     n = int(np.prod(lead))
     x = np.random.default_rng(n).uniform(0.05, 0.95, (*lead, 25)).astype(np.float32)
-    blocked = n > PIXEL_BLOCK
-    blocks = [PIXEL_BLOCK] * -(-n // PIXEL_BLOCK) if blocked else [n]
-    shapes_in = [(PIXEL_BLOCK, 25)] * len(blocks) if blocked else [x.shape]
+    blocks = [PIXEL_BLOCK] * -(-n // PIXEL_BLOCK)
+    shapes_in = [(PIXEL_BLOCK, 25)] * len(blocks)
 
     def dense_rows(counts):
         return [rows for rows in counts for _ in range(4)]  # four dense layers
@@ -459,6 +458,34 @@ def test_mlp_pixel_bits_do_not_depend_on_their_block(mlp_models):
         assert np.array_equal(qrun(x[k:]), yq[k:]), k
 
 
+@pytest.mark.parametrize("n", [1, 100])
+def test_a_small_input_gives_a_pixel_its_bits_in_a_larger_input(n):
+    """An input of one block or less is padded to a full block like any
+    other, so the float MLP gives each of its pixels the bits that pixel
+    gets at the head of a 6,144-pixel input; a one-pixel (C,) input too.
+    Run whole, in its own shape, a 1- or 100-pixel input got other bits."""
+    g = build_mlp(25, 4)
+    w = generate_weights(g, seed=31)
+    run = partial(model.map_pixel_blocks, partial(forward, g, weights=w))
+    x = np.random.default_rng(21).uniform(0.05, 0.95, (6144, 25)).astype(np.float32)
+    y = run(x)
+    assert np.array_equal(run(x[:n]), y[:n])
+    assert np.array_equal(run(x[n - 1]), y[n - 1])
+
+
+@pytest.mark.parametrize("shape", [(0, 25), (0, 5, 25), (5, 0, 25)])
+def test_an_input_without_pixels_maps_to_an_empty_result(mlp_models, shape):
+    """An input with no pixels has no block: map_pixel_blocks returns the
+    empty float32 result of its shape, for forward and qforward alike, and
+    calibration records no range from it (it raised a raw ValueError)."""
+    g, w, qg = mlp_models
+    x = np.zeros(shape, np.float32)
+    assert list(model.pixel_blocks(x)) == [] and calibrate(g, w, [x]) == {}
+    for fn in (partial(forward, g, weights=w), partial(qforward, qg)):
+        y = model.map_pixel_blocks(fn, x)
+        assert y.shape == (*shape[:-1], 3) and y.dtype == np.float32
+
+
 def test_mlp_blocks_keep_the_naive_gate(mlp_models):
     g, w, qg = mlp_models
     x = np.random.default_rng(3).uniform(0.05, 0.95, (PIXEL_BLOCK + 1, 25)).astype(np.float32)
@@ -489,8 +516,7 @@ def test_pixel_blocks_of_a_patch_view_copy_only_their_rows(rng):
 def test_calibrate_walks_pixel_blocks(monkeypatch, rng):
     """Ranges from a block-by-block walk, the short last block padded,
     match the whole-sample walk's; a sample of one block or less is walked
-    whole, in its own shape, and gives the whole walk's ranges bit for
-    bit."""
+    as one padded block too, and gives that block's ranges bit for bit."""
     g = build_mlp(25, 3)
     w = generate_weights(g, 32)
     sample = rng.uniform(0.05, 0.95, (40, 128, 25)).astype(np.float32)
@@ -513,7 +539,12 @@ def test_calibrate_walks_pixel_blocks(monkeypatch, rng):
     assert ranges["input"] == whole["input"]
     for name in whole:
         np.testing.assert_allclose(ranges[name], whole[name], rtol=1e-6)
-    assert calibrate(g, w, [small]) == whole_small and shapes[3:] == [small.shape]
+    padded = next(model.pixel_blocks(small))
+    small_ranges = calibrate(g, w, [small])
+    assert shapes[3:] == [(PIXEL_BLOCK, 25)]
+    assert small_ranges == ranges_of(padded) and small_ranges["input"] == whole_small["input"]
+    for name in whole_small:
+        np.testing.assert_allclose(small_ranges[name], whole_small[name], rtol=1e-6)
 
 
 def _epilogue_values() -> np.ndarray:
@@ -907,3 +938,21 @@ def test_upconv_accumulates_in_float32_below_its_own_bound(monkeypatch, rng):
                         upconv2_int(xc, w, b))
     assert np.array_equal(qforward(qg, x), qforward(qg, x, naive=True))
     assert dtypes == [np.float32]
+
+
+def test_upconv_bound_counts_the_products_one_output_sums(rng):
+    """The quantizer, the loader and the fast walk count an upconv2 output's
+    products one way (quant._acc_dtype): C_in, one of its 2x2 taps. With
+    C_in = 16600 the worst case, 16600 x 255 x 127, fits int32 and four
+    times it does not: the layer quantizes, accumulates in float64, and its
+    fast walk gives the naive walk's bits. Counting all four taps, the
+    quantizer refused it ("worst case 2150364000 >= 2^31")."""
+    g = ModelGraph([LayerSpec("up", "upconv2", ("input",), 16600, 1, kernel=2)],
+                   meta={"kind": "custom", "config": {}})
+    x = rng.uniform(-1, 1, (2, 2, 16600)).astype(np.float32)
+    qg = quantize_model(g, generate_weights(g, 11), [x])
+    assert 4 * 16600 * 255 * 127 >= 2**31 > 16600 * 255 * 127
+    layer = g.layers[0]
+    assert quant._acc_dtype(layer, qg.tensors["up.weight"], qg.tensors["up.bias"]) is np.float64
+    fast = qforward(qg, x)
+    assert fast.shape == (4, 4, 1) and np.array_equal(fast, qforward(qg, x, naive=True))

@@ -51,9 +51,11 @@ def test_correlation_insufficient_data():
 
 
 def gauss(mean, cov):
-    """The statistics of two samples with this mean and covariance."""
-    return ClassStats(2, np.atleast_1d(np.asarray(mean, np.float64)),
-                      np.atleast_2d(np.asarray(cov, np.float64)))
+    """The statistics of d + 1 samples, the fewest a covariance of d bands
+    takes, with this mean and covariance (exact for d of 1 or 2)."""
+    mean = np.atleast_1d(np.asarray(mean, np.float64))
+    d = len(mean)
+    return ClassStats(d + 1, mean, np.atleast_2d(np.asarray(cov, np.float64)) * d)
 
 
 def test_jm_identical_distributions_zero():
